@@ -22,16 +22,14 @@ from .verify import SUITES, run_suite
 
 @dataclass(frozen=True)
 class CliConfig:
-    hermitian_tol: float = 1e-10
     psd_tol: float = 1e-9
-    eig_tol: float = 1e-9
     trace_tol: float = 1e-9
     max_iterations: int = 10000
     rng_seed: int = 42
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("hermitian_tol", "psd_tol", "eig_tol", "trace_tol"):
+        for name in ("psd_tol", "trace_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1:

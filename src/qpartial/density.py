@@ -3,9 +3,8 @@
 A partial density operator is a Hermitian positive-semidefinite matrix
 with trace at most one. The trace deficit 1 - tr(f) is the probability
 that the computation producing f has not terminated. Increasing chains
-of such operators converge to a supremum; ``chain_supremum`` detects the
-limit through the trace gap, which for PSD differences dominates the
-operator-norm gap.
+of such operators converge to a supremum; ``chain_supremum`` stops on
+the trace gap between consecutive elements, a heuristic (see there).
 """
 
 from __future__ import annotations
@@ -209,6 +208,10 @@ def chain_supremum(
     ``(operator, iterations_used, converged)`` where the operator is the
     last element consumed.
 
+    The trace-gap rule is a heuristic: a small gap bounds one step of the
+    chain, not its distance to the supremum, so a slowly rising chain or
+    one that stalls for a step can be reported converged early.
+
     With ``cfg.monotonicity_check`` every consecutive pair is checked in
     the Loewner order and a violation raises ``ChainMonotonicityError``:
     suprema only exist for increasing families.
@@ -224,7 +227,7 @@ def chain_supremum(
         try:
             nxt = next(it)
         except StopIteration:
-            return _revalidated(current), count, True
+            return current, count, True
         if cfg.monotonicity_check:
             ok, witness = loewner_leq(current, nxt)
             if not ok:
@@ -235,11 +238,7 @@ def chain_supremum(
                 )
         gap = nxt.trace - current.trace
         if gap < cfg.trace_tol:
-            return _revalidated(nxt), count, True
+            return nxt, count, True
         current = nxt
         count += 1
-    return _revalidated(current), cfg.max_iterations, False
-
-
-def _revalidated(f: PartialDensityOperator) -> PartialDensityOperator:
-    return PartialDensityOperator(f.matrix)
+    return current, cfg.max_iterations, False

@@ -9,7 +9,6 @@ certifies unitarity.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -60,22 +59,21 @@ def embed_operator(block, targets, total_qubits: int) -> np.ndarray:
     for q in targets:
         if not 0 <= q < total_qubits:
             raise ValueError(f"target qubit {q} out of range for {total_qubits} qubit(s)")
-    dim = 2**total_qubits
     rest = [q for q in range(total_qubits) if q not in targets]
-    full = np.zeros((dim, dim), dtype=complex)
-    for rest_bits in product((0, 1), repeat=len(rest)):
-        base = 0
-        for q, bit in zip(rest, rest_bits):
-            base |= bit << (total_qubits - 1 - q)
-        idx = []
-        for sub in range(2**k):
-            i = base
-            for pos, q in enumerate(targets):
-                bit = (sub >> (k - 1 - pos)) & 1
-                i |= bit << (total_qubits - 1 - q)
-            idx.append(i)
-        full[np.ix_(idx, idx)] = block
+    # Row/column index of (rest setting i, target setting j): disjoint bits.
+    idx = _bit_offsets(rest, total_qubits)[:, None] | _bit_offsets(targets, total_qubits)[None, :]
+    full = np.zeros((2**total_qubits, 2**total_qubits), dtype=complex)
+    full[idx[:, :, None], idx[:, None, :]] = block
     return full
+
+
+def _bit_offsets(qubits, total_qubits: int) -> np.ndarray:
+    """Basis-index offset of every setting of ``qubits``, the first qubit
+    as the most significant bit of the setting."""
+    k = len(qubits)
+    weights = 1 << (total_qubits - 1 - np.asarray(qubits, dtype=np.int64))
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return bits @ weights
 
 
 def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:

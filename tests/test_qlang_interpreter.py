@@ -1,11 +1,21 @@
+from functools import reduce
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from qpartial import sampling
+from qpartial import linalg, sampling
 from qpartial.density import FixpointConfig, PartialDensityOperator, new_partial_density
-from qpartial.errors import DimensionMismatchError, NonUnitaryError
-from qpartial.qlang import denote_unitary, interpret, parse
-from qpartial.qlang.gates import GATES, embed_operator
+from qpartial.errors import (
+    ChainMonotonicityError,
+    DimensionMismatchError,
+    NonUnitaryError,
+    NotPositiveError,
+)
+from qpartial.logic import ClosedSubspace
+from qpartial.qlang import denote_unitary, interpret, interpreter, parse
+from qpartial.qlang.ast import Program, Skip, While
+from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
 
 GROUND = PartialDensityOperator.ground_state(2)
 KET0 = np.array([1.0, 0.0])
@@ -58,6 +68,26 @@ class TestDenoteUnitary:
             denote_unitary("X", (3,), 2)
         with pytest.raises(DimensionMismatchError):
             embed_operator(np.eye(4), (0,), 2)
+
+
+def kron_permuted(block: np.ndarray, targets, n: int) -> np.ndarray:
+    """block (x) I on the qubit order (targets, rest), axes permuted back."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    m = np.kron(block, np.eye(2 ** (n - len(targets)))).reshape((2,) * (2 * n))
+    axes = list(np.argsort(order))
+    return m.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+
+
+class TestEmbedOperator:
+    def test_every_ordered_target_tuple_matches_kron(self):
+        rng = rng_for(20)
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for targets in permutations(range(n), k):
+                    block = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+                    assert np.array_equal(
+                        embed_operator(block, targets, n), kron_permuted(block, targets, n)
+                    ), targets
 
 
 class TestBasicStatements:
@@ -141,6 +171,12 @@ class TestDivergingLoop:
         assert report.residual == 1.0
         assert report.converged
         assert np.allclose(report.output.matrix, 0.0)
+        assert report.iterations_per_loop == [1]
+
+    def test_full_space_guard_has_empty_exit_block(self):
+        prog = Program((("q", 1),), While(ClosedSubspace.full(2), Skip()))
+        report = interpret(prog, GROUND)
+        assert report.residual == 1.0
         assert report.iterations_per_loop == [1]
 
     def test_partial_divergence(self):
@@ -229,3 +265,131 @@ class TestRunReport:
             f = sampling.random_pdo(prog.dim, rng)
             report = interpret(prog, f, FixpointConfig(max_iterations=50))
             assert report.output.trace <= f.trace + 1e-9
+
+
+ROADMAP_6Q = (
+    "qubit a; qubit b; qubit c; qubit d; qubit e; qubit f; h a; h b; cnot a c; h d; "
+    "while a in |1> { h a; cnot a b; t c; h e; cnot e f; }"
+)
+
+
+class TestBoundaryValidation:
+    def test_only_the_output_is_certified_at_full_dimension(self, monkeypatch):
+        prog = parse(ROADMAP_6Q)
+        ground = PartialDensityOperator.ground_state(prog.dim)
+        sizes = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, _solver=solver, **kwargs):
+                sizes.append(np.shape(a)[0])
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = interpret(prog, ground)
+        (steps,) = report.iterations_per_loop
+        assert report.converged
+        # a converged loop compares `steps` pairs of approximants: one
+        # 32 x 32 exit-block check each; then the output is certified
+        assert sizes == [32] * steps + [64]
+
+    def test_negative_body_result_raises_with_witness(self, monkeypatch):
+        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
+        loop = prog.body.statements[-1]
+        assert isinstance(loop, While)
+        dent = np.zeros((4, 4), dtype=complex)
+        dent[1, 1] = 0.3  # |01>, inside the exit subspace of `a in |1>`
+        calls = []
+        original = interpreter._eval
+
+        def faulty_eval(stmt, rho, state, loop_depth):
+            out = original(stmt, rho, state, loop_depth)
+            if stmt is loop.body:
+                calls.append(stmt)
+                if len(calls) == 2:
+                    return -dent
+            return out
+
+        monkeypatch.setattr(interpreter, "_eval", faulty_eval)
+        with pytest.raises(ChainMonotonicityError) as err:
+            interpret(prog, PartialDensityOperator.ground_state(4))
+        assert err.value.index == 2
+        witness = err.value.witness
+        assert witness.shape == (4,)
+        assert np.linalg.norm(witness) == pytest.approx(1.0)
+        assert abs(witness[1]) == pytest.approx(1.0)
+
+    def test_without_monotonicity_check_the_output_certificate_catches_it(self, monkeypatch):
+        prog = parse("qubit a; qubit b; while a in |1> { h a; }")
+        original = interpreter._eval
+
+        def faulty_eval(stmt, rho, state, loop_depth):
+            out = original(stmt, rho, state, loop_depth)
+            return out - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0]) if stmt is prog.body.body else out
+
+        monkeypatch.setattr(interpreter, "_eval", faulty_eval)
+        ground = PartialDensityOperator.ground_state(4)
+        with pytest.raises(ChainMonotonicityError) as err:
+            interpret(prog, ground)
+        assert err.value.index == 1
+        with pytest.raises(NotPositiveError):
+            interpret(prog, ground, FixpointConfig(monotonicity_check=False))
+
+
+def kron_at(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
+    return reduce(np.kron, [factors.get(q, np.eye(2)) for q in range(n)])
+
+
+class TestGuardPaths:
+    """|0>/|1> guards run as 0/1 masks, |+>/|-> guards as dense P rho P;
+    both must match an np.kron reference."""
+
+    N = 3
+
+    def test_guard_maps_match_kron_projection(self):
+        rho = sampling.random_pdo(2**self.N, rng_for(21)).matrix
+        for ket, v in KET_VECTORS.items():
+            for q in range(self.N):
+                maps = interpreter._GuardMaps(ClosedSubspace(ket_guard_projection(ket, q, self.N)))
+                assert maps.masked == (ket in "01")
+                p = kron_at({q: np.outer(v, v.conj())}, self.N)
+                e = np.eye(2**self.N) - p
+                assert linalg.max_norm(maps.keep(rho) - p @ rho @ p) <= 1e-12
+                assert linalg.max_norm(maps.exit(rho) - e @ rho @ e) <= 1e-12
+                w = rng_for(22).standard_normal(2 ** (self.N - 1)) + 0j
+                x = maps.lift(w)
+                assert linalg.max_norm(e @ x - x) <= 1e-12
+                block = maps.exit_block(rho)
+                assert np.vdot(x, rho @ x) == pytest.approx(np.vdot(w, block @ w), abs=1e-12)
+
+    def test_programs_match_kron_reference(self):
+        names = "abc"
+        rng = rng_for(23)
+        steps = 12
+        cfg = FixpointConfig(max_iterations=steps, trace_tol=1e-300)
+        for ket, v in KET_VECTORS.items():
+            for q in range(self.N):
+                o = (q + 1) % self.N
+                source = (
+                    f"qubit a; qubit b; qubit c; "
+                    f"if {names[q]} in |{ket}> {{ t {names[q]}; }} else {{ s {names[o]}; }} "
+                    f"while {names[q]} in |{ket}> {{ h {names[q]}; cnot {names[q]} {names[o]}; }}"
+                )
+                f = sampling.random_pdo(2**self.N, rng)
+                report = interpret(parse(source), f, cfg)
+                assert report.iterations_per_loop == [steps]
+
+                p = kron_at({q: np.outer(v, v.conj())}, self.N)
+                e = np.eye(2**self.N) - p
+                t = kron_at({q: GATES["T"]}, self.N)
+                s_o = kron_at({o: GATES["S"]}, self.N)
+                cnot = kron_at({q: np.diag([1, 0])}, self.N) + kron_at(
+                    {q: np.diag([0, 1]), o: GATES["X"]}, self.N
+                )
+                body = cnot @ kron_at({q: GATES["H"]}, self.N)
+                sigma = t @ p @ f.matrix @ p @ t.conj().T + s_o @ e @ f.matrix @ e @ s_o.conj().T
+                acc = e @ sigma @ e
+                for _ in range(steps - 1):
+                    sigma = body @ p @ sigma @ p @ body.conj().T
+                    acc = acc + e @ sigma @ e
+                assert linalg.max_norm(report.output.matrix - acc) <= 1e-12, (ket, q)
