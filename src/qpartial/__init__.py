@@ -29,10 +29,8 @@ from .intervals import (
 )
 from .logic import (
     ClosedSubspace,
-    PartialState,
     are_orthogonal,
     check_subprobability_axioms,
-    gleason,
     gleason_measure,
     join,
     meet,
@@ -49,7 +47,6 @@ from .observables import (
     e0,
     expected_interval,
     expected_interval_op,
-    observable_from_hermitian,
     observable_square_interval,
     pvm_map,
     spectrum_bounds,
@@ -66,7 +63,6 @@ __all__ = [
     "CompactInterval",
     "FixpointConfig",
     "PartialDensityOperator",
-    "PartialState",
     "RunReport",
     "add_intervals",
     "are_orthogonal",
@@ -79,7 +75,6 @@ __all__ = [
     "e0",
     "expected_interval",
     "expected_interval_op",
-    "gleason",
     "gleason_measure",
     "interpret",
     "join",
@@ -87,7 +82,6 @@ __all__ = [
     "meet",
     "new_partial_density",
     "nontermination_probability",
-    "observable_from_hermitian",
     "observable_square_interval",
     "orthocomplement",
     "parse",

@@ -11,32 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .density import FixpointConfig, PartialDensityOperator, matrix_from_json
+from . import linalg
+from .density import FixpointConfig, PartialDensityOperator, matrix_from_json, nontermination_probability
 from .errors import ParseError
-from .observables import expectation_summary
+from .observables import BoundedObservable, e0, missing_mass_interval, spectrum_bounds
 from .qlang import interpret, parse
 from .verify import SUITES, run_suite
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    psd_tol: float = 1e-9
-    trace_tol: float = 1e-9
-    max_iterations: int = 10000
-    rng_seed: int = 42
-    output_path: str | None = None
-
-    def __post_init__(self):
-        for name in ("psd_tol", "trace_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-    def fixpoint(self) -> FixpointConfig:
-        return FixpointConfig(max_iterations=self.max_iterations, trace_tol=self.trace_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,6 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="interpret a program file")
     run_p.add_argument("program", help="path to a program source file")
     run_p.add_argument("--input", help="operator JSON for the initial state (default: ground state)")
+    run_p.add_argument("--max-iter", type=int, default=FixpointConfig.max_iterations)
+    run_p.add_argument("--trace-tol", type=float, default=FixpointConfig.trace_tol)
 
     expect_p = sub.add_parser("expect", help="interval expected value of an observable")
     expect_p.add_argument("observable", help="Hermitian operator JSON file")
@@ -59,12 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("suite", choices=SUITES)
     verify_p.add_argument("--dims", default="2,3,4", help="comma-separated dimensions in [2, 16]")
     verify_p.add_argument("--trials", type=int, default=100)
+    verify_p.add_argument("--seed", type=int, default=42)
 
+    for p in (run_p, expect_p):
+        p.add_argument("--psd-tol", type=float, default=linalg.PSD_TOL)
     for p in (run_p, expect_p, verify_p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--max-iter", type=int, default=10000)
-        p.add_argument("--trace-tol", type=float, default=1e-9)
-        p.add_argument("--psd-tol", type=float, default=1e-9)
         p.add_argument("--out", help="also write the JSON report to this path")
     return parser
 
@@ -72,18 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = CliConfig(
-            psd_tol=args.psd_tol,
-            trace_tol=args.trace_tol,
-            max_iterations=args.max_iter,
-            rng_seed=args.seed,
-            output_path=args.out,
-        )
+        if args.command != "verify" and not args.psd_tol > 0.0:
+            raise ValueError("psd_tol must be positive")
         if args.command == "run":
-            return _cmd_run(args.program, args.input, cfg)
+            return _cmd_run(args)
         if args.command == "expect":
-            return _cmd_expect(args.observable, args.state, cfg)
-        return _cmd_verify(args.suite, args.dims, args.trials, cfg)
+            return _cmd_expect(args)
+        return _cmd_verify(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -92,33 +69,40 @@ def main(argv=None) -> int:
         return 1
 
 
-def _cmd_run(program_path: str, input_path: str | None, cfg: CliConfig) -> int:
-    with open(program_path, encoding="utf-8") as fh:
+def _cmd_run(args) -> int:
+    cfg = FixpointConfig(max_iterations=args.max_iter, trace_tol=args.trace_tol)
+    with open(args.program, encoding="utf-8") as fh:
         program = parse(fh.read())
-    if input_path is None:
+    if args.input is None:
         state = PartialDensityOperator.ground_state(program.dim)
     else:
-        state = PartialDensityOperator(
-            matrix_from_json(_load_json(input_path)), psd_tol=cfg.psd_tol
-        )
-    report = interpret(program, state, cfg.fixpoint())
-    _emit(report.to_json(), cfg)
+        state = _load_state(args.input, args.psd_tol)
+    report = interpret(program, state, cfg)
+    _emit(report.to_json(), args.out)
     return 0 if report.converged else 2
 
 
-def _cmd_expect(observable_path: str, state_path: str, cfg: CliConfig) -> int:
-    observable = matrix_from_json(_load_json(observable_path))
-    state = PartialDensityOperator(matrix_from_json(_load_json(state_path)), psd_tol=cfg.psd_tol)
-    summary = expectation_summary(observable, state)
-    _emit(summary.to_json(), cfg)
+def _cmd_expect(args) -> int:
+    observable = matrix_from_json(_load_json(args.observable))
+    state = _load_state(args.state, args.psd_tol)
+    r = BoundedObservable(observable)
+    m, big_m = spectrum_bounds(r)
+    center = e0(r, state)
+    box = missing_mass_interval(center, state, m, big_m)
+    missing = nontermination_probability(state)
+    _emit({"lo": box.lo, "hi": box.hi, "e0": center, "missing": missing, "m": m, "M": big_m}, args.out)
     return 0
 
 
-def _cmd_verify(suite: str, dims_arg: str, trials: int, cfg: CliConfig) -> int:
-    dims = [int(part) for part in dims_arg.split(",") if part.strip()]
-    report = run_suite(suite, dims, trials, cfg.rng_seed)
-    _emit(report.to_json(), cfg)
+def _cmd_verify(args) -> int:
+    dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    report = run_suite(args.suite, dims, args.trials, args.seed)
+    _emit(report.to_json(), args.out)
     return 0 if report.all_passed else 2
+
+
+def _load_state(path: str, psd_tol: float) -> PartialDensityOperator:
+    return PartialDensityOperator(matrix_from_json(_load_json(path)), psd_tol=psd_tol)
 
 
 def _load_json(path: str) -> dict:
@@ -126,11 +110,11 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(payload: dict, cfg: CliConfig) -> None:
+def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

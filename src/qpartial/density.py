@@ -18,43 +18,22 @@ from .errors import (
     ChainMonotonicityError,
     DimensionMismatchError,
     InvalidOperatorError,
-    NotPositiveError,
 )
 
 
 class PartialDensityOperator:
     """Validated Hermitian PSD matrix with trace in [0, 1].
 
-    Construction validates; instances are immutable afterwards. With
-    ``repair=True``, eigenvalues in [-psd_tol, 0) are clamped to zero by
-    projecting onto the PSD cone; anything more negative still raises.
+    Construction validates, with eigenvalue floor and trace slack
+    ``psd_tol`` (default ``linalg.PSD_TOL``); instances are immutable
+    afterwards.
     """
 
     __slots__ = ("_matrix", "_trace")
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        hermitian_tol: float = linalg.HERMITIAN_TOL,
-        psd_tol: float = linalg.PSD_TOL,
-        repair: bool = False,
-    ):
-        m = linalg.require_hermitian(matrix, hermitian_tol)
-        eigs = np.linalg.eigvalsh(m)
-        lowest = float(eigs[0])
-        if lowest < -psd_tol:
-            _, vecs = np.linalg.eigh(m)
-            raise NotPositiveError(
-                f"operator has eigenvalue {lowest:.3e} < -{psd_tol:.1e}",
-                witness=vecs[:, 0].copy(),
-                eigenvalue=lowest,
-            )
-        if repair and lowest < 0.0:
-            vals, vecs = np.linalg.eigh(m)
-            vals = np.maximum(vals, 0.0)
-            m = (vecs * vals) @ vecs.conj().T
-            m = 0.5 * (m + m.conj().T)
+    def __init__(self, matrix, *, psd_tol: float | None = None):
+        psd_tol = linalg.PSD_TOL if psd_tol is None else psd_tol
+        m = linalg.require_positive_semidefinite(matrix, psd_tol)
         tr = float(np.trace(m).real)
         if tr > 1.0 + psd_tol:
             raise InvalidOperatorError(f"trace {tr:.12g} exceeds 1 (tol {psd_tol:.1e})")
@@ -111,10 +90,6 @@ class PartialDensityOperator:
             "im": self._matrix.imag.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict, **kwargs) -> "PartialDensityOperator":
-        return cls(matrix_from_json(data), **kwargs)
-
 
 def matrix_from_json(data: dict) -> np.ndarray:
     """Read the {dim, re, im} wire form back into a complex matrix."""
@@ -131,27 +106,20 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def matrix_to_json(matrix) -> dict:
-    m = linalg.as_matrix(matrix)
-    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
 def new_partial_density(matrix, **kwargs) -> PartialDensityOperator:
     """Functional alias for the validating constructor."""
     return PartialDensityOperator(matrix, **kwargs)
 
 
-def loewner_leq(
-    f: PartialDensityOperator, g: PartialDensityOperator, psd_tol: float = linalg.PSD_TOL
-) -> tuple[bool, np.ndarray | None]:
+def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[bool, np.ndarray | None]:
     """Decide f <= g in the Loewner order (g - f PSD), with witness.
 
     When the order fails, the witness x is a unit vector along which
-    <x|(g-f)x> < -psd_tol, i.e. f assigns strictly more mass than g.
+    <x|(g-f)x> < -linalg.PSD_TOL, i.e. f assigns strictly more mass than g.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    return linalg.is_positive_semidefinite(g.matrix - f.matrix, psd_tol)
+    return linalg.is_positive_semidefinite(g.matrix - f.matrix)
 
 
 def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:

@@ -1,10 +1,14 @@
-"""Dense complex matrix arithmetic and the Hermitian eigensolver.
+"""Dense complex matrix arithmetic, the Hermitian eigensolver, the PSD
+test, and the library's validation tolerances.
 
 All functions operate on square ``complex128`` numpy arrays and treat them
 as immutable values: nothing here mutates its arguments. The eigensolver
 delegates to LAPACK through ``numpy.linalg`` and then checks the
 reconstruction and orthonormality residuals, so a returned decomposition
 is always certified against its tolerance.
+
+The tolerances below are the single table every validation check reads,
+at the time the check runs (max norm unless stated otherwise).
 """
 
 from __future__ import annotations
@@ -13,14 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError
+from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, NotPositiveError
 
-HERMITIAN_TOL = 1e-10
-EIG_TOL = 1e-9
-PSD_TOL = 1e-9
-RANK_TOL = 1e-8
-PROJ_TOL = 1e-8
-EIG_GROUP_TOL = 1e-8
+HERMITIAN_TOL = 1e-10  # deviation from Hermitian
+UNITARY_TOL = 1e-10  # deviation of U+U from the identity
+EIG_TOL = 1e-9  # certification of (grouped) spectral decompositions
+PSD_TOL = 1e-9  # eigenvalue floor of the PSD test; trace slack of partial density operators
+RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
+PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections
+EIG_GROUP_TOL = 1e-8  # gap below which eigenvalues share an eigenprojection
+IMAG_TOL = 1e-9  # imaginary part of a measure value
+ADDITIVITY_TOL = 1e-8  # additivity of a measure over orthogonal families
+E0_CROSS_TOL = 1e-7  # spectral sum versus trace form of an expectation
 
 
 def as_matrix(a) -> np.ndarray:
@@ -59,16 +67,11 @@ def trace(a) -> complex:
     return complex(np.trace(as_matrix(a)))
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    a = as_matrix(a)
-    return max_norm(a - a.conj().T) <= tol
-
-
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     a = as_matrix(a)
     dev = max_norm(a - a.conj().T)
-    if dev > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITIAN_TOL:
+        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e} (tol {HERMITIAN_TOL:.1e})")
     return a
 
 
@@ -88,14 +91,14 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(a, eig_tol: float = EIG_TOL, hermitian_tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, certified after the fact.
 
     Raises ``NotHermitianError`` for non-Hermitian input and
     ``CrossCheckError`` if the reconstruction ``V diag(w) V+`` or the
-    orthonormality of ``V`` misses ``eig_tol`` in max norm.
+    orthonormality of ``V`` misses ``EIG_TOL`` in max norm.
     """
-    a = require_hermitian(a, hermitian_tol)
+    a = require_hermitian(a)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -103,25 +106,25 @@ def hermitian_eig(a, eig_tol: float = EIG_TOL, hermitian_tol: float = HERMITIAN_
     vals = vals.astype(float)
     recon_err = max_norm((vecs * vals) @ vecs.conj().T - a)
     ortho_err = max_norm(vecs.conj().T @ vecs - np.eye(a.shape[0]))
-    if recon_err > eig_tol or ortho_err > eig_tol:
+    if recon_err > EIG_TOL or ortho_err > EIG_TOL:
         raise CrossCheckError(
             f"spectral decomposition failed certification: reconstruction {recon_err:.3e}, "
-            f"orthonormality {ortho_err:.3e} (tol {eig_tol:.1e})"
+            f"orthonormality {ortho_err:.3e} (tol {EIG_TOL:.1e})"
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(vals, vecs)
 
 
-def hermitian_eigenvalues(a, hermitian_tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues only (no certification of eigenvectors)."""
-    return np.linalg.eigvalsh(require_hermitian(a, hermitian_tol)).astype(float)
+    return np.linalg.eigvalsh(require_hermitian(a)).astype(float)
 
 
-def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> list[np.ndarray]:
+def orthonormalize(vectors) -> list[np.ndarray]:
     """Modified Gram-Schmidt with one reorthogonalization pass.
 
-    Vectors whose residual norm after projection falls below ``rank_tol``
+    Vectors whose residual norm after projection falls below ``RANK_TOL``
     are dropped, so the output is an orthonormal basis of the input span.
     The output may be empty when all inputs are (numerically) zero.
     """
@@ -137,25 +140,36 @@ def orthonormalize(vectors, rank_tol: float = RANK_TOL) -> list[np.ndarray]:
             for u in basis:
                 w = w - u * np.vdot(u, w)
         norm = float(np.linalg.norm(w))
-        if norm >= rank_tol:
+        if norm >= RANK_TOL:
             basis.append(w / norm)
     return basis
 
 
-def is_positive_semidefinite(
-    a, psd_tol: float = PSD_TOL, hermitian_tol: float = HERMITIAN_TOL
-) -> tuple[bool, np.ndarray | None]:
-    """PSD test with a witness.
+def require_positive_semidefinite(a, psd_tol: float | None = None) -> np.ndarray:
+    """The PSD test: return the Hermitian matrix, or raise with a witness.
 
-    Returns ``(True, None)`` when the smallest eigenvalue is >= -psd_tol,
-    otherwise ``(False, x)`` where x is the unit eigenvector of the most
-    negative eigenvalue, so that <x|ax> < -psd_tol.
+    The floor is ``-psd_tol`` (default ``PSD_TOL``). On failure
+    ``NotPositiveError`` carries the most negative eigenvalue and its unit
+    eigenvector x, so that <x|ax> < -psd_tol.
     """
-    a = require_hermitian(a, hermitian_tol)
-    vals = np.linalg.eigvalsh(a)
-    if float(vals[0]) >= -psd_tol:
-        return True, None
-    _, vecs = np.linalg.eigh(a)
-    witness = vecs[:, 0].copy()
-    witness.setflags(write=False)
-    return False, witness
+    a = require_hermitian(a)
+    psd_tol = PSD_TOL if psd_tol is None else psd_tol
+    lowest = float(np.linalg.eigvalsh(a)[0])
+    if lowest < -psd_tol:
+        _, vecs = np.linalg.eigh(a)
+        witness = vecs[:, 0].copy()
+        witness.setflags(write=False)
+        raise NotPositiveError(
+            f"operator has eigenvalue {lowest:.3e} < -{psd_tol:.1e}", witness=witness, eigenvalue=lowest
+        )
+    return a
+
+
+def is_positive_semidefinite(a) -> tuple[bool, np.ndarray | None]:
+    """``require_positive_semidefinite`` as a verdict: ``(True, None)`` or
+    ``(False, x)`` with x the witness."""
+    try:
+        require_positive_semidefinite(a)
+    except NotPositiveError as exc:
+        return False, exc.witness
+    return True, None

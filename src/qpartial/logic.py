@@ -6,7 +6,7 @@ operator f assigns tr(P_K f) to every event K; this is a sub-probability
 measure, and the map f -> measure is an order isomorphism between the
 Loewner order and the pointwise order on measures (dim > 2 is needed
 only for surjectivity, which plays no computational role here: every
-measure this module produces carries its source operator).
+measure is evaluated as ``gleason_measure(f, K)`` from its operator).
 """
 
 from __future__ import annotations
@@ -16,34 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .density import PartialDensityOperator
+from .density import PartialDensityOperator, loewner_leq
 from .errors import CrossCheckError, DimensionMismatchError
-
-_IMAG_TOL = 1e-9
-_ADDITIVITY_TOL = 1e-8
 
 
 class ClosedSubspace:
     """A quantum event, canonically an orthogonal projection matrix.
 
     Validation requires the matrix to be Hermitian within
-    ``hermitian_tol`` and idempotent within ``proj_tol``; the rank is the
-    number of eigenvalues above one half.
+    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``;
+    the rank is the number of eigenvalues above one half.
     """
 
     __slots__ = ("_projection", "_rank", "_basis")
 
-    def __init__(
-        self,
-        projection,
-        *,
-        proj_tol: float = linalg.PROJ_TOL,
-        hermitian_tol: float = linalg.HERMITIAN_TOL,
-    ):
-        p = linalg.require_hermitian(projection, hermitian_tol)
+    def __init__(self, projection):
+        p = linalg.require_hermitian(projection)
         idem = linalg.max_norm(p @ p - p)
-        if idem > proj_tol:
-            raise ValueError(f"matrix is not idempotent: |P^2 - P| = {idem:.3e} (tol {proj_tol:.1e})")
+        if idem > linalg.PROJ_TOL:
+            raise ValueError(
+                f"matrix is not idempotent: |P^2 - P| = {idem:.3e} (tol {linalg.PROJ_TOL:.1e})"
+            )
         vals, vecs = np.linalg.eigh(p)
         keep = vals > 0.5
         p = np.array(p, dtype=complex)
@@ -88,7 +81,7 @@ class ClosedSubspace:
         return cls(np.eye(dim, dtype=complex))
 
 
-def subspace_from_vectors(vectors, dim: int | None = None, rank_tol: float = linalg.RANK_TOL) -> ClosedSubspace:
+def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
     """Projection onto the span of the given vectors.
 
     ``dim`` is only required for an empty family, which yields the zero
@@ -102,7 +95,7 @@ def subspace_from_vectors(vectors, dim: int | None = None, rank_tol: float = lin
     n = vecs[0].shape[0]
     if dim is not None and dim != n:
         raise DimensionMismatchError(f"vectors have dimension {n}, expected {dim}")
-    basis = linalg.orthonormalize(vecs, rank_tol)
+    basis = linalg.orthonormalize(vecs)
     if not basis:
         return ClosedSubspace.zero(n)
     b = np.column_stack(basis)
@@ -113,83 +106,56 @@ def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
     return ClosedSubspace(np.eye(k.dim, dtype=complex) - k.projection)
 
 
-def join(k1: ClosedSubspace, k2: ClosedSubspace, rank_tol: float = linalg.RANK_TOL) -> ClosedSubspace:
+def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
     """Smallest subspace containing both: the span of their union."""
     _require_same_space(k1, k2)
     columns = [k1.basis[:, j] for j in range(k1.rank)] + [k2.basis[:, j] for j in range(k2.rank)]
-    return subspace_from_vectors(columns, dim=k1.dim, rank_tol=rank_tol)
+    return subspace_from_vectors(columns, dim=k1.dim)
 
 
-def meet(k1: ClosedSubspace, k2: ClosedSubspace, rank_tol: float = linalg.RANK_TOL) -> ClosedSubspace:
+def meet(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
     """Intersection, through the De Morgan dual of the join."""
     _require_same_space(k1, k2)
-    return orthocomplement(join(orthocomplement(k1), orthocomplement(k2), rank_tol))
+    return orthocomplement(join(orthocomplement(k1), orthocomplement(k2)))
 
 
-def are_orthogonal(k1: ClosedSubspace, k2: ClosedSubspace, proj_tol: float = linalg.PROJ_TOL) -> bool:
+def are_orthogonal(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
     _require_same_space(k1, k2)
-    return linalg.max_norm(k1.projection @ k2.projection) <= proj_tol
+    return linalg.max_norm(k1.projection @ k2.projection) <= linalg.PROJ_TOL
 
 
-def subspace_leq(k1: ClosedSubspace, k2: ClosedSubspace, proj_tol: float = linalg.PROJ_TOL) -> bool:
+def subspace_leq(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
     """Inclusion K1 is a subspace of K2, tested as P2 P1 = P1."""
     _require_same_space(k1, k2)
-    return linalg.max_norm(k2.projection @ k1.projection - k1.projection) <= proj_tol
+    return linalg.max_norm(k2.projection @ k1.projection - k1.projection) <= linalg.PROJ_TOL
 
 
-def gleason_measure(
-    f: PartialDensityOperator, k: ClosedSubspace, psd_tol: float = linalg.PSD_TOL
-) -> float:
+def gleason_measure(f: PartialDensityOperator, k: ClosedSubspace) -> float:
     """Probability tr(P_K f) that the event K occurs in the partial state f.
 
-    The value is clamped to [0, 1] when it lies within ``psd_tol`` of that
-    range; an imaginary component beyond 1e-9 signals corrupted inputs
-    and raises ``CrossCheckError``.
+    The value is clamped to [0, 1] when it lies within ``linalg.PSD_TOL``
+    of that range; an imaginary component beyond ``linalg.IMAG_TOL``
+    signals corrupted inputs and raises ``CrossCheckError``.
     """
     if f.dim != k.dim:
         raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {k.dim}")
     value = complex(np.trace(k.projection @ f.matrix))
-    if abs(value.imag) > _IMAG_TOL:
+    if abs(value.imag) > linalg.IMAG_TOL:
         raise CrossCheckError(f"measure has imaginary part {value.imag:.3e}")
     x = value.real
-    if -psd_tol <= x <= 1.0 + psd_tol:
+    if -linalg.PSD_TOL <= x <= 1.0 + linalg.PSD_TOL:
         x = min(1.0, max(0.0, x))
     return x
 
 
-class PartialState:
-    """The sub-probability measure K -> tr(P_K f), carrying its source f."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source: PartialDensityOperator):
-        self.source = source
-
-    def __call__(self, event: ClosedSubspace) -> float:
-        return gleason_measure(self.source, event)
-
-    @property
-    def total(self) -> float:
-        """Mass of the whole space; 1 - total is the nontermination probability."""
-        return min(1.0, max(0.0, self.source.trace))
-
-
-def gleason(f: PartialDensityOperator) -> PartialState:
-    return PartialState(f)
-
-
-def state_leq(
-    f: PartialDensityOperator, g: PartialDensityOperator, psd_tol: float = linalg.PSD_TOL
-) -> tuple[bool, ClosedSubspace | None]:
+def state_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[bool, ClosedSubspace | None]:
     """Decide the measure order G(f) <= G(g) via the operator order.
 
-    The two orders coincide, so the test is whether g - f is PSD. On
-    failure the returned event is the line spanned by the most negative
-    eigendirection x of g - f; on it, f measures strictly more than g.
+    The two orders coincide, so this is ``loewner_leq`` with its witness
+    lifted to an event: on failure, the line spanned by the most negative
+    eigendirection x of g - f, on which f measures strictly more than g.
     """
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    ok, witness = linalg.is_positive_semidefinite(g.matrix - f.matrix, psd_tol)
+    ok, witness = loewner_leq(f, g)
     if ok:
         return True, None
     return False, subspace_from_vectors([witness])
@@ -227,8 +193,8 @@ def check_subprobability_axioms(
     Per trial, a random unitary image of a random partition of basis
     vectors gives a family of mutually orthogonal subspaces; additivity
     requires the measure of the join to match the sum of the members'
-    measures within 1e-8. The zero event must measure exactly 0 and the
-    whole space at most 1 (within the PSD tolerance).
+    measures within ``linalg.ADDITIVITY_TOL``. The zero event must measure
+    exactly 0 and the whole space at most 1 (within ``linalg.PSD_TOL``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -255,7 +221,7 @@ def check_subprobability_axioms(
             joined = join(joined, k)
         deviation = abs(gleason_measure(f, joined) - total)
         report.worst_additivity_deviation = max(report.worst_additivity_deviation, deviation)
-        if deviation > _ADDITIVITY_TOL:
+        if deviation > linalg.ADDITIVITY_TOL:
             report.failures.append({"check": "additivity", "trial": t, "deviation": deviation})
     report.passed = not report.failures
     return report

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .density import PartialDensityOperator
+from .density import PartialDensityOperator, nontermination_probability
 from .errors import CrossCheckError, DimensionMismatchError
 from .intervals import CompactInterval, scale_interval, translate
 from .logic import ClosedSubspace
-
-_E0_CROSS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -100,24 +98,18 @@ class BorelSet:
 class BoundedObservable:
     """Hermitian operator with its grouped spectral decomposition cached.
 
-    Eigenvalues closer than ``eig_group_tol`` are merged into a single
-    eigenprojection; the grouped data is certified at construction:
+    Eigenvalues closer than ``linalg.EIG_GROUP_TOL`` are merged into a
+    single eigenprojection; the grouped data is certified at construction:
     projections resolve the identity, reconstruct the operator, and are
-    mutually orthogonal, all within 1e-9.
+    mutually orthogonal, all within ``linalg.EIG_TOL``.
     """
 
     __slots__ = ("_operator", "_spectral")
 
-    def __init__(
-        self,
-        operator,
-        *,
-        eig_group_tol: float = linalg.EIG_GROUP_TOL,
-        hermitian_tol: float = linalg.HERMITIAN_TOL,
-    ):
-        a = linalg.require_hermitian(operator, hermitian_tol)
+    def __init__(self, operator):
+        a = linalg.require_hermitian(operator)
         vals, vecs = np.linalg.eigh(a)
-        groups = _group_indices(vals, eig_group_tol)
+        groups = _group_indices(vals, linalg.EIG_GROUP_TOL)
         spectral = []
         for idx in groups:
             cols = vecs[:, idx]
@@ -168,19 +160,15 @@ def _certify_spectral(a: np.ndarray, spectral) -> None:
     recon = sum(lam * k.projection for lam, k in spectral)
     res_err = linalg.max_norm(resolution - np.eye(n))
     rec_err = linalg.max_norm(recon - a)
-    if res_err > 1e-9 or rec_err > 1e-9:
+    if res_err > linalg.EIG_TOL or rec_err > linalg.EIG_TOL:
         raise CrossCheckError(
             f"spectral grouping failed certification: identity {res_err:.3e}, "
             f"reconstruction {rec_err:.3e}"
         )
     for i in range(len(spectral)):
         for j in range(i + 1, len(spectral)):
-            if linalg.max_norm(spectral[i][1].projection @ spectral[j][1].projection) > 1e-9:
+            if linalg.max_norm(spectral[i][1].projection @ spectral[j][1].projection) > linalg.EIG_TOL:
                 raise CrossCheckError("eigenprojections are not mutually orthogonal")
-
-
-def observable_from_hermitian(a, **kwargs) -> BoundedObservable:
-    return BoundedObservable(a, **kwargs)
 
 
 def pvm_map(r: BoundedObservable, u: BorelSet) -> ClosedSubspace:
@@ -230,29 +218,31 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribu
 def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     """Expectation of the observed part: sum of eigenvalue * weight.
 
-    Cross-checked against tr(A f); divergence beyond 1e-7 means the
-    cached spectral data no longer matches the operator.
+    Cross-checked against tr(A f); divergence beyond
+    ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
+    matches the operator.
     """
     _require_same_dim(r, f)
     dist = distribution(r, f)
     spectral_sum = sum(lam * w for lam, w in dist.support)
     trace_form = float(np.trace(r.operator @ f.matrix).real)
-    if abs(spectral_sum - trace_form) > _E0_CROSS_TOL:
+    if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
         raise CrossCheckError(
             f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"
         )
     return spectral_sum
 
 
-def missing_probability(f: PartialDensityOperator) -> float:
-    return min(1.0, max(0.0, 1.0 - f.trace))
+def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, hi: float) -> CompactInterval:
+    """center + (1 - tr f) * [lo, hi]: an observed expectation plus the
+    missing mass, which may sit anywhere in [lo, hi]."""
+    return translate(center, scale_interval(nontermination_probability(f), CompactInterval(lo, hi)))
 
 
 def expected_interval(r: BoundedObservable, f: PartialDensityOperator) -> CompactInterval:
     """Interval expected value: e0 plus the missing mass spread over [m, M]."""
     _require_same_dim(r, f)
-    m, big_m = spectrum_bounds(r)
-    return translate(e0(r, f), scale_interval(missing_probability(f), CompactInterval(m, big_m)))
+    return missing_mass_interval(e0(r, f), f, *spectrum_bounds(r))
 
 
 def expected_interval_op(a, f: PartialDensityOperator) -> CompactInterval:
@@ -271,45 +261,13 @@ def observable_square_interval(a, f: PartialDensityOperator) -> CompactInterval:
     magnitudes = [abs(lam) for lam in r.eigenvalues]
     k, big_k = min(magnitudes), max(magnitudes)
     center = float(np.trace(r.operator @ r.operator @ f.matrix).real)
-    spread = scale_interval(missing_probability(f), CompactInterval(k * k, big_k * big_k))
-    return translate(center, spread)
+    return missing_mass_interval(center, f, k * k, big_k * big_k)
 
 
 def commutes(a, b, tol: float = 1e-10) -> bool:
     a, b = linalg.as_matrix(a), linalg.as_matrix(b)
     linalg.require_same_dim(a, b)
     return linalg.max_norm(a @ b - b @ a) <= tol
-
-
-@dataclass(frozen=True)
-class ExpectationSummary:
-    """Wire form of an interval expectation with its ingredients."""
-
-    lo: float
-    hi: float
-    e0: float
-    missing: float
-    m: float
-    M: float
-
-    def to_json(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "e0": self.e0,
-            "missing": self.missing,
-            "m": self.m,
-            "M": self.M,
-        }
-
-
-def expectation_summary(a, f: PartialDensityOperator) -> ExpectationSummary:
-    r = BoundedObservable(a)
-    m, big_m = spectrum_bounds(r)
-    center = e0(r, f)
-    miss = missing_probability(f)
-    interval = translate(center, scale_interval(miss, CompactInterval(m, big_m)))
-    return ExpectationSummary(interval.lo, interval.hi, center, miss, m, big_m)
 
 
 def _require_same_dim(r: BoundedObservable, f: PartialDensityOperator) -> None:

@@ -36,8 +36,6 @@ KET_VECTORS: dict[str, np.ndarray] = {
     "-": np.array([1, -1], dtype=complex) / _SQRT2,
 }
 
-UNITARY_TOL = 1e-10
-
 
 def gate_arity(name: str) -> int:
     return int(math.log2(GATES[name].shape[0]))
@@ -86,7 +84,7 @@ def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
     else:
         block = linalg.as_matrix(gate)
     dev = linalg.max_norm(block.conj().T @ block - np.eye(block.shape[0]))
-    if dev > UNITARY_TOL:
+    if dev > linalg.UNITARY_TOL:
         raise NonUnitaryError(f"gate deviates from unitary by {dev:.3e}")
     return embed_operator(block, tuple(targets), total_qubits)
 

@@ -70,10 +70,6 @@ def random_density(dim: int, rng: np.random.Generator) -> PartialDensityOperator
     return random_pdo(dim, rng, trace=1.0)
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> PartialDensityOperator:
-    return PartialDensityOperator.pure(random_unit_vector(dim, rng))
-
-
 def random_observable(
     dim: int, rng: np.random.Generator, scale: float = 1.0
 ) -> BoundedObservable:

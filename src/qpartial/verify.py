@@ -107,6 +107,8 @@ def run_suite(suite: str, dims, trials: int, seed: int) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     dims = list(dims)
+    if not dims:
+        raise ValueError("dims must list at least one dimension")
     if any(d < 2 or d > 16 for d in dims):
         raise ValueError("dims must lie in [2, 16]")
     if trials < 1:

@@ -78,6 +78,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", workdir / "nope.qp")
         assert code == 1 and err
 
+    def test_bad_tolerance_rejected(self, workdir, capsys):
+        code, _, err = run_cli(capsys, "run", workdir / "coin.qp", "--trace-tol", "0")
+        assert code == 1 and "trace_tol" in err
+
+    def test_bad_psd_tolerance_rejected(self, workdir, capsys):
+        code, out, err = run_cli(capsys, "run", workdir / "coin.qp", "--psd-tol", "0")
+        assert code == 1 and out == "" and "psd_tol" in err
+
 
 class TestExpect:
     def test_pauli_z_example(self, workdir, capsys):
@@ -157,7 +165,25 @@ class TestVerify:
     def test_bad_dims_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "gleason", "--dims", "1,40", "--trials", "2")
         assert code == 1 and "dims" in err
+        for suite in ("gleason", "dcpo"):
+            code, out, err = run_cli(capsys, "verify", suite, "--dims", ",", "--trials", "2")
+            assert code == 1 and out == "" and "dims" in err
 
-    def test_bad_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "gleason", "--trace-tol", "0", "--trials", "2")
-        assert code == 1 and "trace_tol" in err
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "coin.qp", "--seed", "7"),
+        ("expect", "pauli_z.json", "state.json", "--seed", "7"),
+        ("expect", "pauli_z.json", "state.json", "--max-iter", "5"),
+        ("expect", "pauli_z.json", "state.json", "--trace-tol", "1e-3"),
+        ("verify", "gleason", "--max-iter", "5"),
+        ("verify", "gleason", "--trace-tol", "1e-3"),
+        ("verify", "gleason", "--psd-tol", "1e-3"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_flags_a_command_does_not_read_are_refused(workdir, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(workdir / a) if (workdir / a).is_file() else a for a in argv])
+    assert exc.value.code == 2

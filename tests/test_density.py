@@ -8,6 +8,7 @@ from qpartial.density import (
     chain_supremum,
     dyadic_diagonal_state,
     loewner_leq,
+    matrix_from_json,
     new_partial_density,
     nontermination_probability,
     scale,
@@ -49,18 +50,6 @@ class TestValidation:
         witness = err.value.witness
         form = float((witness.conj() @ np.diag([0.5, -0.5]) @ witness).real)
         assert form < 0
-
-    def test_repair_clamps_tiny_negatives(self):
-        m = np.diag([0.5, -5e-10])
-        repaired = new_partial_density(m, repair=True)
-        assert float(np.linalg.eigvalsh(repaired.matrix)[0]) >= 0.0
-        # without repair the operator is accepted as-is (within tolerance)
-        raw = new_partial_density(m)
-        assert float(np.linalg.eigvalsh(raw.matrix)[0]) < 0.0
-
-    def test_repair_does_not_mask_real_negatives(self):
-        with pytest.raises(NotPositiveError):
-            new_partial_density(np.diag([0.5, -1e-6]), repair=True)
 
     def test_matrix_is_immutable(self):
         f = PartialDensityOperator.maximally_mixed(2)
@@ -265,10 +254,10 @@ class TestNontermination:
 class TestJson:
     def test_roundtrip(self):
         f = sampling.random_pdo(3, rng_for(16))
-        back = PartialDensityOperator.from_json(f.to_json())
+        back = PartialDensityOperator(matrix_from_json(f.to_json()))
         assert np.allclose(back.matrix, f.matrix)
         assert back.to_json() == f.to_json()
 
     def test_malformed_rejected(self):
         with pytest.raises(InvalidOperatorError):
-            PartialDensityOperator.from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
+            matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})

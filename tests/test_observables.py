@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import PartialDensityOperator, new_partial_density, scale
+from qpartial.density import PartialDensityOperator, new_partial_density, nontermination_probability, scale
 from qpartial.errors import CrossCheckError, NotHermitianError
 from qpartial.intervals import (
     CompactInterval,
@@ -21,9 +21,9 @@ from qpartial.observables import (
     commutes,
     distribution,
     e0,
-    expectation_summary,
     expected_interval,
     expected_interval_op,
+    missing_mass_interval,
     observable_square_interval,
     pvm_map,
     spectrum_bounds,
@@ -68,12 +68,13 @@ class TestSpectralData:
         assert len(r.spectral) == 2
         assert r.spectral[0][1].rank == 2
 
-    def test_finer_grouping_leaves_expectations_unchanged(self):
+    def test_finer_grouping_leaves_expectations_unchanged(self, monkeypatch):
         rng = rng_for(2)
         a = np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex)
         f = sampling.random_pdo(3, rng)
         coarse = BoundedObservable(a)
-        fine = BoundedObservable(a, eig_group_tol=1e-14)
+        monkeypatch.setattr(linalg, "EIG_GROUP_TOL", 1e-14)
+        fine = BoundedObservable(a)
         assert len(fine.spectral) > len(coarse.spectral)
         a_int = expected_interval(coarse, f)
         b_int = expected_interval(fine, f)
@@ -225,9 +226,13 @@ class TestExpectedInterval:
         assert box.lo == pytest.approx(2.0 * 0.4 + 0.6 * 2.0)
 
     def test_summary_fields(self):
-        s = expectation_summary(PAULI_Z, new_partial_density(np.diag([0.5, 0.25])))
-        assert (s.lo, s.hi, s.e0, s.missing, s.m, s.M) == pytest.approx((0.0, 0.5, 0.25, 0.25, -1.0, 1.0))
-        assert set(s.to_json()) == {"lo", "hi", "e0", "missing", "m", "M"}
+        r = BoundedObservable(PAULI_Z)
+        f = new_partial_density(np.diag([0.5, 0.25]))
+        m, big_m = spectrum_bounds(r)
+        box = missing_mass_interval(e0(r, f), f, m, big_m)
+        fields = (box.lo, box.hi, e0(r, f), nontermination_probability(f), m, big_m)
+        assert fields == pytest.approx((0.0, 0.5, 0.25, 0.25, -1.0, 1.0))
+        assert box == expected_interval(r, f)
 
 
 class TestMonotonicityAndContinuity:
