@@ -15,7 +15,6 @@ from .density import (
     chain_supremum,
     dyadic_diagonal_state,
     loewner_leq,
-    new_partial_density,
     nontermination_probability,
     scale,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "join",
     "loewner_leq",
     "meet",
-    "new_partial_density",
     "nontermination_probability",
     "observable_square_interval",
     "orthocomplement",

@@ -106,11 +106,6 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def new_partial_density(matrix, **kwargs) -> PartialDensityOperator:
-    """Functional alias for the validating constructor."""
-    return PartialDensityOperator(matrix, **kwargs)
-
-
 def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[bool, np.ndarray | None]:
     """Decide f <= g in the Loewner order (g - f PSD), with witness.
 

@@ -5,7 +5,9 @@ All functions operate on square ``complex128`` numpy arrays and treat them
 as immutable values: nothing here mutates its arguments. The eigensolver
 delegates to LAPACK through ``numpy.linalg`` and then checks the
 reconstruction and orthonormality residuals, so a returned decomposition
-is always certified against its tolerance.
+is always certified against its tolerance. ``hermitian_eig`` is the one
+certified eigendecomposition: observables group its eigenvector columns
+instead of certifying a spectrum of their own.
 
 The tolerances below are the single table every validation check reads,
 at the time the check runs (max norm unless stated otherwise).
@@ -21,7 +23,7 @@ from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, 
 
 HERMITIAN_TOL = 1e-10  # deviation from Hermitian
 UNITARY_TOL = 1e-10  # deviation of U+U from the identity
-EIG_TOL = 1e-9  # certification of (grouped) spectral decompositions
+EIG_TOL = 1e-9  # certification of an (ungrouped) eigendecomposition
 PSD_TOL = 1e-9  # eigenvalue floor of the PSD test; trace slack of partial density operators
 RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
 PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections

@@ -24,11 +24,13 @@ class ClosedSubspace:
     """A quantum event, canonically an orthogonal projection matrix.
 
     Validation requires the matrix to be Hermitian within
-    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``;
-    the rank is the number of eigenvalues above one half.
+    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``.
+    The rank and basis are computed on first use, from one eigensolve of
+    the projection, and cached: the rank is the number of eigenvalues
+    above one half.
     """
 
-    __slots__ = ("_projection", "_rank", "_basis")
+    __slots__ = ("_projection", "_basis")
 
     def __init__(self, projection):
         p = linalg.require_hermitian(projection)
@@ -37,15 +39,10 @@ class ClosedSubspace:
             raise ValueError(
                 f"matrix is not idempotent: |P^2 - P| = {idem:.3e} (tol {linalg.PROJ_TOL:.1e})"
             )
-        vals, vecs = np.linalg.eigh(p)
-        keep = vals > 0.5
         p = np.array(p, dtype=complex)
         p.setflags(write=False)
-        basis = np.array(vecs[:, keep])
-        basis.setflags(write=False)
         self._projection = p
-        self._rank = int(np.count_nonzero(keep))
-        self._basis = basis
+        self._basis = None
 
     @property
     def projection(self) -> np.ndarray:
@@ -57,11 +54,16 @@ class ClosedSubspace:
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return self.basis.shape[1]
 
     @property
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the subspace, as matrix columns."""
+        if self._basis is None:
+            vals, vecs = np.linalg.eigh(self._projection)
+            basis = np.array(vecs[:, vals > 0.5])
+            basis.setflags(write=False)
+            self._basis = basis
         return self._basis
 
     def __repr__(self):

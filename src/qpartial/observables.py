@@ -98,25 +98,26 @@ class BorelSet:
 class BoundedObservable:
     """Hermitian operator with its grouped spectral decomposition cached.
 
-    Eigenvalues closer than ``linalg.EIG_GROUP_TOL`` are merged into a
-    single eigenprojection; the grouped data is certified at construction:
-    projections resolve the identity, reconstruct the operator, and are
-    mutually orthogonal, all within ``linalg.EIG_TOL``.
+    The eigendecomposition comes from ``linalg.hermitian_eig``, certified
+    there within ``linalg.EIG_TOL``: its eigenvector columns are
+    orthonormal and reconstruct the operator. Eigenvalues closer than
+    ``linalg.EIG_GROUP_TOL`` are merged into a single eigenprojection,
+    the span of their columns, with the group's mean as eigenvalue; so
+    the eigenprojections resolve the identity and are mutually
+    orthogonal, and grouping moves an eigenvalue by at most its group's
+    spread.
     """
 
     __slots__ = ("_operator", "_spectral")
 
     def __init__(self, operator):
-        a = linalg.require_hermitian(operator)
-        vals, vecs = np.linalg.eigh(a)
-        groups = _group_indices(vals, linalg.EIG_GROUP_TOL)
+        a = linalg.as_matrix(operator)
+        eig = linalg.hermitian_eig(a)
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
         spectral = []
-        for idx in groups:
+        for idx in _group_indices(vals, linalg.EIG_GROUP_TOL):
             cols = vecs[:, idx]
-            proj = cols @ cols.conj().T
-            lam = float(np.mean(vals[idx]))
-            spectral.append((lam, ClosedSubspace(proj)))
-        _certify_spectral(a, spectral)
+            spectral.append((float(np.mean(vals[idx])), ClosedSubspace(cols @ cols.conj().T)))
         a = np.array(a, dtype=complex)
         a.setflags(write=False)
         self._operator = a
@@ -152,23 +153,6 @@ def _group_indices(vals: np.ndarray, tol: float) -> list[np.ndarray]:
             groups.append(np.arange(start, i))
             start = i
     return groups
-
-
-def _certify_spectral(a: np.ndarray, spectral) -> None:
-    n = a.shape[0]
-    resolution = sum(k.projection for _, k in spectral)
-    recon = sum(lam * k.projection for lam, k in spectral)
-    res_err = linalg.max_norm(resolution - np.eye(n))
-    rec_err = linalg.max_norm(recon - a)
-    if res_err > linalg.EIG_TOL or rec_err > linalg.EIG_TOL:
-        raise CrossCheckError(
-            f"spectral grouping failed certification: identity {res_err:.3e}, "
-            f"reconstruction {rec_err:.3e}"
-        )
-    for i in range(len(spectral)):
-        for j in range(i + 1, len(spectral)):
-            if linalg.max_norm(spectral[i][1].projection @ spectral[j][1].projection) > linalg.EIG_TOL:
-                raise CrossCheckError("eigenprojections are not mutually orthogonal")
 
 
 def pvm_map(r: BoundedObservable, u: BorelSet) -> ClosedSubspace:

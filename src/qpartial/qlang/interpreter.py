@@ -26,7 +26,6 @@ the exit subspace (the increment's nonzero eigenvalues all live there).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +84,9 @@ class _GuardMaps:
             self._exit = np.outer(~inside, ~inside)
             self._exit_index = np.flatnonzero(~inside)
         else:
+            self._complement = orthocomplement(guard)
             self._keep = p
-            self._exit = np.eye(p.shape[0]) - p
+            self._exit = self._complement.projection
 
     def keep(self, rho: np.ndarray) -> np.ndarray:
         return self._apply(self._keep, rho)
@@ -97,21 +97,17 @@ class _GuardMaps:
     def _apply(self, op: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return np.where(op, rho, 0) if self.masked else op @ rho @ op
 
-    @cached_property
-    def _exit_basis(self) -> np.ndarray:
-        return orthocomplement(self.guard).basis
-
     def exit_block(self, rho: np.ndarray) -> np.ndarray:
         """Compression ``B+ rho B`` onto an orthonormal basis B of Q's range."""
         if self.masked:
             return rho[np.ix_(self._exit_index, self._exit_index)]
-        b = self._exit_basis
+        b = self._complement.basis
         return b.conj().T @ rho @ b
 
     def lift(self, w: np.ndarray) -> np.ndarray:
         """The full-dimension vector ``B w``."""
         if not self.masked:
-            return self._exit_basis @ w
+            return self._complement.basis @ w
         x = np.zeros(self.guard.dim, dtype=complex)
         x[self._exit_index] = w
         return x

@@ -13,7 +13,6 @@ from qpartial.density import (
     FixpointConfig,
     PartialDensityOperator,
     chain_supremum,
-    new_partial_density,
 )
 from qpartial.intervals import add_intervals, directed_intersection, reverse_inclusion_leq, scale_interval
 from qpartial.logic import ClosedSubspace, check_subprobability_axioms, gleason_measure
@@ -103,7 +102,7 @@ def test_criterion_3_dcpo_chains():
 
 def test_criterion_4_interval_expectation_reproduction():
     pauli_z = np.diag([1.0, -1.0]).astype(complex)
-    box = expected_interval_op(pauli_z, new_partial_density(np.diag([0.5, 0.25])))
+    box = expected_interval_op(pauli_z, PartialDensityOperator(np.diag([0.5, 0.25])))
     exact = abs(box.lo - 0.0) <= 1e-12 and abs(box.hi - 0.5) <= 1e-12
 
     rng = np.random.default_rng([SEED, 4])

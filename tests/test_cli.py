@@ -113,6 +113,14 @@ class TestExpect:
         assert code == 0
         assert data["lo"] == data["hi"]
 
+    def test_near_degenerate_observable_accepted(self, capsys, tmp_path):
+        for name, m in (("obs.json", np.diag([0.0, 5e-9, 1.0])), ("quarter.json", np.eye(3) / 4)):
+            json.dump({"dim": 3, "re": m.tolist(), "im": np.zeros((3, 3)).tolist()}, (tmp_path / name).open("w"))
+        code, out, err = run_cli(capsys, "expect", tmp_path / "obs.json", tmp_path / "quarter.json")
+        assert code == 0, err
+        # 0 and 5e-9 share one eigenprojection with eigenvalue 2.5e-9
+        assert json.loads(out)["e0"] == pytest.approx(0.25000000125, abs=1e-15)
+
     def test_dimension_mismatch(self, workdir, capsys, tmp_path):
         json.dump(
             {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()},

@@ -30,6 +30,21 @@ PROGRAMS = {
     "nested.qp": "qubit a; qubit b; h b; while a in |+> { t a; h a; while b in |-> { t b; h b; } s b; }\n",
 }
 
+
+def expect_d64_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A d = 64 observable (g + g+)/2, built like the benchmark's expect-d64
+    observables, and a state h h+ scaled to trace 0.7, from Gaussian g and
+    h. The observable has 64 distinct eigenvalues, so every eigenprojection
+    is its own group."""
+    rng = np.random.default_rng(seed)
+    g, h = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)) for _ in range(2))
+    state = h @ h.conj().T
+    state = 0.5 * (state + state.conj().T)
+    return 0.5 * (g + g.conj().T), 0.7 * state / np.trace(state).real
+
+
+OBS64, STATE64 = expect_d64_pair(64)
+
 OPERATORS = {
     "pauli_z.json": np.diag([1.0, -1.0]),
     "readme_state.json": np.diag([0.5, 0.25]),
@@ -50,6 +65,8 @@ OPERATORS = {
             [0.0, 0.0, 0.01j, 0.1],
         ]
     ),
+    "obs64.json": OBS64,
+    "state64.json": STATE64,
 }
 
 CASES = {
@@ -57,6 +74,7 @@ CASES = {
     "run-six-qubit": ["run", "six_qubit.qp"],
     "run-nested": ["run", "nested.qp"],
     "expect-d4": ["expect", "obs4.json", "state4.json"],
+    "expect-d64": ["expect", "obs64.json", "state64.json"],
     "expect-pauli-z": ["expect", "pauli_z.json", "readme_state.json"],
     "verify-gleason": ["verify", "gleason", "--dims", "2,3", "--trials", "5"],
     "verify-dcpo": ["verify", "dcpo", "--dims", "2,3", "--trials", "5"],

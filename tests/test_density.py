@@ -9,7 +9,6 @@ from qpartial.density import (
     dyadic_diagonal_state,
     loewner_leq,
     matrix_from_json,
-    new_partial_density,
     nontermination_probability,
     scale,
 )
@@ -28,12 +27,12 @@ def rng_for(test_id: int) -> np.random.Generator:
 
 class TestValidation:
     def test_zero_is_bottom(self):
-        f = new_partial_density(np.zeros((3, 3)))
+        f = PartialDensityOperator(np.zeros((3, 3)))
         assert f.trace == 0.0
 
     def test_trace_above_one_rejected(self):
         with pytest.raises(InvalidOperatorError, match="trace"):
-            new_partial_density(np.diag([0.5, 0.6]))
+            PartialDensityOperator(np.diag([0.5, 0.6]))
 
     def test_pure_state(self):
         psi = sampling.random_unit_vector(4, rng_for(1))
@@ -42,11 +41,11 @@ class TestValidation:
 
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            new_partial_density(np.array([[0, 1], [0, 0]], dtype=complex))
+            PartialDensityOperator(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_negative_rejected_with_witness(self):
         with pytest.raises(NotPositiveError) as err:
-            new_partial_density(np.diag([0.5, -0.5]))
+            PartialDensityOperator(np.diag([0.5, -0.5]))
         witness = err.value.witness
         form = float((witness.conj() @ np.diag([0.5, -0.5]) @ witness).real)
         assert form < 0
@@ -69,8 +68,8 @@ class TestLoewnerOrder:
         assert ok
 
     def test_incomparable_pair(self):
-        f = new_partial_density(np.diag([0.5, 0.0]))
-        g = new_partial_density(np.diag([0.0, 0.5]))
+        f = PartialDensityOperator(np.diag([0.5, 0.0]))
+        g = PartialDensityOperator(np.diag([0.0, 0.5]))
         assert not loewner_leq(f, g)[0]
         assert not loewner_leq(g, f)[0]
 
@@ -80,7 +79,7 @@ class TestLoewnerOrder:
             f, g = sampling.loewner_pair(3, rng)
             assert loewner_leq(f, f)[0]
             assert loewner_leq(f, g)[0]
-            mid = new_partial_density(0.5 * (f.matrix + g.matrix))
+            mid = PartialDensityOperator(0.5 * (f.matrix + g.matrix))
             assert loewner_leq(f, mid)[0] and loewner_leq(mid, g)[0]
 
     def test_antisymmetry_within_tolerance(self):
@@ -88,7 +87,7 @@ class TestLoewnerOrder:
         f = sampling.random_pdo(3, rng, trace=0.5)
         pert = sampling.random_hermitian(3, rng)
         pert *= 0.3 * linalg.PSD_TOL / float(np.max(np.abs(np.linalg.eigvalsh(pert))))
-        g = new_partial_density(f.matrix + pert)
+        g = PartialDensityOperator(f.matrix + pert)
         assert loewner_leq(f, g)[0] and loewner_leq(g, f)[0]
         assert linalg.max_norm(f.matrix - g.matrix) <= 10 * linalg.PSD_TOL
 
@@ -112,7 +111,7 @@ class TestScale:
         assert scale(f, 0.0).trace == 0.0
 
     def test_entrywise(self):
-        f = new_partial_density(np.diag([0.5, 0.25]))
+        f = PartialDensityOperator(np.diag([0.5, 0.25]))
         assert np.allclose(scale(f, 0.5).matrix, np.diag([0.25, 0.125]))
 
     def test_range_checked(self):
@@ -248,7 +247,7 @@ class TestNontermination:
     def test_values(self):
         assert nontermination_probability(PartialDensityOperator.maximally_mixed(3)) == pytest.approx(0.0, abs=1e-12)
         assert nontermination_probability(PartialDensityOperator.zero(3)) == 1.0
-        assert nontermination_probability(new_partial_density(np.diag([0.5, 0.25]))) == pytest.approx(0.25)
+        assert nontermination_probability(PartialDensityOperator(np.diag([0.5, 0.25]))) == pytest.approx(0.25)
 
 
 class TestJson:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import PartialDensityOperator, new_partial_density, scale
+from qpartial.density import PartialDensityOperator, scale
 from qpartial.errors import DimensionMismatchError
 from qpartial.logic import (
     ClosedSubspace,
@@ -53,6 +53,18 @@ class TestClosedSubspace:
             k = sampling.random_subspace(4, rank, rng)
             assert k.rank == rank
             assert k.basis.shape == (4, rank)
+
+    def test_basis_is_computed_once_on_first_use(self, count_eigensolves):
+        p = sampling.random_subspace(4, 2, rng_for(21)).projection
+        with count_eigensolves() as sizes:
+            k = ClosedSubspace(p)
+            assert sizes == []
+            basis, rank = k.basis, k.rank
+            assert k.basis is basis
+        assert sizes == [4]
+        vals, vecs = np.linalg.eigh(k.projection)
+        assert rank == 2
+        assert np.array_equal(basis, vecs[:, vals > 0.5])
 
 
 class TestLattice:
@@ -142,7 +154,7 @@ class TestGleasonMeasure:
         assert gleason_measure(f, ClosedSubspace.full(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_example(self):
-        f = new_partial_density(np.diag([0.5, 0.25]))
+        f = PartialDensityOperator(np.diag([0.5, 0.25]))
         k = subspace_from_vectors([basis_vec(0, 2)])
         assert gleason_measure(f, k) == pytest.approx(0.5, abs=1e-15)
 
@@ -227,13 +239,13 @@ class TestStateOrder:
         assert ok and witness is None
 
     def test_comparable_diagonals(self):
-        f = new_partial_density(np.diag([0.3, 0.3]))
-        g = new_partial_density(np.diag([0.5, 0.4]))
+        f = PartialDensityOperator(np.diag([0.3, 0.3]))
+        g = PartialDensityOperator(np.diag([0.5, 0.4]))
         assert state_leq(f, g)[0]
 
     def test_witness_separates_measures(self):
-        f = new_partial_density(np.diag([0.5, 0.0]))
-        g = new_partial_density(np.diag([0.0, 0.5]))
+        f = PartialDensityOperator(np.diag([0.5, 0.0]))
+        g = PartialDensityOperator(np.diag([0.0, 0.5]))
         ok, witness = state_leq(f, g)
         assert not ok
         assert witness.rank == 1

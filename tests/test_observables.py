@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import PartialDensityOperator, new_partial_density, nontermination_probability, scale
+from qpartial.density import PartialDensityOperator, nontermination_probability, scale
 from qpartial.errors import CrossCheckError, NotHermitianError
 from qpartial.intervals import (
     CompactInterval,
@@ -85,6 +85,29 @@ class TestSpectralData:
         with pytest.raises(NotHermitianError):
             BoundedObservable(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    # every consecutive gap is within EIG_GROUP_TOL = 1e-8, so all but the
+    # top eigenvalue share one eigenprojection
+    @pytest.mark.parametrize(
+        "values", [[0.0, 3e-9, 1.0], [0.0, 5e-9, 1.0], [0.0, 9e-9, 1.0], [0.0, 8e-9, 1.6e-8, 1.0]]
+    )
+    def test_near_degenerate_spectrum_is_grouped(self, values):
+        r = BoundedObservable(np.diag(values))
+        n = len(values)
+        (low, low_k), (high, high_k) = r.spectral
+        assert low == pytest.approx(np.mean(values[:-1]), rel=1e-12)
+        assert high == 1.0
+        assert low_k.rank == n - 1
+        assert np.allclose(low_k.projection, np.diag([1.0] * (n - 1) + [0.0]))
+        f = PartialDensityOperator(np.eye(n) / n)
+        assert e0(r, f) == pytest.approx(np.sum(values) / n, abs=1e-15)
+
+    def test_one_eigensolve_per_observable(self, count_eigensolves):
+        a = sampling.random_hermitian(64, rng_for(21))
+        with count_eigensolves() as sizes:
+            r = BoundedObservable(a)
+        assert len(r.spectral) == 64
+        assert sizes == [64]
+
 
 class TestPvmMap:
     def test_empty_set(self):
@@ -152,7 +175,7 @@ class TestDistribution:
 
     def test_pauli_z_weights(self):
         r = BoundedObservable(PAULI_Z)
-        d = distribution(r, new_partial_density(np.diag([0.5, 0.25])))
+        d = distribution(r, PartialDensityOperator(np.diag([0.5, 0.25])))
         weights = dict(d.support)
         assert weights[-1.0] == pytest.approx(0.25)
         assert weights[1.0] == pytest.approx(0.5)
@@ -170,7 +193,7 @@ class TestE0:
         assert e0(BoundedObservable(PAULI_Z), PartialDensityOperator.zero(2)) == 0.0
 
     def test_pauli_z_example(self):
-        value = e0(BoundedObservable(PAULI_Z), new_partial_density(np.diag([0.5, 0.25])))
+        value = e0(BoundedObservable(PAULI_Z), PartialDensityOperator(np.diag([0.5, 0.25])))
         assert value == pytest.approx(0.25, abs=1e-15)
 
     def test_identity_gives_trace(self):
@@ -209,7 +232,7 @@ class TestExpectedInterval:
         assert box.lo == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-10)
 
     def test_pauli_z_hand_computation(self):
-        box = expected_interval(BoundedObservable(PAULI_Z), new_partial_density(np.diag([0.5, 0.25])))
+        box = expected_interval(BoundedObservable(PAULI_Z), PartialDensityOperator(np.diag([0.5, 0.25])))
         assert box.lo == pytest.approx(0.0, abs=1e-12)
         assert box.hi == pytest.approx(0.5, abs=1e-12)
 
@@ -227,7 +250,7 @@ class TestExpectedInterval:
 
     def test_summary_fields(self):
         r = BoundedObservable(PAULI_Z)
-        f = new_partial_density(np.diag([0.5, 0.25]))
+        f = PartialDensityOperator(np.diag([0.5, 0.25]))
         m, big_m = spectrum_bounds(r)
         box = missing_mass_interval(e0(r, f), f, m, big_m)
         fields = (box.lo, box.hi, e0(r, f), nontermination_probability(f), m, big_m)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import FixpointConfig, PartialDensityOperator, new_partial_density
+from qpartial.density import FixpointConfig, PartialDensityOperator
 from qpartial.errors import (
     ChainMonotonicityError,
     DimensionMismatchError,
@@ -117,7 +117,7 @@ class TestBasicStatements:
         assert report.output.trace == pytest.approx(0.8, abs=1e-9)
 
     def test_branch_hand_computation(self):
-        f = new_partial_density(np.diag([0.3, 0.6]))
+        f = PartialDensityOperator(np.diag([0.3, 0.6]))
         prog = parse("qubit q; if q in |0> { x q; } else { skip; }")
         report = interpret(prog, f)
         # X(P0 f P0)X + P1 f P1 = diag(0, 0.3) + diag(0, 0.6)
@@ -226,7 +226,7 @@ class TestDenotationLinearity:
             f2 = sampling.random_pdo(2, rng)
             alpha = float(rng.uniform(0, 1))
             beta = float(rng.uniform(0, 1 - alpha))
-            mix = new_partial_density(alpha * f1.matrix + beta * f2.matrix)
+            mix = PartialDensityOperator(alpha * f1.matrix + beta * f2.matrix)
             lhs = interpret(prog, mix, cfg).output.matrix
             rhs = alpha * interpret(prog, f1, cfg).output.matrix + beta * interpret(
                 prog, f2, cfg
@@ -274,23 +274,16 @@ ROADMAP_6Q = (
 
 
 class TestBoundaryValidation:
-    def test_only_the_output_is_certified_at_full_dimension(self, monkeypatch):
-        prog = parse(ROADMAP_6Q)
-        ground = PartialDensityOperator.ground_state(prog.dim)
-        sizes = []
-        for name in ("eigvalsh", "eigh"):
-            solver = getattr(np.linalg, name)
-
-            def counted(a, *args, _solver=solver, **kwargs):
-                sizes.append(np.shape(a)[0])
-                return _solver(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        report = interpret(prog, ground)
+    def test_only_the_output_is_certified_at_full_dimension(self, count_eigensolves):
+        ground = PartialDensityOperator.ground_state(2**6)
+        with count_eigensolves() as sizes:
+            prog = parse(ROADMAP_6Q)
+            report = interpret(prog, ground)
         (steps,) = report.iterations_per_loop
         assert report.converged
-        # a converged loop compares `steps` pairs of approximants: one
-        # 32 x 32 exit-block check each; then the output is certified
+        # parsing builds the `|1>` guard without an eigensolve; a converged
+        # loop compares `steps` pairs of approximants: one 32 x 32
+        # exit-block check each; then the output is certified
         assert sizes == [32] * steps + [64]
 
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
