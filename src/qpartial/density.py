@@ -5,6 +5,17 @@ with trace at most one. The trace deficit 1 - tr(f) is the probability
 that the computation producing f has not terminated. Increasing chains
 of such operators converge to a supremum; ``chain_supremum`` stops on
 the trace gap between consecutive elements, a heuristic (see there).
+
+Values are certified once, when constructed. Two operations keep their
+input's certificate and return without re-validating:
+
+- ``scale(f, r)`` for r in [0, 1] multiplies every eigenvalue, the trace
+  and the Hermitian deviation by r <= 1, so every bound f met still holds;
+- ``logic.orthocomplement(k)``: I - P has exactly P's Hermitian deviation
+  and, mathematically, P's idempotency defect.
+
+The only slack is rounding, about d * eps * |f| (below 1.5e-14 at d = 64),
+which is below the error of the eigensolver the original check used.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ class PartialDensityOperator:
 
     Construction validates, with eigenvalue floor and trace slack
     ``psd_tol`` (default ``linalg.PSD_TOL``); instances are immutable
-    afterwards.
+    afterwards. ``scale`` keeps that certificate without validating again.
     """
 
     __slots__ = ("_matrix", "_trace")
@@ -118,9 +129,22 @@ def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[b
 
 
 def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:
+    """The partial state r f, for r in [0, 1], without re-validation.
+
+    r f keeps f's certificate, scaled by r: eigenvalues, trace and
+    Hermitian deviation all shrink by the factor r <= 1, so r f meets
+    every bound f was certified against (including a looser ``psd_tol``
+    f was built with), up to rounding of about d * eps * |f|. Only r is
+    checked; ``ValueError`` if it lies outside [0, 1] or is NaN.
+    """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"scale factor must lie in [0, 1], got {r}")
-    return PartialDensityOperator(r * f.matrix)
+    m = r * f.matrix
+    m.setflags(write=False)
+    scaled = object.__new__(PartialDensityOperator)
+    scaled._matrix = m
+    scaled._trace = float(np.trace(m).real)
+    return scaled
 
 
 def nontermination_probability(f: PartialDensityOperator) -> float:

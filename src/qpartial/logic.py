@@ -24,7 +24,8 @@ class ClosedSubspace:
     """A quantum event, canonically an orthogonal projection matrix.
 
     Validation requires the matrix to be Hermitian within
-    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``.
+    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``;
+    ``orthocomplement`` keeps that certificate without validating again.
     The rank and basis are computed on first use, from one eigensolve of
     the projection, and cached: the rank is the number of eigenvalues
     above one half.
@@ -105,7 +106,19 @@ def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
 
 
 def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
-    return ClosedSubspace(np.eye(k.dim, dtype=complex) - k.projection)
+    """The complement I - P, without re-validation.
+
+    I - P keeps P's certificate: its Hermitian deviation is exactly P's,
+    and (I - P)^2 - (I - P) = P^2 - P, so its idempotency defect is
+    mathematically P's, up to rounding of about d * eps (below 1.5e-14 at
+    d = 64), far inside ``linalg.PROJ_TOL``.
+    """
+    q = np.eye(k.dim, dtype=complex) - k.projection
+    q.setflags(write=False)
+    complement = object.__new__(ClosedSubspace)
+    complement._projection = q
+    complement._basis = None
+    return complement
 
 
 def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:

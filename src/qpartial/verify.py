@@ -291,12 +291,11 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             chain_check.record(converged and err <= 1e-8 and below, err, trial_seed)
 
             worst = 0.0
+            chain = list(geometric_chain(f, steps=iters + 1))
             for _ in range(10):
                 k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
                 target = gleason_measure(f, k)
-                sup_measure = max(
-                    gleason_measure(fn, k) for fn in geometric_chain(f, steps=iters + 1)
-                )
+                sup_measure = max(gleason_measure(fn, k) for fn in chain)
                 worst = max(worst, abs(gleason_measure(sup, k) - sup_measure))
                 worst = max(worst, abs(gleason_measure(sup, k) - target))
             scott.record(worst <= 1e-6, worst, trial_seed)
@@ -382,7 +381,8 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
             )
 
             sup, iters, _ = chain_supremum(geometric_chain(f), cfg)
-            chain_intervals = [expected_interval(r, fn) for fn in geometric_chain(f, steps=iters + 1)]
+            chain = list(geometric_chain(f, steps=iters + 1))
+            chain_intervals = [expected_interval(r, fn) for fn in chain]
             limit_interval = directed_intersection(chain_intervals, tol=1e-12)
             target = expected_interval(r, f)
             e_dev = max(abs(limit_interval.lo - target.lo), abs(limit_interval.hi - target.hi))
@@ -392,7 +392,7 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
             e0_dev = abs(e0(r, sup) - e0(r, f))
             shift = -min(0.0, spectrum_bounds(r)[0])
             r_pos = BoundedObservable(r.operator + shift * np.eye(dim))
-            sup_e0 = max(e0(r_pos, fn) for fn in geometric_chain(f, steps=iters + 1))
+            sup_e0 = max(e0(r_pos, fn) for fn in chain)
             e0_dev = max(e0_dev, abs(sup_e0 - e0(r_pos, f)))
             scott_e.record(e_dev <= 1e-6 and e0_dev <= 1e-8, max(e_dev, e0_dev), trial_seed)
 

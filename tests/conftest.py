@@ -25,3 +25,25 @@ def count_eigensolves(monkeypatch):
             yield sizes
 
     return counting
+
+
+@pytest.fixture
+def count_inits(monkeypatch):
+    """Context manager factory: inside ``with count_inits(cls) as calls``,
+    ``calls`` gets one entry per run of ``cls.__init__``, the validating
+    constructor."""
+
+    @contextlib.contextmanager
+    def counting(cls):
+        calls = []
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__init__", counted)
+            yield calls
+
+    return counting

@@ -116,10 +116,34 @@ class TestScale:
 
     def test_range_checked(self):
         f = PartialDensityOperator.maximally_mixed(2)
-        with pytest.raises(ValueError):
-            scale(f, 1.5)
-        with pytest.raises(ValueError):
-            scale(f, -0.1)
+        for r in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                scale(f, r)
+
+    def test_result_is_not_revalidated(self, count_eigensolves):
+        f = sampling.random_pdo(4, rng_for(15))
+        r = 0.3
+        with count_eigensolves() as sizes:
+            g = scale(f, r)
+        assert sizes == []
+        expected = r * f.matrix
+        assert g.matrix.dtype == expected.dtype
+        assert g.matrix.tobytes() == expected.tobytes()
+        assert g.trace == float(np.trace(expected).real)
+        assert not g.matrix.flags.writeable
+
+    def test_keeps_the_certificate_of_its_input(self):
+        # f was certified with eigenvalue floor -1e-6; 0.5 f has eigenvalue
+        # -2.5e-7, within that floor scaled by 0.5 but below the default
+        # linalg.PSD_TOL, which a fresh default check would reject
+        u = sampling.random_unitary(3, rng_for(16))
+        m = u @ np.diag([0.6, 0.2, -5e-7]) @ u.conj().T
+        f = PartialDensityOperator(m, psd_tol=1e-6)
+        g = scale(f, 0.5)
+        lowest = float(np.linalg.eigvalsh(g.matrix)[0])
+        assert lowest == pytest.approx(-2.5e-7, rel=1e-6)
+        assert lowest >= -0.5 * 1e-6
+        assert g.trace == pytest.approx(0.5 * f.trace, abs=1e-15)
 
 
 class TestChainSupremum:

@@ -117,6 +117,15 @@ class TestLattice:
         k = orthocomplement(ClosedSubspace(np.diag([1.0, 0.0])))
         assert np.allclose(k.projection, np.diag([0.0, 1.0]))
 
+    def test_complement_is_not_revalidated(self, count_inits, count_eigensolves):
+        k = sampling.random_subspace(4, 3, rng_for(15))
+        with count_inits(ClosedSubspace) as inits, count_eigensolves() as sizes:
+            q = orthocomplement(k)
+        assert inits == [] and sizes == []
+        assert q.projection.tobytes() == (np.eye(4) - k.projection).tobytes()
+        assert not q.projection.flags.writeable
+        assert q.rank == 1
+
     def test_double_complement(self):
         rng = rng_for(6)
         k = sampling.random_subspace(4, 2, rng)

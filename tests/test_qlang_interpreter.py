@@ -286,6 +286,16 @@ class TestBoundaryValidation:
         # exit-block check each; then the output is certified
         assert sizes == [32] * steps + [64]
 
+    def test_dense_guard_builds_no_subspace_per_run(self, count_inits):
+        prog = parse("qubit a; qubit b; h b; while a in |+> { t a; h a; cnot a b; }")
+        f = sampling.random_pdo(4, rng_for(24))
+        with count_inits(ClosedSubspace) as inits:
+            first = interpret(prog, f)
+            second = interpret(prog, f)
+        assert inits == []
+        assert first.converged and first.iterations_per_loop == second.iterations_per_loop
+        assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
+
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
         prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
         loop = prog.body.statements[-1]
