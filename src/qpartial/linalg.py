@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic, the Hermitian eigensolver, the PSD
+"""Matrix coercion and norms, the Hermitian eigensolver, the PSD
 test, and the library's validation tolerances.
 
 All functions operate on square ``complex128`` numpy arrays and treat them
@@ -52,21 +52,6 @@ def max_norm(a) -> float:
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    require_same_dim(a, b)
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_matrix(a)))
 
 
 def require_hermitian(a) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg
-from qpartial.errors import DimensionMismatchError, NotHermitianError
+from qpartial.errors import NotHermitianError
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -11,77 +11,6 @@ def rng_for(test_id: int) -> np.random.Generator:
 
 def random_complex_matrix(n, rng):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def triple_loop_matmul(a, b):
-    """Naive O(n^3) product, the oracle for mat_mul."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-def householder(v):
-    v = v / np.linalg.norm(v)
-    return np.eye(len(v)) - 2.0 * np.outer(v, v.conj())
-
-
-class TestMatMul:
-    def test_identity(self):
-        a = random_complex_matrix(3, rng_for(1))
-        assert np.allclose(linalg.mat_mul(np.eye(3), a), a)
-
-    def test_diagonal(self):
-        assert np.allclose(linalg.mat_mul(np.diag([1, 2]), np.diag([3, 4])), np.diag([3, 8]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = rng_for(2)
-        a, b = random_complex_matrix(3, rng), random_complex_matrix(3, rng)
-        assert np.allclose(linalg.mat_mul(a, b), triple_loop_matmul(a, b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.mat_mul(np.eye(2), np.eye(3))
-
-    def test_trace_cyclic(self):
-        rng = rng_for(3)
-        for _ in range(20):
-            a, b = random_complex_matrix(4, rng), random_complex_matrix(4, rng)
-            assert abs(linalg.trace(linalg.mat_mul(a, b)) - linalg.trace(linalg.mat_mul(b, a))) < 1e-10
-
-
-class TestAdjoint:
-    def test_real_symmetric_fixed(self):
-        a = np.array([[1.0, 2.0], [2.0, 5.0]])
-        assert np.allclose(linalg.adjoint(a), a)
-
-    def test_single_entry(self):
-        a = np.array([[0, 1j], [0, 0]])
-        assert np.allclose(linalg.adjoint(a), np.array([[0, 0], [-1j, 0]]))
-
-    def test_product_rule(self):
-        rng = rng_for(4)
-        for _ in range(5):
-            a, b = random_complex_matrix(4, rng), random_complex_matrix(4, rng)
-            assert np.allclose(linalg.adjoint(a @ b), linalg.adjoint(b) @ linalg.adjoint(a))
-
-
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(4)) == 4
-
-    def test_diagonal(self):
-        assert linalg.trace(np.diag([0.5, 0.25])) == pytest.approx(0.75)
-
-    def test_basis_independence(self):
-        rng = rng_for(5)
-        a = random_complex_matrix(5, rng)
-        u = householder(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
-        assert abs(linalg.trace(u @ a @ u.conj().T) - linalg.trace(a)) < 1e-10
 
 
 class TestHermitianEig:
