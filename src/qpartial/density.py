@@ -3,8 +3,8 @@
 A partial density operator is a Hermitian positive-semidefinite matrix
 with trace at most one. The trace deficit 1 - tr(f) is the probability
 that the computation producing f has not terminated. Increasing chains
-of such operators converge to a supremum; ``chain_supremum`` stops on
-the trace gap between consecutive elements, a heuristic (see there).
+of such operators converge to a supremum, computed by ``chain_supremum``;
+its stopping rule is described there.
 
 Values are certified once, when constructed. Two operations keep their
 input's certificate and return without re-validating:
@@ -25,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ChainMonotonicityError,
-    DimensionMismatchError,
-    InvalidOperatorError,
-)
+from .errors import DimensionMismatchError, InvalidOperatorError
 
 
 class PartialDensityOperator:
@@ -170,7 +166,8 @@ def dyadic_diagonal_state(bits, dim: int) -> PartialDensityOperator:
 
 @dataclass(frozen=True)
 class FixpointConfig:
-    """Stopping rules for chain suprema and loop fixpoints."""
+    """Stopping rules of ``chain_supremum``; ``monotonicity_check`` switches
+    the interpreter's per-step check that its loop chains increase."""
 
     max_iterations: int = 10000
     trace_tol: float = 1e-9
@@ -185,23 +182,25 @@ class FixpointConfig:
 
 def chain_supremum(
     chain, cfg: FixpointConfig | None = None
-) -> tuple[PartialDensityOperator, int, bool]:
-    """Supremum of an increasing chain of partial density operators.
+) -> tuple[np.ndarray, int, bool, list[float]]:
+    """Supremum of an increasing chain of partial states, as raw matrices.
 
-    Consumes the chain until the trace gap between consecutive elements
-    drops below ``cfg.trace_tol`` (converged), the chain ends (a finite
-    chain attains its supremum exactly), or ``cfg.max_iterations``
-    elements have been consumed (not converged). Returns
-    ``(operator, iterations_used, converged)`` where the operator is the
-    last element consumed.
+    This is the one Kleene loop: ``interpret`` evaluates every while loop
+    through it. Consumes the chain until the trace gap between consecutive
+    elements drops below ``cfg.trace_tol`` (converged), the chain ends (a
+    finite chain attains its supremum exactly), or ``cfg.max_iterations``
+    elements have been consumed (not converged). Returns ``(matrix,
+    iterations_used, converged, traces)``: the last element consumed and
+    ``float(np.trace(m).real)`` of every element consumed, in order.
 
     The trace-gap rule is a heuristic: a small gap bounds one step of the
     chain, not its distance to the supremum, so a slowly rising chain or
     one that stalls for a step can be reported converged early.
 
-    With ``cfg.monotonicity_check`` every consecutive pair is checked in
-    the Loewner order and a violation raises ``ChainMonotonicityError``:
-    suprema only exist for increasing families.
+    The chain is not checked for monotonicity; its producer certifies that
+    it increases in the Loewner order (the interpreter checks each
+    approximant's increment, and ``scale`` makes ``(1 - 2^-n) f`` increase
+    by construction).
     """
     cfg = cfg or FixpointConfig()
     it = iter(chain)
@@ -209,23 +208,16 @@ def chain_supremum(
         current = next(it)
     except StopIteration:
         raise ValueError("supremum of an empty chain is undefined") from None
+    traces = [float(np.trace(current).real)]
     count = 1
     while count < cfg.max_iterations:
         try:
             nxt = next(it)
         except StopIteration:
-            return current, count, True
-        if cfg.monotonicity_check:
-            ok, witness = loewner_leq(current, nxt)
-            if not ok:
-                raise ChainMonotonicityError(
-                    f"chain decreases between elements {count} and {count + 1}",
-                    index=count,
-                    witness=witness,
-                )
-        gap = nxt.trace - current.trace
-        if gap < cfg.trace_tol:
-            return nxt, count, True
+            return current, count, True, traces
+        traces.append(float(np.trace(nxt).real))
+        if traces[-1] - traces[-2] < cfg.trace_tol:
+            return nxt, count, True, traces
         current = nxt
         count += 1
-    return current, cfg.max_iterations, False
+    return current, cfg.max_iterations, False, traces

@@ -27,7 +27,7 @@ class InvalidOperatorError(ValueError):
 
 
 class ChainMonotonicityError(ValueError):
-    """A chain handed to a supremum computation was not increasing.
+    """A loop's Kleene approximant chain was not increasing.
 
     ``index`` is the 1-based position of the first offending step and
     ``witness`` a direction along which the chain decreases.

@@ -6,12 +6,13 @@ intermediate states sub-normalized: lost trace is mass parked on paths
 that have not terminated. A while loop is evaluated as the supremum of
 its Kleene approximants
 
-    acc_0 = 0,   sigma_0 = rho
-    acc_{n+1} = acc_n + P_exit sigma_n P_exit
+    acc_0 = P_exit rho P_exit,   sigma_0 = rho
     sigma_{n+1} = [[body]](P_guard sigma_n P_guard)
+    acc_{n+1} = acc_n + P_exit sigma_{n+1} P_exit
 
-an increasing chain whose limit is detected by the trace gap (a
-heuristic: the gap bounds one step, not the distance to the limit).
+an increasing chain that ``_approximants`` yields and
+``density.chain_supremum``, the one Kleene loop, consumes under its
+stopping rule.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by
@@ -25,12 +26,13 @@ the exit subspace (the increment's nonzero eigenvalues all live there).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import linalg
-from ..density import FixpointConfig, PartialDensityOperator, nontermination_probability
+from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
 from ..errors import ChainMonotonicityError, DimensionMismatchError
 from ..logic import ClosedSubspace, orthocomplement
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
@@ -184,32 +186,28 @@ def _eval(stmt: Statement, rho: np.ndarray, state: _RunState, loop_depth: int) -
 
 
 def _eval_while(stmt: While, rho: np.ndarray, state: _RunState, loop_depth: int) -> np.ndarray:
-    """Kleene iteration with the stopping rule and iteration count of
-    ``chain_supremum``: stop once the trace gap between consecutive
-    approximants drops below ``cfg.trace_tol`` (converged) or after
-    ``cfg.max_iterations`` approximants (not converged)."""
-    cfg = state.cfg
-    maps = state.guard_maps(stmt)
-    acc = maps.exit(rho)
-    trace_log = [float(np.trace(acc).real)]
-    sigma = rho
-    count, converged = 1, False
-    while count < cfg.max_iterations:
-        sigma = _eval(stmt.body, maps.keep(sigma), state, loop_depth + 1)
-        step = maps.exit(sigma)
-        if cfg.monotonicity_check:
-            _require_positive_step(maps, step, count)
-        acc = acc + step
-        trace_log.append(float(np.trace(acc).real))
-        if trace_log[-1] - trace_log[-2] < cfg.trace_tol:
-            converged = True
-            break
-        count += 1
+    chain = _approximants(stmt, rho, state, loop_depth)
+    acc, count, converged, traces = chain_supremum(chain, state.cfg)
     state.iterations.append(count)
     state.converged = state.converged and converged
     if loop_depth == 0:
-        state.chain_trace_log = trace_log
+        state.chain_trace_log = traces
     return acc
+
+
+def _approximants(stmt: While, rho: np.ndarray, state: _RunState, loop_depth: int):
+    """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring)."""
+    maps = state.guard_maps(stmt)
+    acc = maps.exit(rho)
+    yield acc
+    sigma = rho
+    for n in itertools.count(1):
+        sigma = _eval(stmt.body, maps.keep(sigma), state, loop_depth + 1)
+        step = maps.exit(sigma)
+        if state.cfg.monotonicity_check:
+            _require_positive_step(maps, step, n)
+        acc = acc + step
+        yield acc
 
 
 def _require_positive_step(maps: _GuardMaps, step: np.ndarray, index: int) -> None:

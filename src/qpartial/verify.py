@@ -283,7 +283,8 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
             norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
 
-            sup, iters, converged = chain_supremum(geometric_chain(f), cfg)
+            sup, iters, converged, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
+            sup = PartialDensityOperator(sup)
             err = linalg.max_norm(sup.matrix - f.matrix)
             below, _ = linalg.is_positive_semidefinite(
                 f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix
@@ -380,7 +381,8 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
                 trial_seed,
             )
 
-            sup, iters, _ = chain_supremum(geometric_chain(f), cfg)
+            sup, iters, _, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
+            sup = PartialDensityOperator(sup)
             chain = list(geometric_chain(f, steps=iters + 1))
             chain_intervals = [expected_interval(r, fn) for fn in chain]
             limit_interval = directed_intersection(chain_intervals, tol=1e-12)

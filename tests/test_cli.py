@@ -13,21 +13,17 @@ def workdir(tmp_path):
     (tmp_path / "coin.qp").write_text(FAIR_COIN)
     (tmp_path / "bad.qp").write_text("qubit q; y r;")
     (tmp_path / "diverge.qp").write_text("qubit q; while q in |0> { skip; }")
-    json.dump(
-        {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        (tmp_path / "pauli_z.json").open("w"),
+    (tmp_path / "pauli_z.json").write_text(
+        json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
     )
-    json.dump(
-        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.25]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        (tmp_path / "state.json").open("w"),
+    (tmp_path / "state.json").write_text(
+        json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.25]], "im": [[0.0, 0.0], [0.0, 0.0]]})
     )
-    json.dump(
-        {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        (tmp_path / "zero.json").open("w"),
+    (tmp_path / "zero.json").write_text(
+        json.dumps({"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
     )
-    json.dump(
-        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        (tmp_path / "mixed.json").open("w"),
+    (tmp_path / "mixed.json").write_text(
+        json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
     )
     return tmp_path
 
@@ -115,24 +111,22 @@ class TestExpect:
 
     def test_near_degenerate_observable_accepted(self, capsys, tmp_path):
         for name, m in (("obs.json", np.diag([0.0, 5e-9, 1.0])), ("quarter.json", np.eye(3) / 4)):
-            json.dump({"dim": 3, "re": m.tolist(), "im": np.zeros((3, 3)).tolist()}, (tmp_path / name).open("w"))
+            (tmp_path / name).write_text(json.dumps({"dim": 3, "re": m.tolist(), "im": np.zeros((3, 3)).tolist()}))
         code, out, err = run_cli(capsys, "expect", tmp_path / "obs.json", tmp_path / "quarter.json")
         assert code == 0, err
         # 0 and 5e-9 share one eigenprojection with eigenvalue 2.5e-9
         assert json.loads(out)["e0"] == pytest.approx(0.25000000125, abs=1e-15)
 
     def test_dimension_mismatch(self, workdir, capsys, tmp_path):
-        json.dump(
-            {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()},
-            (tmp_path / "w.json").open("w"),
+        (tmp_path / "w.json").write_text(
+            json.dumps({"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()})
         )
         code, _, err = run_cli(capsys, "expect", tmp_path / "w.json", workdir / "state.json")
         assert code == 1 and "mismatch" in err
 
     def test_invalid_operator_rejected(self, workdir, capsys, tmp_path):
-        json.dump(
-            {"dim": 2, "re": [[0.9, 0.0], [0.0, 0.9]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-            (tmp_path / "heavy.json").open("w"),
+        (tmp_path / "heavy.json").write_text(
+            json.dumps({"dim": 2, "re": [[0.9, 0.0], [0.0, 0.9]], "im": [[0.0, 0.0], [0.0, 0.0]]})
         )
         code, _, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "heavy.json")
         assert code == 1 and "trace" in err

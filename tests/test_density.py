@@ -13,7 +13,6 @@ from qpartial.density import (
     scale,
 )
 from qpartial.errors import (
-    ChainMonotonicityError,
     DimensionMismatchError,
     InvalidOperatorError,
     NotHermitianError,
@@ -152,11 +151,12 @@ class TestChainSupremum:
 
         def constant():
             while True:
-                yield f
+                yield f.matrix
 
-        sup, iterations, converged = chain_supremum(constant())
+        sup, iterations, converged, traces = chain_supremum(constant())
         assert converged and iterations == 1
-        assert np.allclose(sup.matrix, f.matrix)
+        assert np.allclose(sup, f.matrix)
+        assert traces == [f.trace, f.trace]
 
     def test_geometric_chain_reaches_limit(self):
         f = sampling.random_pdo(4, rng_for(9), trace=0.8)
@@ -165,11 +165,13 @@ class TestChainSupremum:
             n = 0
             while True:
                 n += 1
-                yield scale(f, 1.0 - 2.0**-n)
+                yield scale(f, 1.0 - 2.0**-n).matrix
 
-        sup, _, converged = chain_supremum(geometric())
+        sup, iterations, converged, traces = chain_supremum(geometric())
         assert converged
-        assert linalg.max_norm(sup.matrix - f.matrix) <= 1e-8
+        assert linalg.max_norm(sup - f.matrix) <= 1e-8
+        assert len(traces) == iterations + 1
+        assert traces[-1] == float(np.trace(sup).real)
 
     def test_trace_gap_halves(self):
         f = sampling.random_pdo(3, rng_for(10), trace=0.9)
@@ -180,10 +182,11 @@ class TestChainSupremum:
 
     def test_finite_chain_attains_supremum(self):
         f = sampling.random_pdo(2, rng_for(11), trace=0.6)
-        chain = [scale(f, r) for r in (0.25, 0.5, 1.0)]
-        sup, iterations, converged = chain_supremum(iter(chain))
+        chain = [scale(f, r).matrix for r in (0.25, 0.5, 1.0)]
+        sup, iterations, converged, traces = chain_supremum(iter(chain))
         assert converged and iterations == 3
-        assert np.allclose(sup.matrix, f.matrix)
+        assert np.allclose(sup, f.matrix)
+        assert traces == [float(np.trace(m).real) for m in chain]
 
     def test_truncation_reports_nonconvergence(self):
         f = sampling.random_pdo(2, rng_for(12), trace=0.9)
@@ -192,27 +195,12 @@ class TestChainSupremum:
             n = 0
             while True:
                 n += 1
-                yield scale(f, 1.0 - 1.0 / (n + 1))
+                yield scale(f, 1.0 - 1.0 / (n + 1)).matrix
 
-        sup, iterations, converged = chain_supremum(slow(), FixpointConfig(max_iterations=5))
+        sup, iterations, converged, traces = chain_supremum(slow(), FixpointConfig(max_iterations=5))
         assert not converged and iterations == 5
-
-    def test_monotonicity_violation_detected(self):
-        f = sampling.random_pdo(3, rng_for(13), trace=0.8)
-        chain = [scale(f, 0.5), scale(f, 0.8), scale(f, 0.6)]
-        with pytest.raises(ChainMonotonicityError) as err:
-            chain_supremum(iter(chain))
-        assert err.value.index == 2
-        diff = scale(f, 0.6).matrix - scale(f, 0.8).matrix
-        form = float((err.value.witness.conj() @ diff @ err.value.witness).real)
-        assert form < 0
-
-    def test_monotonicity_check_can_be_disabled(self):
-        f = sampling.random_pdo(3, rng_for(14), trace=0.8)
-        chain = [scale(f, 0.5), scale(f, 0.8), scale(f, 0.6)]
-        cfg = FixpointConfig(monotonicity_check=False, max_iterations=3)
-        sup, _, _ = chain_supremum(iter(chain), cfg)
-        assert np.allclose(sup.matrix, scale(f, 0.6).matrix)
+        assert len(traces) == 5
+        assert np.array_equal(sup, scale(f, 1.0 - 1.0 / 6).matrix)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -220,10 +208,10 @@ class TestChainSupremum:
 
     def test_supremum_is_upper_bound(self):
         f = sampling.random_pdo(3, rng_for(15), trace=0.7)
-        chain = [scale(f, 1.0 - 2.0**-n) for n in range(1, 20)]
-        sup, _, _ = chain_supremum(iter(chain))
+        chain = [scale(f, 1.0 - 2.0**-n).matrix for n in range(1, 20)]
+        sup, _, _, _ = chain_supremum(iter(chain))
         for element in chain:
-            diff = sup.matrix + linalg.PSD_TOL * np.eye(3) - element.matrix
+            diff = sup + linalg.PSD_TOL * np.eye(3) - element
             ok, _ = linalg.is_positive_semidefinite(diff)
             assert ok
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import FixpointConfig, PartialDensityOperator
+from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import (
     ChainMonotonicityError,
     DimensionMismatchError,
@@ -214,6 +214,53 @@ class TestNestedLoops:
         assert len(report.iterations_per_loop) >= 2
         # the outer loop's chain is the one reported
         assert report.chain_trace_log[-1] == pytest.approx(report.output.trace, abs=1e-12)
+
+
+class TestOneKleeneLoop:
+    """Every while loop is evaluated by ``density.chain_supremum``."""
+
+    # the nested program of the CLI reference outputs (run-nested)
+    NESTED = "qubit a; qubit b; h b; while a in |+> { t a; h a; while b in |-> { t b; h b; } s b; }"
+
+    def test_each_loop_evaluation_is_one_chain_supremum(self, monkeypatch):
+        calls = []
+        original = interpreter.chain_supremum
+
+        def spy(chain, cfg=None):
+            calls.append(cfg)
+            return original(chain, cfg)
+
+        monkeypatch.setattr(interpreter, "chain_supremum", spy)
+        report = interpret(parse(self.NESTED), PartialDensityOperator.ground_state(4))
+        assert len(report.iterations_per_loop) > 2
+        assert len(calls) == len(report.iterations_per_loop)
+
+    @staticmethod
+    def fair_coin_chain():
+        """The fair coin's Kleene chain built by hand: acc_0 = Q sigma_0 Q,
+        sigma_{n+1} = H (P sigma_n P) H+, acc_{n+1} = acc_n + Q sigma_{n+1} Q,
+        with P = |1><1| and Q = |0><0| applied as entry masks."""
+        h = denote_unitary("H", (0,), 1)
+        keep = np.array([[False, False], [False, True]])
+        leave = np.array([[True, False], [False, False]])
+        sigma = h @ GROUND.matrix @ h.conj().T
+        acc = np.where(leave, sigma, 0)
+        yield acc
+        while True:
+            sigma = h @ np.where(keep, sigma, 0) @ h.conj().T
+            acc = acc + np.where(leave, sigma, 0)
+            yield acc
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 5, None])
+    def test_fair_coin_run_is_its_chain_supremum(self, max_iterations):
+        cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
+        sup, iterations, converged, traces = chain_supremum(self.fair_coin_chain(), cfg)
+        report = interpret(parse(TestFairCoinLoop.PROGRAM), GROUND, cfg)
+        assert sup.tobytes() == report.output.matrix.tobytes()
+        assert iterations == report.iterations_per_loop[0]
+        assert converged == report.converged
+        assert traces == report.chain_trace_log
+        assert converged == (max_iterations is None)
 
 
 class TestDenotationLinearity:
