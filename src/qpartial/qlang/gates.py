@@ -83,10 +83,15 @@ def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
         block = GATES[name]
     else:
         block = linalg.as_matrix(gate)
-    dev = linalg.max_norm(block.conj().T @ block - np.eye(block.shape[0]))
-    if dev > linalg.UNITARY_TOL:
-        raise NonUnitaryError(f"gate deviates from unitary by {dev:.3e}")
+    _require_unitary(block, linalg.UNITARY_TOL, "gate")
     return embed_operator(block, tuple(targets), total_qubits)
+
+
+def _require_unitary(u: np.ndarray, tol: float, what: str) -> None:
+    """Raise ``NonUnitaryError`` unless ``max_norm(u+u - I) <= tol``."""
+    dev = linalg.max_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    if dev > tol:
+        raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
 
 
 def ket_guard_projection(ket: str, qubit: int, total_qubits: int) -> np.ndarray:

@@ -14,12 +14,21 @@ an increasing chain that ``_approximants`` yields and
 ``density.chain_supremum``, the one Kleene loop, consumes under its
 stopping rule.
 
+Gates are fused: each maximal run ``U_1; ...; U_k`` of consecutive gates
+in a ``Seq`` denotes the single map ``rho -> U rho U+`` with ``U = U_k ...
+U_1``, so the product is formed once per ``interpret`` call and every run
+is applied as one conjugation. A lone gate (k = 1) is applied as it is,
+with no product. The product is certified like a gate, ``max_norm(U+U -
+I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
+factors' certified defects. Runs never extend across ``skip``, ``if`` or
+``while``. Fusion changes results only by rounding.
+
 Validation happens at the boundary. The input is a validated
-``PartialDensityOperator``, unitaries are certified by
-``denote_unitary`` and guards by ``ClosedSubspace``; every statement maps
-partial density operators to partial density operators by construction,
-so statements act on raw arrays and the output is certified once, in
-``interpret``. Inside loops, ``cfg.monotonicity_check`` tests each step's
+``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
+(gate runs as above) and guards by ``ClosedSubspace``; every statement
+maps partial density operators to partial density operators by
+construction, so statements act on raw arrays and the output is certified
+once, in ``interpret``. Inside loops, ``cfg.monotonicity_check`` tests each step's
 increment ``P_exit sigma_n P_exit`` for positivity on the r x r block of
 the exit subspace (the increment's nonzero eigenvalues all live there).
 """
@@ -36,7 +45,7 @@ from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, no
 from ..errors import ChainMonotonicityError, DimensionMismatchError
 from ..logic import ClosedSubspace, orthocomplement
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
-from .gates import denote_unitary
+from .gates import _require_unitary, denote_unitary
 
 
 @dataclass
@@ -117,20 +126,47 @@ class _GuardMaps:
 
 @dataclass
 class _RunState:
+    """One ``interpret`` call's loop log and its per-statement cache, keyed
+    by statement id: ``_GuardMaps`` for a ``Branch`` or ``While``, ``parts``
+    for a ``Seq`` or lone gate."""
+
     cfg: FixpointConfig
+    total_qubits: int
     iterations: list[int] = field(default_factory=list)
     converged: bool = True
     chain_trace_log: list[float] = field(default_factory=list)
-    unitary_cache: dict[int, np.ndarray] = field(default_factory=dict)
-    guard_cache: dict[int, _GuardMaps] = field(default_factory=dict)
-    total_qubits: int = 0
+    cache: dict[int, _GuardMaps | tuple] = field(default_factory=dict)
 
     def guard_maps(self, stmt: Branch | While) -> _GuardMaps:
-        maps = self.guard_cache.get(id(stmt))
+        maps = self.cache.get(id(stmt))
         if maps is None:
-            maps = _GuardMaps(stmt.guard)
-            self.guard_cache[id(stmt)] = maps
+            maps = self.cache[id(stmt)] = _GuardMaps(stmt.guard)
         return maps
+
+    def parts(self, stmt: Seq | ApplyUnitary) -> tuple:
+        """``stmt`` as a sequence of unitaries and the statements between
+        them, each maximal run of gates fused into one certified product."""
+        parts = self.cache.get(id(stmt))
+        if parts is None:
+            statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
+            parts = []
+            for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
+                if is_gate:
+                    parts.append(self._product(list(group)))
+                else:
+                    parts.extend(group)
+            parts = self.cache[id(stmt)] = tuple(parts)
+        return parts
+
+    def _product(self, run: list[ApplyUnitary]) -> np.ndarray:
+        """``U_k ... U_1``; a lone gate's unitary is returned as it is."""
+        factors = [denote_unitary(g.gate, g.targets, self.total_qubits) for g in run]
+        u = factors[0]
+        for factor in factors[1:]:
+            u = factor @ u
+        if len(factors) > 1:
+            _require_unitary(u, len(factors) * linalg.UNITARY_TOL, f"run of {len(factors)} gates")
+        return u
 
 
 def interpret(
@@ -148,7 +184,7 @@ def interpret(
         raise DimensionMismatchError(
             f"input has dimension {input_state.dim}, program needs {prog.dim}"
         )
-    state = _RunState(cfg=cfg, total_qubits=prog.total_qubits)
+    state = _RunState(cfg, prog.total_qubits)
     out = _eval(prog.body, input_state.matrix, state, loop_depth=0)
     output = PartialDensityOperator(out)
     if not state.chain_trace_log:
@@ -165,16 +201,13 @@ def interpret(
 def _eval(stmt: Statement, rho: np.ndarray, state: _RunState, loop_depth: int) -> np.ndarray:
     if isinstance(stmt, Skip):
         return rho
-    if isinstance(stmt, Seq):
-        for inner in stmt.statements:
-            rho = _eval(inner, rho, state, loop_depth)
+    if isinstance(stmt, (Seq, ApplyUnitary)):
+        for part in state.parts(stmt):
+            if isinstance(part, np.ndarray):
+                rho = _conjugate(part, rho)
+            else:
+                rho = _eval(part, rho, state, loop_depth)
         return rho
-    if isinstance(stmt, ApplyUnitary):
-        u = state.unitary_cache.get(id(stmt))
-        if u is None:
-            u = denote_unitary(stmt.gate, stmt.targets, state.total_qubits)
-            state.unitary_cache[id(stmt)] = u
-        return u @ rho @ u.conj().T
     if isinstance(stmt, Branch):
         maps = state.guard_maps(stmt)
         taken = _eval(stmt.then_body, maps.keep(rho), state, loop_depth)
@@ -183,6 +216,11 @@ def _eval(stmt: Statement, rho: np.ndarray, state: _RunState, loop_depth: int) -
     if isinstance(stmt, While):
         return _eval_while(stmt, rho, state, loop_depth)
     raise TypeError(f"unknown statement node {stmt!r}")
+
+
+def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``u rho u+``, the one place a gate or fused gate run is applied."""
+    return u @ rho @ u.conj().T
 
 
 def _eval_while(stmt: While, rho: np.ndarray, state: _RunState, loop_depth: int) -> np.ndarray:

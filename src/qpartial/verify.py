@@ -252,6 +252,20 @@ def geometric_chain(f: PartialDensityOperator, steps: int | None = None):
         yield scale(f, 1.0 - 2.0**-n)
 
 
+def _geometric_supremum(f: PartialDensityOperator, cfg: FixpointConfig):
+    """``chain_supremum`` of ``geometric_chain(f)``: the certified elements
+    it consumed, the last of them its supremum, and whether it converged."""
+    consumed = []
+
+    def matrices():
+        for fn in geometric_chain(f):
+            consumed.append(fn)
+            yield fn.matrix
+
+    _, _, converged, _ = chain_supremum(matrices(), cfg)
+    return consumed, converged
+
+
 def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
     order_laws = CheckResult("order_laws")
     norm_bound = CheckResult("norm_below_trace")
@@ -283,8 +297,8 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
             norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
 
-            sup, iters, converged, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
-            sup = PartialDensityOperator(sup)
+            chain, converged = _geometric_supremum(f, cfg)
+            sup = chain[-1]
             err = linalg.max_norm(sup.matrix - f.matrix)
             below, _ = linalg.is_positive_semidefinite(
                 f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix
@@ -292,7 +306,6 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             chain_check.record(converged and err <= 1e-8 and below, err, trial_seed)
 
             worst = 0.0
-            chain = list(geometric_chain(f, steps=iters + 1))
             for _ in range(10):
                 k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
                 target = gleason_measure(f, k)
@@ -381,9 +394,8 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
                 trial_seed,
             )
 
-            sup, iters, _, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
-            sup = PartialDensityOperator(sup)
-            chain = list(geometric_chain(f, steps=iters + 1))
+            chain, _ = _geometric_supremum(f, cfg)
+            sup = chain[-1]
             chain_intervals = [expected_interval(r, fn) for fn in chain]
             limit_interval = directed_intersection(chain_intervals, tol=1e-12)
             target = expected_interval(r, f)

@@ -14,7 +14,7 @@ from qpartial.errors import (
 )
 from qpartial.logic import ClosedSubspace
 from qpartial.qlang import denote_unitary, interpret, interpreter, parse
-from qpartial.qlang.ast import Program, Skip, While
+from qpartial.qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
 from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
 
 GROUND = PartialDensityOperator.ground_state(2)
@@ -384,6 +384,154 @@ class TestBoundaryValidation:
         assert err.value.index == 1
         with pytest.raises(NotPositiveError):
             interpret(prog, ground, FixpointConfig(monotonicity_check=False))
+
+
+def unfused(stmt, rho: np.ndarray, n: int, loop_steps) -> np.ndarray:
+    """Reference semantics that applies every gate on its own, as a dense
+    ``embed_operator`` conjugation, and runs each loop (in evaluation order,
+    no nesting) for the next count of ``loop_steps``."""
+    if isinstance(stmt, Skip):
+        return rho
+    if isinstance(stmt, Seq):
+        for inner in stmt.statements:
+            rho = unfused(inner, rho, n, loop_steps)
+        return rho
+    if isinstance(stmt, ApplyUnitary):
+        block = GATES[stmt.gate.upper()] if isinstance(stmt.gate, str) else stmt.gate
+        u = embed_operator(block, stmt.targets, n)
+        return u @ rho @ u.conj().T
+    p = stmt.guard.projection
+    q = np.eye(len(p)) - p
+    if isinstance(stmt, Branch):
+        return unfused(stmt.then_body, p @ rho @ p, n, loop_steps) + unfused(
+            stmt.else_body, q @ rho @ q, n, loop_steps
+        )
+    acc, sigma = q @ rho @ q, rho
+    for _ in range(next(loop_steps)):
+        sigma = unfused(stmt.body, p @ sigma @ p, n, loop_steps)
+        acc = acc + q @ sigma @ q
+    return acc
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """Every unitary the interpreter conjugates a state with, in order."""
+    applied = []
+    original = interpreter._conjugate
+
+    def spy(u, rho):
+        applied.append(u)
+        return original(u, rho)
+
+    monkeypatch.setattr(interpreter, "_conjugate", spy)
+    return applied
+
+
+def gate_product(source_gates, n: int) -> np.ndarray:
+    u = np.eye(2**n, dtype=complex)
+    for name, targets in source_gates:
+        u = denote_unitary(name, targets, n) @ u
+    return u
+
+
+class TestGateFusion:
+    """Each maximal run of consecutive gates is one certified unitary,
+    applied as one conjugation; a lone gate is applied as it is."""
+
+    PREFIX = (("H", (0,)), ("H", (1,)), ("CNOT", (0, 2)), ("H", (3,)))
+    BODY = (("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (4,)), ("CNOT", (4, 5)))
+
+    def test_six_qubit_runs_are_one_conjugation_each(self, conjugations):
+        prog = parse(ROADMAP_6Q)
+        ground = PartialDensityOperator.ground_state(64)
+        report = interpret(prog, ground)
+        assert report.iterations_per_loop == [29]
+        # the 4-gate prefix once, then the 5-gate body once per Kleene step
+        assert len(conjugations) == 1 + 29
+        assert linalg.max_norm(conjugations[0] - gate_product(self.PREFIX, 6)) <= 1e-15
+        body = conjugations[1]
+        assert all(u is body for u in conjugations[1:])
+        assert linalg.max_norm(body - gate_product(self.BODY, 6)) <= 1e-15
+
+        reference = unfused(prog.body, ground.matrix, 6, iter([29]))
+        assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "breaker",
+        ["skip;", "if b in |1> { x a; } else { skip; }", "while b in |1> { h b; }"],
+    )
+    def test_runs_are_not_fused_across_skip_if_or_while(self, breaker, conjugations):
+        prog = parse(f"qubit a; qubit b; h a; cnot a b; {breaker} t b; h a;")
+        f = sampling.random_pdo(4, rng_for(25))
+        report = interpret(prog, f)
+        before = gate_product((("H", (0,)), ("CNOT", (0, 1))), 2)
+        after = gate_product((("T", (1,)), ("H", (0,))), 2)
+        assert np.array_equal(conjugations[0], before)
+        assert np.array_equal(conjugations[-1], after)
+        # whatever the breaker applied sits between the two runs, gate by gate
+        for u in conjugations[1:-1]:
+            assert u.shape == (4, 4) and any(
+                np.array_equal(u, denote_unitary(g, t, 2)) for g, t in (("X", (0,)), ("H", (1,)))
+            )
+        steps = iter(report.iterations_per_loop)
+        reference = unfused(prog.body, f.matrix, 2, steps)
+        assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
+
+    # ``interpret`` of the fair coin before gate runs were fused: the
+    # converged run's chain trace log (its last entry is the output's only
+    # nonzero entry, at [0, 0]) in float.hex form. The run with
+    # ``max_iterations=n`` ends on entry n - 1, so its residual is
+    # 1 - log[n - 1]: 2^-n up to one or two ulps of 1.
+    FAIR_COIN_LOG = [
+        "0x1.ffffffffffffep-2", "0x1.7fffffffffffep-1", "0x1.bfffffffffffep-1",
+        "0x1.dfffffffffffep-1", "0x1.efffffffffffep-1", "0x1.f7ffffffffffep-1",
+        "0x1.fbffffffffffep-1", "0x1.fdffffffffffep-1", "0x1.feffffffffffep-1",
+        "0x1.ff7fffffffffep-1", "0x1.ffbfffffffffep-1", "0x1.ffdfffffffffep-1",
+        "0x1.ffefffffffffep-1", "0x1.fff7ffffffffep-1", "0x1.fffbffffffffep-1",
+        "0x1.fffdffffffffep-1", "0x1.fffeffffffffep-1", "0x1.ffff7fffffffep-1",
+        "0x1.ffffbfffffffep-1", "0x1.ffffdfffffffep-1", "0x1.ffffefffffffep-1",
+        "0x1.fffff7ffffffep-1", "0x1.fffffbffffffep-1", "0x1.fffffdffffffep-1",
+        "0x1.fffffeffffffep-1", "0x1.ffffff7fffffep-1", "0x1.ffffffbfffffep-1",
+        "0x1.ffffffdfffffep-1", "0x1.ffffffefffffep-1", "0x1.fffffff7ffffep-1",
+    ]
+
+    def test_fair_coin_matches_pre_fusion_recording_bit_for_bit(self):
+        log = [float.fromhex(x) for x in self.FAIR_COIN_LOG]
+        prog = parse(TestFairCoinLoop.PROGRAM)
+        report = interpret(prog, GROUND)
+        assert report.chain_trace_log == log
+        expected = np.zeros((2, 2), dtype=complex)
+        expected[0, 0] = log[-1]
+        assert report.output.matrix.tobytes() == expected.tobytes()
+        for n in range(1, 31):
+            truncated = interpret(prog, GROUND, FixpointConfig(max_iterations=n))
+            assert truncated.residual == 1.0 - log[n - 1]
+            assert abs(truncated.residual - 2.0**-n) <= 2.5e-16
+
+    def test_run_of_near_unitaries_within_k_tolerances_is_accepted(self):
+        # each factor is (1 + eps) X or (1 + eps) Z, with defect
+        # (1 + eps)^2 - 1 = 0.9 UNITARY_TOL; the run's defect is about 4.5
+        scale = 1.0 + 0.45 * linalg.UNITARY_TOL
+        x = f"[[0, {scale!r}], [{scale!r}, 0]]"
+        z = f"[[{scale!r}, 0], [0, -{scale!r}]]"
+        prog = parse(f"qubit a; qubit b; {x} a; {z} b; {x} b; {z} a; {x} a;")
+        defects = [linalg.max_norm(s.gate.conj().T @ s.gate - np.eye(2)) for s in prog.body.statements]
+        assert all(0.85 * linalg.UNITARY_TOL < d < 0.95 * linalg.UNITARY_TOL for d in defects)
+        report = interpret(prog, PartialDensityOperator.ground_state(4))
+        assert report.output.trace == pytest.approx(scale**10, abs=1e-15)
+
+    def test_run_beyond_k_tolerances_is_rejected(self, monkeypatch):
+        # factors with defect 1.2 UNITARY_TOL each, as no certified gate
+        # has: the 5-gate run's product is off by about 6 UNITARY_TOL
+        original = interpreter.denote_unitary
+
+        def loose(gate, targets, total_qubits):
+            return (1.0 + 0.6 * linalg.UNITARY_TOL) * original(gate, targets, total_qubits)
+
+        monkeypatch.setattr(interpreter, "denote_unitary", loose)
+        prog = parse("qubit a; qubit b; h a; cnot a b; t b; h b; s a;")
+        with pytest.raises(NonUnitaryError, match="run of 5 gates"):
+            interpret(prog, PartialDensityOperator.ground_state(4))
 
 
 def kron_at(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
