@@ -6,16 +6,19 @@ that the computation producing f has not terminated. Increasing chains
 of such operators converge to a supremum, computed by ``chain_supremum``;
 its stopping rule is described there.
 
-Values are certified once, when constructed. Two operations keep their
-input's certificate and return without re-validating:
+Values are certified once, when constructed. Three operations return a
+certified result without running the validating constructor:
 
 - ``scale(f, r)`` for r in [0, 1] multiplies every eigenvalue, the trace
   and the Hermitian deviation by r <= 1, so every bound f met still holds;
 - ``logic.orthocomplement(k)``: I - P has exactly P's Hermitian deviation
-  and, mathematically, P's idempotency defect.
+  and, mathematically, P's idempotency defect;
+- an event spanned by known orthonormal columns B is certified from the
+  Gram matrix B+B instead (``logic._span``).
 
-The only slack is rounding, about d * eps * |f| (below 1.5e-14 at d = 64),
-which is below the error of the eigensolver the original check used.
+The only slack in the first two is rounding, about d * eps * |f| (below
+1.5e-14 at d = 64), which is below the error of the eigensolver the
+original check used.
 """
 
 from __future__ import annotations

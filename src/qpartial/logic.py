@@ -1,12 +1,16 @@
 """Closed subspaces (quantum events), their lattice, and the measure view.
 
 A closed subspace of the finite Hilbert space is stored canonically as
-its orthogonal projection matrix. The measure view of a partial density
-operator f assigns tr(P_K f) to every event K; this is a sub-probability
-measure, and the map f -> measure is an order isomorphism between the
-Loewner order and the pointwise order on measures (dim > 2 is needed
-only for surjectivity, which plays no computational role here: every
-measure is evaluated as ``gleason_measure(f, K)`` from its operator).
+its orthogonal projection matrix. An event spanned by known orthonormal
+columns B (``subspace_from_vectors``, and so ``join`` and ``meet``; an
+observable's eigenprojections) is certified from the r x r Gram matrix
+of B and keeps B as its basis, so neither its validation nor its rank
+runs an eigensolve. The measure view of a partial density operator f
+assigns tr(P_K f) to every event K; this is a sub-probability measure,
+and the map f -> measure is an order isomorphism between the Loewner
+order and the pointwise order on measures (dim > 2 is needed only for
+surjectivity, which plays no computational role here: every measure is
+evaluated as ``gleason_measure(f, K)`` from its operator).
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ class ClosedSubspace:
 
     Validation requires the matrix to be Hermitian within
     ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``;
-    ``orthocomplement`` keeps that certificate without validating again.
-    The rank and basis are computed on first use, from one eigensolve of
-    the projection, and cached: the rank is the number of eigenvalues
-    above one half.
+    ``orthocomplement`` keeps that certificate without validating again,
+    and ``_span`` certifies an event from its orthonormal columns instead.
+    Unless the event was built from its columns, the rank and basis are
+    computed on first use and cached: for the complement of an event with
+    known columns, as the completion of those columns to a unitary (one
+    QR factorization); otherwise from one eigensolve of the projection,
+    the rank being the number of eigenvalues above one half.
     """
 
-    __slots__ = ("_projection", "_basis")
+    __slots__ = ("_projection", "_basis", "_cobasis")
 
     def __init__(self, projection):
         p = linalg.require_hermitian(projection)
@@ -44,6 +51,7 @@ class ClosedSubspace:
         p.setflags(write=False)
         self._projection = p
         self._basis = None
+        self._cobasis = None
 
     @property
     def projection(self) -> np.ndarray:
@@ -61,8 +69,12 @@ class ClosedSubspace:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the subspace, as matrix columns."""
         if self._basis is None:
-            vals, vecs = np.linalg.eigh(self._projection)
-            basis = np.array(vecs[:, vals > 0.5])
+            c = self._cobasis
+            if c is not None:
+                basis = np.linalg.qr(c, mode="complete")[0][:, c.shape[1]:]
+            else:
+                vals, vecs = np.linalg.eigh(self._projection)
+                basis = np.array(vecs[:, vals > 0.5])
             basis.setflags(write=False)
             self._basis = basis
         return self._basis
@@ -77,11 +89,48 @@ class ClosedSubspace:
 
     @classmethod
     def zero(cls, dim: int) -> "ClosedSubspace":
-        return cls(np.zeros((dim, dim), dtype=complex))
+        return _span(np.zeros((dim, 0), dtype=complex))
 
     @classmethod
     def full(cls, dim: int) -> "ClosedSubspace":
-        return cls(np.eye(dim, dtype=complex))
+        return _span(np.eye(dim, dtype=complex))
+
+
+def _certified(
+    projection: np.ndarray, basis: np.ndarray | None = None, cobasis: np.ndarray | None = None
+) -> ClosedSubspace:
+    """The one place that builds an event without ``ClosedSubspace.__init__``;
+    each caller states why its projection needs no check. ``basis`` spans
+    the event and ``cobasis`` its complement, each if known."""
+    projection.setflags(write=False)
+    if basis is not None:
+        basis.setflags(write=False)
+    event = object.__new__(ClosedSubspace)
+    event._projection = projection
+    event._basis = basis
+    event._cobasis = cobasis
+    return event
+
+
+def _span(b: np.ndarray) -> ClosedSubspace:
+    """The event spanned by the d x r columns B, certified from B+B alone.
+
+    With E = B+B - I and eps = |E|_F, it requires eps (1 + eps) <=
+    ``linalg.PROJ_TOL`` and raises ``CrossCheckError`` otherwise; it then
+    returns P = B B+ with basis B, without validating P again.
+    P^2 - P = B E B+, so P's idempotency defect in max norm is at most
+    |B|_2^2 |E|_2 <= (1 + eps) eps: the max norm never exceeds the
+    spectral norm, |E|_2 <= |E|_F, and |B|_2^2 = |B+B|_2 <= 1 + eps. The
+    computed B B+ is Hermitian up to rounding of about 2 r eps_mach
+    (below 1.5e-14 at d = 64), far inside ``linalg.HERMITIAN_TOL``.
+    """
+    r = b.shape[1]
+    eps = float(np.linalg.norm(b.conj().T @ b - np.eye(r)))
+    if eps * (1.0 + eps) > linalg.PROJ_TOL:
+        raise CrossCheckError(
+            f"span columns are not orthonormal: |B+B - I|_F = {eps:.3e} (tol {linalg.PROJ_TOL:.1e})"
+        )
+    return _certified(b @ b.conj().T, b)
 
 
 def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
@@ -101,8 +150,7 @@ def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
     basis = linalg.orthonormalize(vecs)
     if not basis:
         return ClosedSubspace.zero(n)
-    b = np.column_stack(basis)
-    return ClosedSubspace(b @ b.conj().T)
+    return _span(np.column_stack(basis))
 
 
 def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
@@ -111,14 +159,11 @@ def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
     I - P keeps P's certificate: its Hermitian deviation is exactly P's,
     and (I - P)^2 - (I - P) = P^2 - P, so its idempotency defect is
     mathematically P's, up to rounding of about d * eps (below 1.5e-14 at
-    d = 64), far inside ``linalg.PROJ_TOL``.
+    d = 64), far inside ``linalg.PROJ_TOL``. If P's basis is known, the
+    complement's basis is its completion to a unitary, so reading it (as
+    ``meet`` does through ``join``) runs no eigensolve.
     """
-    q = np.eye(k.dim, dtype=complex) - k.projection
-    q.setflags(write=False)
-    complement = object.__new__(ClosedSubspace)
-    complement._projection = q
-    complement._basis = None
-    return complement
+    return _certified(np.eye(k.dim, dtype=complex) - k.projection, cobasis=k._basis)
 
 
 def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
@@ -148,13 +193,15 @@ def subspace_leq(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
 def gleason_measure(f: PartialDensityOperator, k: ClosedSubspace) -> float:
     """Probability tr(P_K f) that the event K occurs in the partial state f.
 
-    The value is clamped to [0, 1] when it lies within ``linalg.PSD_TOL``
+    It is evaluated as sum_ij P_ij f_ji, which equals tr(P f) for any two
+    square matrices, in O(d^2) and without forming the product P f. The
+    value is clamped to [0, 1] when it lies within ``linalg.PSD_TOL``
     of that range; an imaginary component beyond ``linalg.IMAG_TOL``
     signals corrupted inputs and raises ``CrossCheckError``.
     """
     if f.dim != k.dim:
         raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {k.dim}")
-    value = complex(np.trace(k.projection @ f.matrix))
+    value = complex(np.einsum("ij,ji->", k.projection, f.matrix))
     if abs(value.imag) > linalg.IMAG_TOL:
         raise CrossCheckError(f"measure has imaginary part {value.imag:.3e}")
     x = value.real

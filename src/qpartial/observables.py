@@ -2,10 +2,13 @@
 expected values.
 
 An observable is a Hermitian matrix together with its grouped spectral
-decomposition: distinct eigenvalues paired with eigenprojections. In
-finite dimension the projection-valued measure factors through the
-spectrum, so Borel sets are represented as finite unions of intervals;
-membership of each eigenvalue is all that matters.
+decomposition: distinct eigenvalues paired with eigenprojections. One
+certified eigensolve gives the eigenvector columns, and each
+eigenprojection is the span of its group's columns, certified from their
+Gram matrix (``logic._span``), as is every event of the
+projection-valued measure. In finite dimension that measure factors
+through the spectrum, so Borel sets are represented as finite unions of
+intervals; membership of each eigenvalue is all that matters.
 
 The expected value against a partial density operator f is the compact
 interval
@@ -27,7 +30,7 @@ from . import linalg
 from .density import PartialDensityOperator, nontermination_probability
 from .errors import CrossCheckError, DimensionMismatchError
 from .intervals import CompactInterval, scale_interval, translate
-from .logic import ClosedSubspace
+from .logic import ClosedSubspace, _span
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,8 @@ class BoundedObservable:
     the span of their columns, with the group's mean as eigenvalue; so
     the eigenprojections resolve the identity and are mutually
     orthogonal, and grouping moves an eigenvalue by at most its group's
-    spread.
+    spread. Each eigenprojection is certified from its group's r x r Gram
+    matrix and keeps the columns as its basis.
     """
 
     __slots__ = ("_operator", "_spectral")
@@ -116,8 +120,7 @@ class BoundedObservable:
         vals, vecs = eig.eigenvalues, eig.eigenvectors
         spectral = []
         for idx in _group_indices(vals, linalg.EIG_GROUP_TOL):
-            cols = vecs[:, idx]
-            spectral.append((float(np.mean(vals[idx])), ClosedSubspace(cols @ cols.conj().T)))
+            spectral.append((float(np.mean(vals[idx])), _span(vecs[:, idx])))
         a = np.array(a, dtype=complex)
         a.setflags(write=False)
         self._operator = a
@@ -158,14 +161,14 @@ def _group_indices(vals: np.ndarray, tol: float) -> list[np.ndarray]:
 def pvm_map(r: BoundedObservable, u: BorelSet) -> ClosedSubspace:
     """Event that the observable's value lies in the Borel set u.
 
-    The join of eigenprojections with eigenvalue in u; being mutually
-    orthogonal, their join is just the sum.
+    The join of the eigenprojections with eigenvalue in u: being mutually
+    orthogonal, it is the span of their columns taken together. An empty
+    selection is the zero event.
     """
-    proj = np.zeros((r.dim, r.dim), dtype=complex)
-    for lam, k in r.spectral:
-        if u.contains(lam):
-            proj = proj + k.projection
-    return ClosedSubspace(proj)
+    columns = [k.basis for lam, k in r.spectral if u.contains(lam)]
+    if not columns:
+        return ClosedSubspace.zero(r.dim)
+    return _span(np.hstack(columns))
 
 
 def spectrum_bounds(r: BoundedObservable) -> tuple[float, float]:
@@ -188,12 +191,18 @@ class SubDistribution:
 
 
 def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribution:
-    """Push the state's measure through the observable's PVM."""
+    """Push the state's measure through the observable's PVM.
+
+    Each weight is tr(P f) = sum_ij P_ij f_ji, as in ``gleason_measure``,
+    but not clamped: ``e0`` cross-checks the weighted sum against the
+    trace form, and clamping many weights near the PSD floor could move
+    that sum past ``linalg.E0_CROSS_TOL``.
+    """
     _require_same_dim(r, f)
     support = []
     total = 0.0
     for lam, k in r.spectral:
-        w = float(np.trace(k.projection @ f.matrix).real)
+        w = float(np.einsum("ij,ji->", k.projection, f.matrix).real)
         support.append((lam, w))
         total += w
     return SubDistribution(tuple(support), total)
@@ -202,7 +211,8 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribu
 def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     """Expectation of the observed part: sum of eigenvalue * weight.
 
-    Cross-checked against tr(A f); divergence beyond
+    Cross-checked against tr(A f), formed as a matrix product so that it
+    shares no code with the weights; divergence beyond
     ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
     matches the operator.
     """

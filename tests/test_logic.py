@@ -3,7 +3,7 @@ import pytest
 
 from qpartial import linalg, sampling
 from qpartial.density import PartialDensityOperator, scale
-from qpartial.errors import DimensionMismatchError
+from qpartial.errors import CrossCheckError, DimensionMismatchError
 from qpartial.logic import (
     ClosedSubspace,
     are_orthogonal,
@@ -283,3 +283,80 @@ class TestStateOrder:
                 found += 1
                 assert gleason_measure(f, witness) - gleason_measure(g, witness) > 1e-9
         assert found > 0
+
+
+def near_orthonormal_columns(eps: float, dim: int = 3) -> np.ndarray:
+    """Columns e0 and e1 + s e0 with Gram matrix [[1, s], [s, 1 + s^2]], so
+    that |B+B - I|_F = eps (s^2 rounds away): every entry of B+B - I stays
+    below eps, and only the Frobenius norm reaches it."""
+    s = eps / np.sqrt(2.0)
+    return np.column_stack([basis_vec(0, dim), basis_vec(1, dim) + s * basis_vec(0, dim)])
+
+
+class TestSpanCertificate:
+    def test_join_and_meet_of_spans_run_no_eigensolve(self, count_inits, count_eigensolves):
+        u = sampling.random_unitary(8, rng_for(30))
+        k1 = subspace_from_vectors([u[:, i] for i in range(4)])
+        k2 = subspace_from_vectors([u[:, i] for i in range(2, 6)])
+        with count_inits(ClosedSubspace) as inits, count_eigensolves() as sizes:
+            joined, met = join(k1, k2), meet(k1, k2)
+            ranks = (k1.rank, k2.rank, joined.rank, met.rank)
+        assert inits == [] and sizes == []
+        assert ranks == (4, 4, 6, 2)
+        shared = u[:, 2:4]
+        assert linalg.max_norm(met.projection - shared @ shared.conj().T) <= 1e-12
+        assert linalg.max_norm(met.basis.conj().T @ met.basis - np.eye(2)) <= 1e-12
+
+    def test_state_leq_witness_at_d64_is_not_revalidated(self, count_inits):
+        rng = rng_for(31)
+        f, g = sampling.random_pdo(64, rng), sampling.random_pdo(64, rng)
+        with count_inits(ClosedSubspace) as inits:
+            ok, witness = state_leq(f, g)
+        assert inits == [] and not ok
+        assert witness.rank == 1
+        assert gleason_measure(f, witness) > gleason_measure(g, witness)
+
+    @pytest.mark.parametrize("margin, accepted", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_span_orthonormality_bound(self, monkeypatch, margin, accepted):
+        # eps (1 + eps) = PROJ_TOL at eps just below PROJ_TOL
+        eps = margin * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
+        columns = near_orthonormal_columns(eps)
+        monkeypatch.setattr(linalg, "orthonormalize", lambda vectors: list(columns.T))
+        vectors = [basis_vec(0, 3), basis_vec(1, 3)]
+        if accepted:
+            k = subspace_from_vectors(vectors)
+            assert np.array_equal(k.basis, columns)
+            assert linalg.max_norm(k.projection @ k.projection - k.projection) <= linalg.PROJ_TOL
+        else:
+            with pytest.raises(CrossCheckError, match="not orthonormal"):
+                subspace_from_vectors(vectors)
+
+
+class TestMeasureKernel:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
+    def test_matches_trace_of_product(self, dim):
+        rng = rng_for(40 + dim)
+        for _ in range(5):
+            f = sampling.random_pdo(dim, rng)
+            k = sampling.random_subspace(dim, int(rng.integers(1, dim + 1)), rng)
+            assert abs(gleason_measure(f, k) - np.trace(k.projection @ f.matrix).real) <= 1e-14
+
+    def test_projection_hermitian_only_within_tolerance(self):
+        dim = 64
+        rng = rng_for(41)
+        p = sampling.random_subspace(dim, 20, rng).projection
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        skew = g - g.conj().T
+        skew *= 0.45 * linalg.HERMITIAN_TOL / linalg.max_norm(skew)
+        k = ClosedSubspace(p + skew)
+        # a state aligned with the anti-Hermitian part, which gives tr(P f)
+        # an imaginary part inside IMAG_TOL
+        h = 1j * skew / linalg.max_norm(skew)
+        h += (0.1 - np.linalg.eigvalsh(h)[0]) * np.eye(dim)
+        f = PartialDensityOperator(h / np.trace(h).real)
+        assert linalg.max_norm(k.projection - k.projection.conj().T) == pytest.approx(
+            0.9 * linalg.HERMITIAN_TOL, rel=1e-6
+        )
+        exact = np.trace(k.projection @ f.matrix)
+        assert 1e-11 < abs(exact.imag) < linalg.IMAG_TOL
+        assert abs(gleason_measure(f, k) - exact.real) <= 1e-14

@@ -13,7 +13,7 @@ from qpartial.intervals import (
     reverse_inclusion_leq,
     scale_interval,
 )
-from qpartial.logic import are_orthogonal, join
+from qpartial.logic import ClosedSubspace, are_orthogonal, join
 from qpartial.observables import (
     BorelInterval,
     BorelSet,
@@ -107,6 +107,57 @@ class TestSpectralData:
             r = BoundedObservable(a)
         assert len(r.spectral) == 64
         assert sizes == [64]
+
+
+class TestEigenprojectionCertificate:
+    def test_eigenprojections_are_built_from_their_columns(self, count_inits, count_eigensolves):
+        a = sampling.random_hermitian(64, rng_for(22))
+        with count_inits(ClosedSubspace) as inits, count_eigensolves() as sizes:
+            r = BoundedObservable(a)
+            assert len(r.spectral) == 64
+            assert sizes == [64] and inits == []
+            ranks = [k.rank for _, k in r.spectral]
+            bases = [k.basis for _, k in r.spectral]
+        assert sizes == [64] and inits == []
+        assert ranks == [1] * 64
+        for (_, k), b in zip(r.spectral, bases):
+            assert np.array_equal(k.projection, b @ b.conj().T)
+
+    def test_near_degenerate_group_still_accepted(self, count_inits):
+        with count_inits(ClosedSubspace) as inits:
+            r = BoundedObservable(np.diag([0.0, 5e-9, 1.0]))
+        assert inits == []
+        assert [k.rank for _, k in r.spectral] == [2, 1]
+
+    @pytest.mark.parametrize("margin, accepted", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_group_orthonormality_bound(self, monkeypatch, margin, accepted):
+        # eps (1 + eps) = PROJ_TOL at eps just below PROJ_TOL
+        eps = margin * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
+        s = eps / np.sqrt(2.0)
+        # the degenerate pair's columns have Gram matrix [[1, s], [s, 1 + s^2]]
+        vecs = np.eye(3, dtype=complex)
+        vecs[0, 1] = s
+        fake = linalg.SpectralDecomposition(np.array([1.0, 1.0, 2.0]), vecs)
+        monkeypatch.setattr(linalg, "hermitian_eig", lambda a: fake)
+        if accepted:
+            r = BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+            assert np.array_equal(r.spectral[0][1].basis, vecs[:, :2])
+        else:
+            with pytest.raises(CrossCheckError, match="not orthonormal"):
+                BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+
+    def test_pvm_events_are_spans_of_the_selected_columns(self, count_inits, count_eigensolves):
+        r = sampling.random_observable(16, rng_for(23))
+        m, big_m = spectrum_bounds(r)
+        cut = 0.5 * (m + big_m)
+        with count_inits(ClosedSubspace) as inits, count_eigensolves() as sizes:
+            low = pvm_map(r, BorelSet.closed(m, cut))
+            ranks = (pvm_map(r, BorelSet.empty()).rank, low.rank, pvm_map(r, BorelSet.reals()).rank)
+        assert inits == [] and sizes == []
+        selected = [k for lam, k in r.spectral if lam <= cut]
+        assert ranks == (0, len(selected), 16)
+        total = sum(k.projection for k in selected)
+        assert linalg.max_norm(low.projection - total) <= 1e-14
 
 
 class TestPvmMap:
@@ -207,6 +258,21 @@ class TestE0:
             r = sampling.random_observable(4, rng)
             f = sampling.random_pdo(4, rng)
             assert e0(r, f) == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-9)
+
+    def test_weights_at_the_psd_floor_are_not_clamped(self):
+        # 60 weights of -0.9 PSD_TOL on eigenvalues in [8, 16]: clamping them
+        # to 0 would move the spectral sum by more than E0_CROSS_TOL
+        dim = 64
+        u = sampling.random_unitary(dim, rng_for(24))
+        lams = np.concatenate([np.linspace(8.0, 16.0, 60), [-1.0, 0.0, 1.0, 2.0]])
+        weights = np.concatenate([np.full(60, -0.9 * linalg.PSD_TOL), np.full(4, 0.25)])
+        r = BoundedObservable((u * lams) @ u.conj().T)
+        f = PartialDensityOperator((u * weights) @ u.conj().T)
+        floor = [(lam, w) for lam, w in distribution(r, f).support if lam >= 7.0]
+        assert len(floor) == 60
+        assert all(-linalg.PSD_TOL < w < 0.0 for _, w in floor)
+        assert sum(-lam * w for lam, w in floor) > linalg.E0_CROSS_TOL
+        assert e0(r, f) == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-12)
 
     def test_corrupted_spectral_cache_raises(self):
         r = BoundedObservable(PAULI_Z)

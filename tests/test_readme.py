@@ -1,0 +1,54 @@
+"""The README's library tour, run as written, with its commented values checked."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def tour_block() -> str:
+    match = re.search(r"## Library tour\n\n```python\n(.*?)```", README.read_text(), re.S)
+    assert match, "README has no python block under 'Library tour'"
+    return match.group(1)
+
+
+def commented_lines(block: str) -> dict[str, str]:
+    """Code line -> its trailing comment, for lines that have both."""
+    lines = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip() and comment.strip():
+            lines[code.strip()] = comment.strip()
+    return lines
+
+
+@pytest.fixture(scope="module")
+def tour():
+    block = tour_block()
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    return namespace, commented_lines(block)
+
+
+@pytest.mark.parametrize(
+    "code, comment, check",
+    [
+        ("qp.gleason_measure(f, axis)", "0.5", lambda v, ns: v == 0.5),
+        ("qp.nontermination_probability(f)", "0.25", lambda v, ns: v == 0.25),
+        (
+            "qp.expected_interval(z, f)",
+            "CompactInterval(lo=0.0, hi=0.5)",
+            lambda v, ns: (v.lo, v.hi) == (0.0, 0.5),
+        ),
+        ("ok, witness = qp.state_leq(f, g)", "False;", lambda v, ns: ns["ok"] is False),
+        ("report.residual", "~9.3e-10:", lambda v, ns: abs(v - 9.3e-10) <= 1e-11),
+    ],
+)
+def test_commented_value(tour, code, comment, check):
+    namespace, lines = tour
+    assert lines[code].startswith(comment)
+    # an assignment is checked through the names it bound, an expression by its value
+    value = None if " = " in code else eval(code, namespace)
+    assert check(value, namespace)
