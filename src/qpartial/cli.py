@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import linalg
 from .density import FixpointConfig, PartialDensityOperator, matrix_from_json, nontermination_probability
 from .errors import ParseError
 from .observables import BoundedObservable, e0, missing_mass_interval, spectrum_bounds
@@ -44,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--trials", type=int, default=100)
     verify_p.add_argument("--seed", type=int, default=42)
 
-    for p in (run_p, expect_p):
-        p.add_argument("--psd-tol", type=float, default=linalg.PSD_TOL)
     for p in (run_p, expect_p, verify_p):
         p.add_argument("--out", help="also write the JSON report to this path")
     return parser
@@ -54,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "verify" and not args.psd_tol > 0.0:
-            raise ValueError("psd_tol must be positive")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "expect":
@@ -76,7 +71,7 @@ def _cmd_run(args) -> int:
     if args.input is None:
         state = PartialDensityOperator.ground_state(program.dim)
     else:
-        state = _load_state(args.input, args.psd_tol)
+        state = _load_state(args.input)
     report = interpret(program, state, cfg)
     _emit(report.to_json(), args.out)
     return 0 if report.converged else 2
@@ -84,7 +79,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_expect(args) -> int:
     observable = matrix_from_json(_load_json(args.observable))
-    state = _load_state(args.state, args.psd_tol)
+    state = _load_state(args.state)
     r = BoundedObservable(observable)
     m, big_m = spectrum_bounds(r)
     center = e0(r, state)
@@ -101,8 +96,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 2
 
 
-def _load_state(path: str, psd_tol: float) -> PartialDensityOperator:
-    return PartialDensityOperator(matrix_from_json(_load_json(path)), psd_tol=psd_tol)
+def _load_state(path: str) -> PartialDensityOperator:
+    return PartialDensityOperator(matrix_from_json(_load_json(path)))
 
 
 def _load_json(path: str) -> dict:
@@ -111,11 +106,12 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    """Write the report to ``out_path`` first, so a failed write prints nothing."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 if __name__ == "__main__":

@@ -35,20 +35,19 @@ class PartialDensityOperator:
     """Validated Hermitian PSD matrix with trace in [0, 1].
 
     Construction validates, with eigenvalue floor and trace slack
-    ``psd_tol`` (default ``linalg.PSD_TOL``); instances are immutable
-    afterwards. ``scale`` keeps that certificate without validating again.
+    ``linalg.PSD_TOL``; instances are immutable afterwards. ``scale`` keeps
+    that certificate without validating again.
     """
 
     __slots__ = ("_matrix", "_trace")
 
-    def __init__(self, matrix, *, psd_tol: float | None = None):
-        psd_tol = linalg.PSD_TOL if psd_tol is None else psd_tol
-        m = linalg.require_positive_semidefinite(matrix, psd_tol)
+    def __init__(self, matrix):
+        m = linalg.require_positive_semidefinite(matrix)
         tr = float(np.trace(m).real)
-        if tr > 1.0 + psd_tol:
-            raise InvalidOperatorError(f"trace {tr:.12g} exceeds 1 (tol {psd_tol:.1e})")
-        if tr < -psd_tol:
-            raise InvalidOperatorError(f"trace {tr:.12g} below 0 (tol {psd_tol:.1e})")
+        if tr > 1.0 + linalg.PSD_TOL:
+            raise InvalidOperatorError(f"trace {tr:.12g} exceeds 1 (tol {linalg.PSD_TOL:.1e})")
+        if tr < -linalg.PSD_TOL:
+            raise InvalidOperatorError(f"trace {tr:.12g} below 0 (tol {linalg.PSD_TOL:.1e})")
         m = np.array(m, dtype=complex)
         m.setflags(write=False)
         self._matrix = m
@@ -132,9 +131,9 @@ def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:
 
     r f keeps f's certificate, scaled by r: eigenvalues, trace and
     Hermitian deviation all shrink by the factor r <= 1, so r f meets
-    every bound f was certified against (including a looser ``psd_tol``
-    f was built with), up to rounding of about d * eps * |f|. Only r is
-    checked; ``ValueError`` if it lies outside [0, 1] or is NaN.
+    every bound f was certified against, up to rounding of about
+    d * eps * |f|. Only r is checked; ``ValueError`` if it lies outside
+    [0, 1] or is NaN.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"scale factor must lie in [0, 1], got {r}")

@@ -10,7 +10,7 @@ class NotHermitianError(ValueError):
 
 
 class NotPositiveError(ValueError):
-    """Matrix has an eigenvalue below -psd_tol.
+    """Matrix has an eigenvalue below -``linalg.PSD_TOL``.
 
     ``witness`` is a unit vector x with <x|Ax> < 0 and ``eigenvalue`` the
     offending (most negative) eigenvalue.

@@ -132,22 +132,21 @@ def orthonormalize(vectors) -> list[np.ndarray]:
     return basis
 
 
-def require_positive_semidefinite(a, psd_tol: float | None = None) -> np.ndarray:
+def require_positive_semidefinite(a) -> np.ndarray:
     """The PSD test: return the Hermitian matrix, or raise with a witness.
 
-    The floor is ``-psd_tol`` (default ``PSD_TOL``). On failure
-    ``NotPositiveError`` carries the most negative eigenvalue and its unit
-    eigenvector x, so that <x|ax> < -psd_tol.
+    The floor is ``-PSD_TOL``. On failure ``NotPositiveError`` carries the
+    most negative eigenvalue and its unit eigenvector x, so that
+    <x|ax> < -PSD_TOL.
     """
     a = require_hermitian(a)
-    psd_tol = PSD_TOL if psd_tol is None else psd_tol
     lowest = float(np.linalg.eigvalsh(a)[0])
-    if lowest < -psd_tol:
+    if lowest < -PSD_TOL:
         _, vecs = np.linalg.eigh(a)
         witness = vecs[:, 0].copy()
         witness.setflags(write=False)
         raise NotPositiveError(
-            f"operator has eigenvalue {lowest:.3e} < -{psd_tol:.1e}", witness=witness, eigenvalue=lowest
+            f"operator has eigenvalue {lowest:.3e} < -{PSD_TOL:.1e}", witness=witness, eigenvalue=lowest
         )
     return a
 

@@ -178,16 +178,14 @@ def spectrum_bounds(r: BoundedObservable) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SubDistribution:
-    """Sub-probability distribution on the spectrum: weights sum to <= 1."""
+    """(eigenvalue, weight) pairs of a certified state's measure.
+
+    Not checked again: a rank-r eigenprojection may carry weight down to
+    -r * ``linalg.PSD_TOL``, and ``total`` is tr f up to rounding.
+    """
 
     support: tuple[tuple[float, float], ...]
     total: float
-
-    def __post_init__(self):
-        if any(w < -linalg.PSD_TOL for _, w in self.support):
-            raise ValueError("negative weight in sub-distribution")
-        if self.total > 1.0 + linalg.PSD_TOL:
-            raise ValueError(f"total mass {self.total} exceeds 1")
 
 
 def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribution:
@@ -196,7 +194,9 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribu
     Each weight is tr(P f) = sum_ij P_ij f_ji, as in ``gleason_measure``,
     but not clamped: ``e0`` cross-checks the weighted sum against the
     trace form, and clamping many weights near the PSD floor could move
-    that sum past ``linalg.E0_CROSS_TOL``.
+    that sum past ``linalg.E0_CROSS_TOL``. Nor are they checked again:
+    f's certificate lets a rank-r eigenprojection carry weight down to
+    -r * ``linalg.PSD_TOL``, and the total is tr f up to rounding.
     """
     _require_same_dim(r, f)
     support = []

@@ -78,9 +78,19 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", workdir / "coin.qp", "--trace-tol", "0")
         assert code == 1 and "trace_tol" in err
 
-    def test_bad_psd_tolerance_rejected(self, workdir, capsys):
-        code, out, err = run_cli(capsys, "run", workdir / "coin.qp", "--psd-tol", "0")
-        assert code == 1 and out == "" and "psd_tol" in err
+    def test_gate_certified_when_first_evaluated(self, tmp_path, capsys):
+        # the non-unitary gate sits in a loop body that --max-iter 1 never runs
+        (tmp_path / "big.qp").write_text("qubit q; while q in |1> { [[2, 0], [0, 2]] q; }")
+        code, out, _ = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", "1")
+        assert code == 2 and json.loads(out)["converged"] is False
+        code, out, err = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", "2")
+        assert code == 1 and out == "" and "unitary" in err
+
+    def test_unwritable_out_prints_nothing(self, workdir, capsys):
+        target = workdir / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "run", workdir / "coin.qp", "--out", target)
+        assert code == 1 and out == "" and err
+        assert not target.exists()
 
 
 class TestExpect:
@@ -116,6 +126,16 @@ class TestExpect:
         assert code == 0, err
         # 0 and 5e-9 share one eigenprojection with eigenvalue 2.5e-9
         assert json.loads(out)["e0"] == pytest.approx(0.25000000125, abs=1e-15)
+
+    def test_rank_two_group_at_the_psd_floor_accepted(self, capsys, tmp_path):
+        # the state passes the PSD test; its weight on the rank-2
+        # eigenvalue-1 group of A is -1.8e-9, below -PSD_TOL, and is kept
+        for name, diag in (("a.json", [2.0, 3.0, 1.0, 1.0]), ("f.json", [0.999, 0.0, -9e-10, -9e-10])):
+            payload = {"dim": 4, "re": np.diag(diag).tolist(), "im": np.zeros((4, 4)).tolist()}
+            (tmp_path / name).write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "expect", tmp_path / "a.json", tmp_path / "f.json")
+        assert code == 0, err
+        assert json.loads(out)["e0"] == pytest.approx(1.9979999982, abs=1e-15)
 
     def test_dimension_mismatch(self, workdir, capsys, tmp_path):
         (tmp_path / "w.json").write_text(
@@ -176,9 +196,11 @@ class TestVerify:
     "argv",
     [
         ("run", "coin.qp", "--seed", "7"),
+        ("run", "coin.qp", "--psd-tol", "1e-3"),
         ("expect", "pauli_z.json", "state.json", "--seed", "7"),
         ("expect", "pauli_z.json", "state.json", "--max-iter", "5"),
         ("expect", "pauli_z.json", "state.json", "--trace-tol", "1e-3"),
+        ("expect", "pauli_z.json", "state.json", "--psd-tol", "1e-3"),
         ("verify", "gleason", "--max-iter", "5"),
         ("verify", "gleason", "--trace-tol", "1e-3"),
         ("verify", "gleason", "--psd-tol", "1e-3"),

@@ -131,19 +131,6 @@ class TestScale:
         assert g.trace == float(np.trace(expected).real)
         assert not g.matrix.flags.writeable
 
-    def test_keeps_the_certificate_of_its_input(self):
-        # f was certified with eigenvalue floor -1e-6; 0.5 f has eigenvalue
-        # -2.5e-7, within that floor scaled by 0.5 but below the default
-        # linalg.PSD_TOL, which a fresh default check would reject
-        u = sampling.random_unitary(3, rng_for(16))
-        m = u @ np.diag([0.6, 0.2, -5e-7]) @ u.conj().T
-        f = PartialDensityOperator(m, psd_tol=1e-6)
-        g = scale(f, 0.5)
-        lowest = float(np.linalg.eigvalsh(g.matrix)[0])
-        assert lowest == pytest.approx(-2.5e-7, rel=1e-6)
-        assert lowest >= -0.5 * 1e-6
-        assert g.trace == pytest.approx(0.5 * f.trace, abs=1e-15)
-
 
 class TestChainSupremum:
     def test_constant_chain(self):

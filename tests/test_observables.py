@@ -238,6 +238,30 @@ class TestDistribution:
         f = sampling.random_density(3, rng)
         assert distribution(r, f).total == pytest.approx(1.0, abs=1e-10)
 
+    def test_rank_two_group_at_the_psd_floor_keeps_its_negative_weight(self):
+        # f passes the PSD test, yet the eigenvalue-1 group of A has rank 2,
+        # so its weight is -1.8e-9, below -PSD_TOL; it is returned as it is
+        r = BoundedObservable(np.diag([2.0, 3.0, 1.0, 1.0]))
+        f = PartialDensityOperator(np.diag([0.999, 0.0, -9e-10, -9e-10]))
+        weights = dict(distribution(r, f).support)
+        assert weights[1.0] == pytest.approx(-1.8e-9, rel=1e-9)
+        assert weights[1.0] < -linalg.PSD_TOL
+        assert e0(r, f) == pytest.approx(1.9979999982, abs=1e-15)
+
+    def test_state_with_trace_at_the_boundary(self):
+        # tr f = 1 + PSD_TOL exactly; the weights sum to it only up to
+        # rounding, a few ulps above 1 + PSD_TOL for this seed
+        rng = np.random.default_rng(4)
+        u = sampling.random_unitary(64, rng)
+        lams = rng.uniform(0.1, 1.0, 64)
+        lams *= (1.0 + linalg.PSD_TOL) / lams.sum()
+        f = PartialDensityOperator((u * lams) @ u.conj().T)
+        r = sampling.random_observable(64, rng)
+        d = distribution(r, f)
+        assert d.total > 1.0 + linalg.PSD_TOL
+        assert d.total == pytest.approx(f.trace, abs=1e-14)
+        assert e0(r, f) == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-12)
+
 
 class TestE0:
     def test_zero_state(self):

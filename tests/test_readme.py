@@ -1,9 +1,13 @@
-"""The README's library tour, run as written, with its commented values checked."""
+"""The README's library tour, run as written, with its commented values
+checked, and its command line synopsis checked against the parser."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
+
+from qpartial.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +56,42 @@ def test_commented_value(tour, code, comment, check):
     # an assignment is checked through the names it bound, an expression by its value
     value = None if " = " in code else eval(code, namespace)
     assert check(value, namespace)
+
+
+def synopsis() -> dict[str, dict[str, str]]:
+    """Subcommand -> {flag: the value shown after it, or ''}."""
+    match = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    assert match, "README has no sh block under 'Command line'"
+    lines = {}
+    for line in match.group(1).splitlines():
+        _, command, rest = line.split(" ", 2)
+        lines[command] = dict(re.findall(r"\[(--[\w-]+)(?: ([^\]]+))?\]", rest))
+    return lines
+
+
+def registered_options() -> dict[str, dict[str, argparse.Action]]:
+    """Subcommand -> {flag: its action}, without -h/--help."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: {
+            flag: action
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        for name, sub in commands.items()
+    }
+
+
+def test_synopsis_matches_the_parser():
+    shown, registered = synopsis(), registered_options()
+    assert shown.keys() == registered.keys()
+    for command, flags in shown.items():
+        assert flags.keys() == registered[command].keys(), command
+        for flag, value in flags.items():
+            action = registered[command][flag]
+            if action.default is None:
+                continue  # the value shown is a placeholder, e.g. FILE
+            convert = action.type or str
+            assert convert(value) == action.default, f"{command} {flag}"
