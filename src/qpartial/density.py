@@ -23,6 +23,7 @@ original check used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,7 @@ def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[b
     When the order fails, the witness x is a unit vector along which
     <x|(g-f)x> < -linalg.PSD_TOL, i.e. f assigns strictly more mass than g.
     """
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    linalg.require_same_dim(f.dim, g.dim)
     return linalg.is_positive_semidefinite(g.matrix - f.matrix)
 
 
@@ -192,8 +192,10 @@ def chain_supremum(
     elements drops below ``cfg.trace_tol`` (converged), the chain ends (a
     finite chain attains its supremum exactly), or ``cfg.max_iterations``
     elements have been consumed (not converged). Returns ``(matrix,
-    iterations_used, converged, traces)``: the last element consumed and
-    ``float(np.trace(m).real)`` of every element consumed, in order.
+    iterations, converged, traces)``: the last element consumed, the number
+    of elements consumed after the first (for a while loop, the number of
+    body evaluations), and ``float(np.trace(m).real)`` of every element
+    consumed, in order, so ``len(traces) == iterations + 1`` on every return.
 
     The trace-gap rule is a heuristic: a small gap bounds one step of the
     chain, not its distance to the supremum, so a slowly rising chain or
@@ -211,15 +213,11 @@ def chain_supremum(
     except StopIteration:
         raise ValueError("supremum of an empty chain is undefined") from None
     traces = [float(np.trace(current).real)]
-    count = 1
-    while count < cfg.max_iterations:
-        try:
-            nxt = next(it)
-        except StopIteration:
-            return current, count, True, traces
-        traces.append(float(np.trace(nxt).real))
+    for current in itertools.islice(it, cfg.max_iterations - 1):
+        traces.append(float(np.trace(current).real))
         if traces[-1] - traces[-2] < cfg.trace_tol:
-            return nxt, count, True, traces
-        current = nxt
-        count += 1
-    return current, cfg.max_iterations, False, traces
+            converged = True
+            break
+    else:
+        converged = len(traces) < cfg.max_iterations
+    return current, len(traces) - 1, converged, traces

@@ -49,9 +49,10 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+def require_same_dim(m: int, n: int) -> None:
+    """The one dimension check: raise unless two operands share dimension."""
+    if m != n:
+        raise DimensionMismatchError(f"dimension mismatch: {m} vs {n}")
 
 
 def require_hermitian(a) -> np.ndarray:

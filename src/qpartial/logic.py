@@ -168,25 +168,25 @@ def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
 
 def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
     """Smallest subspace containing both: the span of their union."""
-    _require_same_space(k1, k2)
+    linalg.require_same_dim(k1.dim, k2.dim)
     columns = [k1.basis[:, j] for j in range(k1.rank)] + [k2.basis[:, j] for j in range(k2.rank)]
     return subspace_from_vectors(columns, dim=k1.dim)
 
 
 def meet(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
     """Intersection, through the De Morgan dual of the join."""
-    _require_same_space(k1, k2)
+    linalg.require_same_dim(k1.dim, k2.dim)
     return orthocomplement(join(orthocomplement(k1), orthocomplement(k2)))
 
 
 def are_orthogonal(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
-    _require_same_space(k1, k2)
+    linalg.require_same_dim(k1.dim, k2.dim)
     return linalg.max_norm(k1.projection @ k2.projection) <= linalg.PROJ_TOL
 
 
 def subspace_leq(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
     """Inclusion K1 is a subspace of K2, tested as P2 P1 = P1."""
-    _require_same_space(k1, k2)
+    linalg.require_same_dim(k1.dim, k2.dim)
     return linalg.max_norm(k2.projection @ k1.projection - k1.projection) <= linalg.PROJ_TOL
 
 
@@ -199,8 +199,7 @@ def gleason_measure(f: PartialDensityOperator, k: ClosedSubspace) -> float:
     of that range; an imaginary component beyond ``linalg.IMAG_TOL``
     signals corrupted inputs and raises ``CrossCheckError``.
     """
-    if f.dim != k.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {k.dim}")
+    linalg.require_same_dim(f.dim, k.dim)
     value = complex(np.einsum("ij,ji->", k.projection, f.matrix))
     if abs(value.imag) > linalg.IMAG_TOL:
         raise CrossCheckError(f"measure has imaginary part {value.imag:.3e}")
@@ -301,8 +300,3 @@ def _random_orthogonal_family(n: int, rng: np.random.Generator) -> list[ClosedSu
     for idx, axis in enumerate(axes):
         groups[idx % group_count].append(int(axis))
     return [subspace_from_vectors([u[:, i] for i in g], dim=n) for g in groups]
-
-
-def _require_same_space(k1: ClosedSubspace, k2: ClosedSubspace) -> None:
-    if k1.dim != k2.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {k1.dim} vs {k2.dim}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .density import PartialDensityOperator, nontermination_probability
-from .errors import CrossCheckError, DimensionMismatchError
+from .errors import CrossCheckError
 from .intervals import CompactInterval, scale_interval, translate
 from .logic import ClosedSubspace, _span
 
@@ -198,7 +198,7 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribu
     f's certificate lets a rank-r eigenprojection carry weight down to
     -r * ``linalg.PSD_TOL``, and the total is tr f up to rounding.
     """
-    _require_same_dim(r, f)
+    linalg.require_same_dim(r.dim, f.dim)
     support = []
     total = 0.0
     for lam, k in r.spectral:
@@ -216,7 +216,7 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
     matches the operator.
     """
-    _require_same_dim(r, f)
+    linalg.require_same_dim(r.dim, f.dim)
     dist = distribution(r, f)
     spectral_sum = sum(lam * w for lam, w in dist.support)
     trace_form = float(np.trace(r.operator @ f.matrix).real)
@@ -235,7 +235,7 @@ def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, h
 
 def expected_interval(r: BoundedObservable, f: PartialDensityOperator) -> CompactInterval:
     """Interval expected value: e0 plus the missing mass spread over [m, M]."""
-    _require_same_dim(r, f)
+    linalg.require_same_dim(r.dim, f.dim)
     return missing_mass_interval(e0(r, f), f, *spectrum_bounds(r))
 
 
@@ -251,7 +251,7 @@ def observable_square_interval(a, f: PartialDensityOperator) -> CompactInterval:
     and largest eigenvalue magnitudes of the original operator.
     """
     r = BoundedObservable(a)
-    _require_same_dim(r, f)
+    linalg.require_same_dim(r.dim, f.dim)
     magnitudes = [abs(lam) for lam in r.eigenvalues]
     k, big_k = min(magnitudes), max(magnitudes)
     center = float(np.trace(r.operator @ r.operator @ f.matrix).real)
@@ -260,10 +260,5 @@ def observable_square_interval(a, f: PartialDensityOperator) -> CompactInterval:
 
 def commutes(a, b, tol: float = 1e-10) -> bool:
     a, b = linalg.as_matrix(a), linalg.as_matrix(b)
-    linalg.require_same_dim(a, b)
+    linalg.require_same_dim(a.shape[0], b.shape[0])
     return linalg.max_norm(a @ b - b @ a) <= tol
-
-
-def _require_same_dim(r: BoundedObservable, f: PartialDensityOperator) -> None:
-    if r.dim != f.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {r.dim} vs {f.dim}")

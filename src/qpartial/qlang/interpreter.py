@@ -14,6 +14,12 @@ an increasing chain that ``_approximants`` yields and
 ``density.chain_supremum``, the one Kleene loop, consumes under its
 stopping rule.
 
+A program is denoted once, before the run: ``_denote`` compiles the AST
+into one function on raw matrices, and ``interpret`` applies it to the
+input. Every gate run is certified and every guard's maps are built while
+the function is compiled, so a program is accepted or rejected whatever
+path a run takes and however long its loops run.
+
 Gates are fused: each maximal run ``U_1; ...; U_k`` of consecutive gates
 in a ``Seq`` denotes the single map ``rho -> U rho U+`` with ``U = U_k ...
 U_1``, so the product is formed once per ``interpret`` call and every run
@@ -25,18 +31,21 @@ factors' certified defects. Runs never extend across ``skip``, ``if`` or
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
-(gate runs as above) and guards by ``ClosedSubspace``; every statement
-maps partial density operators to partial density operators by
-construction, so statements act on raw arrays and the output is certified
-once, in ``interpret``. Inside loops, ``cfg.monotonicity_check`` tests each step's
-increment ``P_exit sigma_n P_exit`` for positivity on the r x r block of
-the exit subspace (the increment's nonzero eigenvalues all live there).
+(gate runs as above) and guards by ``ClosedSubspace``, all before the
+input is touched; every statement maps partial density operators to
+partial density operators by construction, so statements act on raw
+arrays and the output is certified once, in ``interpret``. Inside loops,
+``cfg.monotonicity_check`` tests each step's increment ``P_exit sigma_n
+P_exit`` for positivity on the r x r block of the exit subspace (the
+increment's nonzero eigenvalues all live there).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +55,8 @@ from ..errors import ChainMonotonicityError, DimensionMismatchError
 from ..logic import ClosedSubspace, orthocomplement
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
 from .gates import _require_unitary, denote_unitary
+
+Map = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -124,49 +135,15 @@ class _GuardMaps:
         return x
 
 
-@dataclass
-class _RunState:
-    """One ``interpret`` call's loop log and its per-statement cache, keyed
-    by statement id: ``_GuardMaps`` for a ``Branch`` or ``While``, ``parts``
-    for a ``Seq`` or lone gate."""
-
-    cfg: FixpointConfig
-    total_qubits: int
-    iterations: list[int] = field(default_factory=list)
-    converged: bool = True
-    chain_trace_log: list[float] = field(default_factory=list)
-    cache: dict[int, _GuardMaps | tuple] = field(default_factory=dict)
-
-    def guard_maps(self, stmt: Branch | While) -> _GuardMaps:
-        maps = self.cache.get(id(stmt))
-        if maps is None:
-            maps = self.cache[id(stmt)] = _GuardMaps(stmt.guard)
-        return maps
-
-    def parts(self, stmt: Seq | ApplyUnitary) -> tuple:
-        """``stmt`` as a sequence of unitaries and the statements between
-        them, each maximal run of gates fused into one certified product."""
-        parts = self.cache.get(id(stmt))
-        if parts is None:
-            statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
-            parts = []
-            for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
-                if is_gate:
-                    parts.append(self._product(list(group)))
-                else:
-                    parts.extend(group)
-            parts = self.cache[id(stmt)] = tuple(parts)
-        return parts
-
-    def _product(self, run: list[ApplyUnitary]) -> np.ndarray:
-        """``U_k ... U_1``; a lone gate's unitary is returned as it is."""
-        factors = [denote_unitary(g.gate, g.targets, self.total_qubits) for g in run]
-        u = factors[0]
-        for factor in factors[1:]:
-            u = factor @ u
-        if len(factors) > 1:
-            _require_unitary(u, len(factors) * linalg.UNITARY_TOL, f"run of {len(factors)} gates")
-        return u
+def _product(run: list[ApplyUnitary], total_qubits: int) -> np.ndarray:
+    """``U_k ... U_1``; a lone gate's unitary is returned as it is."""
+    factors = [denote_unitary(g.gate, g.targets, total_qubits) for g in run]
+    u = factors[0]
+    for factor in factors[1:]:
+        u = factor @ u
+    if len(factors) > 1:
+        _require_unitary(u, len(factors) * linalg.UNITARY_TOL, f"run of {len(factors)} gates")
+    return u
 
 
 def interpret(
@@ -184,38 +161,57 @@ def interpret(
         raise DimensionMismatchError(
             f"input has dimension {input_state.dim}, program needs {prog.dim}"
         )
-    state = _RunState(cfg, prog.total_qubits)
-    out = _eval(prog.body, input_state.matrix, state, loop_depth=0)
-    output = PartialDensityOperator(out)
-    if not state.chain_trace_log:
-        state.chain_trace_log = [output.trace]
+    loops: list[tuple[int, bool, list[float] | None]] = []
+    run = _denote(prog.body, prog.total_qubits, cfg, loops, outermost=True)
+    output = PartialDensityOperator(run(input_state.matrix))
+    outer_logs = [traces for _, _, traces in loops if traces is not None]
     return RunReport(
         output=output,
-        iterations_per_loop=state.iterations,
+        iterations_per_loop=[count for count, _, _ in loops],
         residual=nontermination_probability(output),
-        converged=state.converged,
-        chain_trace_log=state.chain_trace_log,
+        converged=all(converged for _, converged, _ in loops),
+        chain_trace_log=outer_logs[-1] if outer_logs else [output.trace],
     )
 
 
-def _eval(stmt: Statement, rho: np.ndarray, state: _RunState, loop_depth: int) -> np.ndarray:
+def _denote(stmt: Statement, total_qubits: int, cfg: FixpointConfig, loops: list, outermost: bool) -> Map:
+    """The map ``stmt`` denotes on raw matrices, with its gate runs certified
+    and its guards' maps built. Each loop evaluation appends ``(iterations,
+    converged, traces)`` to ``loops``, with traces ``None`` inside a loop body."""
     if isinstance(stmt, Skip):
-        return rho
+        return lambda rho: rho
     if isinstance(stmt, (Seq, ApplyUnitary)):
-        for part in state.parts(stmt):
-            if isinstance(part, np.ndarray):
-                rho = _conjugate(part, rho)
+        statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
+        maps = []
+        for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
+            if is_gate:
+                maps.append(functools.partial(_conjugate, _product(list(group), total_qubits)))
             else:
-                rho = _eval(part, rho, state, loop_depth)
-        return rho
+                maps.extend(_denote(s, total_qubits, cfg, loops, outermost) for s in group)
+        return functools.partial(_compose, maps)
     if isinstance(stmt, Branch):
-        maps = state.guard_maps(stmt)
-        taken = _eval(stmt.then_body, maps.keep(rho), state, loop_depth)
-        other = _eval(stmt.else_body, maps.exit(rho), state, loop_depth)
-        return taken + other
+        guard = _GuardMaps(stmt.guard)
+        taken = _denote(stmt.then_body, total_qubits, cfg, loops, outermost)
+        other = _denote(stmt.else_body, total_qubits, cfg, loops, outermost)
+        return lambda rho: taken(guard.keep(rho)) + other(guard.exit(rho))
     if isinstance(stmt, While):
-        return _eval_while(stmt, rho, state, loop_depth)
+        guard = _GuardMaps(stmt.guard)
+        body = _denote(stmt.body, total_qubits, cfg, loops, outermost=False)
+
+        def loop(rho: np.ndarray) -> np.ndarray:
+            chain = _approximants(guard, body, rho, cfg.monotonicity_check)
+            acc, count, converged, traces = chain_supremum(chain, cfg)
+            loops.append((count, converged, traces if outermost else None))
+            return acc
+
+        return loop
     raise TypeError(f"unknown statement node {stmt!r}")
+
+
+def _compose(maps: list[Map], rho: np.ndarray) -> np.ndarray:
+    for m in maps:
+        rho = m(rho)
+    return rho
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -223,26 +219,15 @@ def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-def _eval_while(stmt: While, rho: np.ndarray, state: _RunState, loop_depth: int) -> np.ndarray:
-    chain = _approximants(stmt, rho, state, loop_depth)
-    acc, count, converged, traces = chain_supremum(chain, state.cfg)
-    state.iterations.append(count)
-    state.converged = state.converged and converged
-    if loop_depth == 0:
-        state.chain_trace_log = traces
-    return acc
-
-
-def _approximants(stmt: While, rho: np.ndarray, state: _RunState, loop_depth: int):
+def _approximants(maps: _GuardMaps, body: Map, rho: np.ndarray, check: bool):
     """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring)."""
-    maps = state.guard_maps(stmt)
     acc = maps.exit(rho)
     yield acc
     sigma = rho
     for n in itertools.count(1):
-        sigma = _eval(stmt.body, maps.keep(sigma), state, loop_depth + 1)
+        sigma = body(maps.keep(sigma))
         step = maps.exit(sigma)
-        if state.cfg.monotonicity_check:
+        if check:
             _require_positive_step(maps, step, n)
         acc = acc + step
         yield acc

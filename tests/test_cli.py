@@ -78,12 +78,11 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", workdir / "coin.qp", "--trace-tol", "0")
         assert code == 1 and "trace_tol" in err
 
-    def test_gate_certified_when_first_evaluated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("max_iter", ["1", "2"])
+    def test_non_unitary_gate_rejected_before_the_run(self, tmp_path, capsys, max_iter):
         # the non-unitary gate sits in a loop body that --max-iter 1 never runs
         (tmp_path / "big.qp").write_text("qubit q; while q in |1> { [[2, 0], [0, 2]] q; }")
-        code, out, _ = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", "1")
-        assert code == 2 and json.loads(out)["converged"] is False
-        code, out, err = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", "2")
+        code, out, err = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", max_iter)
         assert code == 1 and out == "" and "unitary" in err
 
     def test_unwritable_out_prints_nothing(self, workdir, capsys):

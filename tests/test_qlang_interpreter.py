@@ -158,6 +158,13 @@ class TestFairCoinLoop:
         assert np.allclose(report.output.matrix, np.outer(KET0, KET0), atol=1e-8)
         assert report.iterations_per_loop and report.iterations_per_loop[0] >= 28
 
+    def test_iterations_count_the_elements_after_the_first(self):
+        # truncated (n <= 29) and converged runs count loop steps alike
+        prog = parse(self.PROGRAM)
+        for n in range(1, 32):
+            report = interpret(prog, GROUND, FixpointConfig(max_iterations=n))
+            assert len(report.chain_trace_log) == report.iterations_per_loop[0] + 1, n
+
     def test_chain_trace_log_nondecreasing(self):
         report = interpret(parse(self.PROGRAM), GROUND)
         log = report.chain_trace_log
@@ -234,6 +241,29 @@ class TestOneKleeneLoop:
         report = interpret(parse(self.NESTED), PartialDensityOperator.ground_state(4))
         assert len(report.iterations_per_loop) > 2
         assert len(calls) == len(report.iterations_per_loop)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, None])
+    def test_program_is_denoted_once_per_run(self, monkeypatch, max_iterations):
+        guards, gates = [], []
+        original_maps, original_unitary = interpreter._GuardMaps, interpreter.denote_unitary
+
+        def guard_maps(guard):
+            guards.append(guard)
+            return original_maps(guard)
+
+        def unitary(gate, targets, total_qubits):
+            gates.append(gate)
+            return original_unitary(gate, targets, total_qubits)
+
+        monkeypatch.setattr(interpreter, "_GuardMaps", guard_maps)
+        monkeypatch.setattr(interpreter, "denote_unitary", unitary)
+        cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
+        report = interpret(parse(self.NESTED), PartialDensityOperator.ground_state(4), cfg)
+        # the outer loop runs its body iterations_per_loop[-1] times, and
+        # the inner loop once per outer step
+        assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
+        assert len(guards) == 2
+        assert sorted(gates) == ["H", "H", "H", "S", "T", "T"]  # one call per gate
 
     @staticmethod
     def fair_coin_chain():
@@ -350,17 +380,21 @@ class TestBoundaryValidation:
         dent = np.zeros((4, 4), dtype=complex)
         dent[1, 1] = 0.3  # |01>, inside the exit subspace of `a in |1>`
         calls = []
-        original = interpreter._eval
+        original = interpreter._denote
 
-        def faulty_eval(stmt, rho, state, loop_depth):
-            out = original(stmt, rho, state, loop_depth)
-            if stmt is loop.body:
+        def faulty_denote(stmt, *args, **kwargs):
+            body = original(stmt, *args, **kwargs)
+            if stmt is not loop.body:
+                return body
+
+            def faulty_body(rho):
+                out = body(rho)
                 calls.append(stmt)
-                if len(calls) == 2:
-                    return -dent
-            return out
+                return -dent if len(calls) == 2 else out
 
-        monkeypatch.setattr(interpreter, "_eval", faulty_eval)
+            return faulty_body
+
+        monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         with pytest.raises(ChainMonotonicityError) as err:
             interpret(prog, PartialDensityOperator.ground_state(4))
         assert err.value.index == 2
@@ -371,13 +405,15 @@ class TestBoundaryValidation:
 
     def test_without_monotonicity_check_the_output_certificate_catches_it(self, monkeypatch):
         prog = parse("qubit a; qubit b; while a in |1> { h a; }")
-        original = interpreter._eval
+        original = interpreter._denote
 
-        def faulty_eval(stmt, rho, state, loop_depth):
-            out = original(stmt, rho, state, loop_depth)
-            return out - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0]) if stmt is prog.body.body else out
+        def faulty_denote(stmt, *args, **kwargs):
+            body = original(stmt, *args, **kwargs)
+            if stmt is not prog.body.body:
+                return body
+            return lambda rho: body(rho) - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0])
 
-        monkeypatch.setattr(interpreter, "_eval", faulty_eval)
+        monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         ground = PartialDensityOperator.ground_state(4)
         with pytest.raises(ChainMonotonicityError) as err:
             interpret(prog, ground)
@@ -575,7 +611,7 @@ class TestGuardPaths:
                 )
                 f = sampling.random_pdo(2**self.N, rng)
                 report = interpret(parse(source), f, cfg)
-                assert report.iterations_per_loop == [steps]
+                assert report.iterations_per_loop == [steps - 1]
 
                 p = kron_at({q: np.outer(v, v.conj())}, self.N)
                 e = np.eye(2**self.N) - p
