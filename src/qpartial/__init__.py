@@ -28,7 +28,6 @@ from .intervals import (
 )
 from .logic import (
     ClosedSubspace,
-    are_orthogonal,
     check_subprobability_axioms,
     gleason_measure,
     join,
@@ -41,7 +40,6 @@ from .observables import (
     BorelInterval,
     BorelSet,
     BoundedObservable,
-    commutes,
     distribution,
     e0,
     expected_interval,
@@ -50,7 +48,7 @@ from .observables import (
     pvm_map,
     spectrum_bounds,
 )
-from .qlang import RunReport, interpret, parse
+from .qlang import Denotation, RunReport, denote, interpret, parse
 
 __version__ = "0.1.0"
 
@@ -60,14 +58,14 @@ __all__ = [
     "BoundedObservable",
     "ClosedSubspace",
     "CompactInterval",
+    "Denotation",
     "FixpointConfig",
     "PartialDensityOperator",
     "RunReport",
     "add_intervals",
-    "are_orthogonal",
     "chain_supremum",
     "check_subprobability_axioms",
-    "commutes",
+    "denote",
     "directed_intersection",
     "distribution",
     "dyadic_diagonal_state",

@@ -178,8 +178,8 @@ class FixpointConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.trace_tol > 0.0:
-            raise ValueError("trace_tol must be positive")
+        if not 0.0 < self.trace_tol < 1.0:  # trace gaps lie in [0, 1]
+            raise ValueError("trace_tol must lie in (0, 1)")
 
 
 def chain_supremum(
@@ -187,7 +187,7 @@ def chain_supremum(
 ) -> tuple[np.ndarray, int, bool, list[float]]:
     """Supremum of an increasing chain of partial states, as raw matrices.
 
-    This is the one Kleene loop: ``interpret`` evaluates every while loop
+    This is the one Kleene loop: the interpreter evaluates every while loop
     through it. Consumes the chain until the trace gap between consecutive
     elements drops below ``cfg.trace_tol`` (converged), the chain ends (a
     finite chain attains its supremum exactly), or ``cfg.max_iterations``

@@ -179,11 +179,6 @@ def meet(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
     return orthocomplement(join(orthocomplement(k1), orthocomplement(k2)))
 
 
-def are_orthogonal(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
-    linalg.require_same_dim(k1.dim, k2.dim)
-    return linalg.max_norm(k1.projection @ k2.projection) <= linalg.PROJ_TOL
-
-
 def subspace_leq(k1: ClosedSubspace, k2: ClosedSubspace) -> bool:
     """Inclusion K1 is a subspace of K2, tested as P2 P1 = P1."""
     linalg.require_same_dim(k1.dim, k2.dim)

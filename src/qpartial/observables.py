@@ -256,9 +256,3 @@ def observable_square_interval(a, f: PartialDensityOperator) -> CompactInterval:
     k, big_k = min(magnitudes), max(magnitudes)
     center = float(np.trace(r.operator @ r.operator @ f.matrix).real)
     return missing_mass_interval(center, f, k * k, big_k * big_k)
-
-
-def commutes(a, b, tol: float = 1e-10) -> bool:
-    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
-    linalg.require_same_dim(a.shape[0], b.shape[0])
-    return linalg.max_norm(a @ b - b @ a) <= tol

@@ -14,15 +14,15 @@ an increasing chain that ``_approximants`` yields and
 ``density.chain_supremum``, the one Kleene loop, consumes under its
 stopping rule.
 
-A program is denoted once, before the run: ``_denote`` compiles the AST
-into one function on raw matrices, and ``interpret`` applies it to the
-input. Every gate run is certified and every guard's maps are built while
-the function is compiled, so a program is accepted or rejected whatever
-path a run takes and however long its loops run.
+A program is denoted once, before any run: ``denote`` compiles the AST
+into a ``Denotation``, one function on raw matrices, which ``apply`` runs
+on any input under any ``FixpointConfig``. Every gate run is certified and
+every guard's maps are built by ``denote``, so a program is accepted or
+rejected whatever path a run takes and however long its loops run.
 
 Gates are fused: each maximal run ``U_1; ...; U_k`` of consecutive gates
 in a ``Seq`` denotes the single map ``rho -> U rho U+`` with ``U = U_k ...
-U_1``, so the product is formed once per ``interpret`` call and every run
+U_1``, so the product is formed once per ``denote`` and every run
 is applied as one conjugation. A lone gate (k = 1) is applied as it is,
 with no product. The product is certified like a gate, ``max_norm(U+U -
 I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
@@ -34,7 +34,7 @@ Validation happens at the boundary. The input is a validated
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
 input is touched; every statement maps partial density operators to
 partial density operators by construction, so statements act on raw
-arrays and the output is certified once, in ``interpret``. Inside loops,
+arrays and the output is certified once, by ``apply``. Inside loops,
 ``cfg.monotonicity_check`` tests each step's increment ``P_exit sigma_n
 P_exit`` for positivity on the r x r block of the exit subspace (the
 increment's nonzero eigenvalues all live there).
@@ -44,19 +44,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
-from ..errors import ChainMonotonicityError, DimensionMismatchError
+from ..errors import ChainMonotonicityError
 from ..logic import ClosedSubspace, orthocomplement
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
 from .gates import _require_unitary, denote_unitary
 
-Map = Callable[[np.ndarray], np.ndarray]
+Map = Callable[[np.ndarray, FixpointConfig, list], np.ndarray]
 
 
 @dataclass
@@ -65,9 +65,9 @@ class RunReport:
 
     ``iterations_per_loop`` lists the fixpoint iteration counts of every
     loop evaluation in completion order. ``chain_trace_log`` holds the
-    nondecreasing accumulator traces of the final outermost loop (the
-    chain whose supremum becomes the output); for loop-free programs it
-    degenerates to the output trace alone.
+    nondecreasing accumulator traces of the last of them, which is an
+    outermost loop, as a loop completes after the loops in its body; for
+    loop-free programs it degenerates to the output trace alone.
     """
 
     output: PartialDensityOperator
@@ -146,40 +146,52 @@ def _product(run: list[ApplyUnitary], total_qubits: int) -> np.ndarray:
     return u
 
 
+def denote(prog: Program) -> Denotation:
+    """Denote ``prog`` once: certify every gate run, build every guard's maps."""
+    return Denotation(prog.dim, _denote(prog.body, prog.total_qubits))
+
+
+@dataclass(frozen=True)
+class Denotation:
+    """A program's map, built once by ``denote`` and applied by ``apply``."""
+
+    dim: int
+    _map: Map = field(repr=False)
+
+    def apply(self, input_state: PartialDensityOperator, cfg: FixpointConfig | None = None) -> RunReport:
+        """Run the program on an input partial density operator.
+
+        Nonconvergence of a loop within ``cfg.max_iterations`` is reported
+        through ``converged=False``, not raised; a decreasing approximant
+        chain (an interpreter bug, impossible for well-formed semantics)
+        raises ``ChainMonotonicityError``.
+        """
+        cfg = cfg or FixpointConfig()
+        linalg.require_same_dim(input_state.dim, self.dim)
+        loops: list[tuple[int, bool, list[float]]] = []
+        output = PartialDensityOperator(self._map(input_state.matrix, cfg, loops))
+        return RunReport(
+            output=output,
+            iterations_per_loop=[count for count, _, _ in loops],
+            residual=nontermination_probability(output),
+            converged=all(converged for _, converged, _ in loops),
+            chain_trace_log=loops[-1][2] if loops else [output.trace],
+        )
+
+
 def interpret(
     prog: Program, input_state: PartialDensityOperator, cfg: FixpointConfig | None = None
 ) -> RunReport:
-    """Run a program on an input partial density operator.
-
-    Nonconvergence of a loop within ``cfg.max_iterations`` is reported
-    through ``converged=False``, not raised; a decreasing approximant
-    chain (an interpreter bug, impossible for well-formed semantics)
-    raises ``ChainMonotonicityError``.
-    """
-    cfg = cfg or FixpointConfig()
-    if input_state.dim != prog.dim:
-        raise DimensionMismatchError(
-            f"input has dimension {input_state.dim}, program needs {prog.dim}"
-        )
-    loops: list[tuple[int, bool, list[float] | None]] = []
-    run = _denote(prog.body, prog.total_qubits, cfg, loops, outermost=True)
-    output = PartialDensityOperator(run(input_state.matrix))
-    outer_logs = [traces for _, _, traces in loops if traces is not None]
-    return RunReport(
-        output=output,
-        iterations_per_loop=[count for count, _, _ in loops],
-        residual=nontermination_probability(output),
-        converged=all(converged for _, converged, _ in loops),
-        chain_trace_log=outer_logs[-1] if outer_logs else [output.trace],
-    )
+    """Run a program once: ``denote(prog).apply(input_state, cfg)``."""
+    return denote(prog).apply(input_state, cfg)
 
 
-def _denote(stmt: Statement, total_qubits: int, cfg: FixpointConfig, loops: list, outermost: bool) -> Map:
-    """The map ``stmt`` denotes on raw matrices, with its gate runs certified
-    and its guards' maps built. Each loop evaluation appends ``(iterations,
-    converged, traces)`` to ``loops``, with traces ``None`` inside a loop body."""
+def _denote(stmt: Statement, total_qubits: int) -> Map:
+    """The map ``(rho, cfg, loops) -> rho`` that ``stmt`` denotes, with its gate
+    runs certified and its guards' maps built. Each loop evaluation under
+    ``cfg`` appends ``(iterations, converged, traces)`` to ``loops``."""
     if isinstance(stmt, Skip):
-        return lambda rho: rho
+        return lambda rho, cfg, loops: rho
     if isinstance(stmt, (Seq, ApplyUnitary)):
         statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
         maps = []
@@ -187,47 +199,47 @@ def _denote(stmt: Statement, total_qubits: int, cfg: FixpointConfig, loops: list
             if is_gate:
                 maps.append(functools.partial(_conjugate, _product(list(group), total_qubits)))
             else:
-                maps.extend(_denote(s, total_qubits, cfg, loops, outermost) for s in group)
+                maps.extend(_denote(s, total_qubits) for s in group)
         return functools.partial(_compose, maps)
     if isinstance(stmt, Branch):
         guard = _GuardMaps(stmt.guard)
-        taken = _denote(stmt.then_body, total_qubits, cfg, loops, outermost)
-        other = _denote(stmt.else_body, total_qubits, cfg, loops, outermost)
-        return lambda rho: taken(guard.keep(rho)) + other(guard.exit(rho))
+        taken = _denote(stmt.then_body, total_qubits)
+        other = _denote(stmt.else_body, total_qubits)
+        return lambda rho, cfg, loops: taken(guard.keep(rho), cfg, loops) + other(guard.exit(rho), cfg, loops)
     if isinstance(stmt, While):
         guard = _GuardMaps(stmt.guard)
-        body = _denote(stmt.body, total_qubits, cfg, loops, outermost=False)
+        body = _denote(stmt.body, total_qubits)
 
-        def loop(rho: np.ndarray) -> np.ndarray:
-            chain = _approximants(guard, body, rho, cfg.monotonicity_check)
+        def loop(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+            chain = _approximants(guard, body, rho, cfg, loops)
             acc, count, converged, traces = chain_supremum(chain, cfg)
-            loops.append((count, converged, traces if outermost else None))
+            loops.append((count, converged, traces))
             return acc
 
         return loop
     raise TypeError(f"unknown statement node {stmt!r}")
 
 
-def _compose(maps: list[Map], rho: np.ndarray) -> np.ndarray:
+def _compose(maps: list[Map], rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
     for m in maps:
-        rho = m(rho)
+        rho = m(rho, cfg, loops)
     return rho
 
 
-def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _conjugate(u: np.ndarray, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
     """``u rho u+``, the one place a gate or fused gate run is applied."""
     return u @ rho @ u.conj().T
 
 
-def _approximants(maps: _GuardMaps, body: Map, rho: np.ndarray, check: bool):
+def _approximants(maps: _GuardMaps, body: Map, rho: np.ndarray, cfg: FixpointConfig, loops: list):
     """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring)."""
     acc = maps.exit(rho)
     yield acc
     sigma = rho
     for n in itertools.count(1):
-        sigma = body(maps.keep(sigma))
+        sigma = body(maps.keep(sigma), cfg, loops)
         step = maps.exit(sigma)
-        if check:
+        if cfg.monotonicity_check:
             _require_positive_step(maps, step, n)
         acc = acc + step
         yield acc

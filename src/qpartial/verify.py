@@ -39,7 +39,7 @@ from .observables import (
     pvm_map,
     spectrum_bounds,
 )
-from .qlang import interpret, parse
+from .qlang import denote, parse
 from .qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
 from .qlang.gates import GATES, gate_arity, ket_guard_projection
 
@@ -480,19 +480,19 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
     increasing = CheckResult("approximant_chain_increasing")
 
     ground = PartialDensityOperator.ground_state(2)
-    prog = parse(FAIR_COIN)
+    coin = denote(parse(FAIR_COIN))
     worst = 0.0
     for n in range(1, 31):
-        report = interpret(prog, ground, FixpointConfig(max_iterations=n))
+        report = coin.apply(ground, FixpointConfig(max_iterations=n))
         worst = max(worst, abs(report.residual - 2.0**-n))
-    full = interpret(prog, ground, FixpointConfig())
+    full = coin.apply(ground)
     fair.record(
         worst <= 1e-9 and full.converged and full.output.trace >= 1.0 - FixpointConfig().trace_tol,
         worst,
         (seed, 2, 0),
     )
 
-    div_report = interpret(parse(DIVERGING), ground, FixpointConfig())
+    div_report = denote(parse(DIVERGING)).apply(ground)
     diverge.record(
         div_report.residual == 1.0 and div_report.converged, abs(div_report.residual - 1.0), (seed, 2, 0)
     )
@@ -501,12 +501,11 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
         trial_seed = (seed, 0, t)
         rng = np.random.default_rng(list(trial_seed))
         qubits = int(rng.integers(1, 3))
-        program = random_program(qubits, rng)
-        dim = 2**qubits
-        rho = sampling.random_pdo(dim, rng)
+        program = denote(random_program(qubits, rng))
+        rho = sampling.random_pdo(program.dim, rng)
         cfg = FixpointConfig(max_iterations=60)
         try:
-            report = interpret(program, rho, cfg)
+            report = program.apply(rho, cfg)
         except ChainMonotonicityError:
             increasing.record(False, 1.0, trial_seed)
             continue
@@ -514,15 +513,15 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
         gap = report.output.trace - rho.trace
         trace_mono.record(gap <= 1e-9, max(0.0, gap), trial_seed)
 
-        rho2 = sampling.random_pdo(dim, rng)
+        rho2 = sampling.random_pdo(program.dim, rng)
         alpha = float(rng.uniform(0.0, 1.0))
         beta = float(rng.uniform(0.0, 1.0 - alpha))
         mix = PartialDensityOperator(alpha * rho.matrix + beta * rho2.matrix)
         lin_cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300, monotonicity_check=False)
-        combined = interpret(program, mix, lin_cfg).output.matrix
+        combined = program.apply(mix, lin_cfg).output.matrix
         parts = (
-            alpha * interpret(program, rho, lin_cfg).output.matrix
-            + beta * interpret(program, rho2, lin_cfg).output.matrix
+            alpha * program.apply(rho, lin_cfg).output.matrix
+            + beta * program.apply(rho2, lin_cfg).output.matrix
         )
         lin_dev = linalg.max_norm(combined - parts)
         linear.record(lin_dev <= 1e-8, lin_dev, trial_seed)

@@ -28,22 +28,30 @@ def count_eigensolves(monkeypatch):
 
 
 @pytest.fixture
-def count_inits(monkeypatch):
-    """Context manager factory: inside ``with count_inits(cls) as calls``,
-    ``calls`` gets one entry per run of ``cls.__init__``, the validating
-    constructor."""
+def count_calls(monkeypatch):
+    """Context manager factory: inside ``with count_calls(owner, name) as
+    calls``, ``calls`` gets the positional arguments of every call to
+    ``owner.name``, in call order."""
 
     @contextlib.contextmanager
-    def counting(cls):
+    def counting(owner, name):
         calls = []
-        init = cls.__init__
+        original = getattr(owner, name)
 
-        def counted(self, *args, **kwargs):
-            calls.append(cls.__name__)
-            init(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cls, "__init__", counted)
+            patch.setattr(owner, name, counted)
             yield calls
 
     return counting
+
+
+@pytest.fixture
+def count_inits(count_calls):
+    """Context manager factory: inside ``with count_inits(cls) as calls``,
+    ``calls`` gets one entry per run of ``cls.__init__``, the validating
+    constructor."""
+    return lambda cls: count_calls(cls, "__init__")

@@ -75,8 +75,9 @@ class TestRun:
         assert code == 1 and err
 
     def test_bad_tolerance_rejected(self, workdir, capsys):
-        code, _, err = run_cli(capsys, "run", workdir / "coin.qp", "--trace-tol", "0")
-        assert code == 1 and "trace_tol" in err
+        for tol in ["0", "inf", "2"]:
+            code, _, err = run_cli(capsys, "run", workdir / "coin.qp", "--trace-tol", tol)
+            assert code == 1 and "trace_tol" in err
 
     @pytest.mark.parametrize("max_iter", ["1", "2"])
     def test_non_unitary_gate_rejected_before_the_run(self, tmp_path, capsys, max_iter):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,10 @@ class TestFixpointConfig:
             FixpointConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FixpointConfig(trace_tol=0.0)
+        with pytest.raises(ValueError):
+            FixpointConfig(trace_tol=1.0)
+        with pytest.raises(ValueError):
+            FixpointConfig(trace_tol=math.inf)
 
 
 class TestDyadic:

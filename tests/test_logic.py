@@ -6,7 +6,6 @@ from qpartial.density import PartialDensityOperator, scale
 from qpartial.errors import CrossCheckError, DimensionMismatchError
 from qpartial.logic import (
     ClosedSubspace,
-    are_orthogonal,
     check_subprobability_axioms,
     gleason_measure,
     join,
@@ -131,14 +130,6 @@ class TestLattice:
         k = sampling.random_subspace(4, 2, rng)
         back = orthocomplement(orthocomplement(k))
         assert linalg.max_norm(back.projection - k.projection) <= 1e-12
-
-    def test_are_orthogonal(self):
-        e0 = subspace_from_vectors([basis_vec(0, 2)])
-        e1 = subspace_from_vectors([basis_vec(1, 2)])
-        plus = subspace_from_vectors([np.array([1.0, 1.0]) / np.sqrt(2)])
-        assert are_orthogonal(e0, e1)
-        assert are_orthogonal(e0, orthocomplement(e0))
-        assert not are_orthogonal(e0, plus)
 
     def test_de_morgan(self):
         rng = rng_for(7)

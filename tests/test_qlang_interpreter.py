@@ -1,3 +1,4 @@
+import json
 from functools import reduce
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from qpartial.errors import (
     NotPositiveError,
 )
 from qpartial.logic import ClosedSubspace
-from qpartial.qlang import denote_unitary, interpret, interpreter, parse
+from qpartial.qlang import denote, denote_unitary, interpret, interpreter, parse
 from qpartial.qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
 from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
 
@@ -242,28 +243,30 @@ class TestOneKleeneLoop:
         assert len(report.iterations_per_loop) > 2
         assert len(calls) == len(report.iterations_per_loop)
 
-    @pytest.mark.parametrize("max_iterations", [1, 2, 3, None])
-    def test_program_is_denoted_once_per_run(self, monkeypatch, max_iterations):
-        guards, gates = [], []
-        original_maps, original_unitary = interpreter._GuardMaps, interpreter.denote_unitary
-
-        def guard_maps(guard):
-            guards.append(guard)
-            return original_maps(guard)
-
-        def unitary(gate, targets, total_qubits):
-            gates.append(gate)
-            return original_unitary(gate, targets, total_qubits)
-
-        monkeypatch.setattr(interpreter, "_GuardMaps", guard_maps)
-        monkeypatch.setattr(interpreter, "denote_unitary", unitary)
-        cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
-        report = interpret(parse(self.NESTED), PartialDensityOperator.ground_state(4), cfg)
-        # the outer loop runs its body iterations_per_loop[-1] times, and
-        # the inner loop once per outer step
-        assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
+    def test_program_is_denoted_once_per_run(self, count_calls):
+        with count_calls(interpreter, "_GuardMaps") as guards, count_calls(interpreter, "denote_unitary") as gates:
+            program = denote(parse(self.NESTED))
+            for max_iterations in [1, 2, 3, None]:
+                cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
+                report = program.apply(PartialDensityOperator.ground_state(4), cfg)
+                # the outer loop runs its body iterations_per_loop[-1] times,
+                # and the inner loop once per outer step
+                assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
         assert len(guards) == 2
-        assert sorted(gates) == ["H", "H", "H", "S", "T", "T"]  # one call per gate
+        assert sorted(gate for gate, _, _ in gates) == ["H", "H", "H", "S", "T", "T"]  # one call per gate
+
+    def test_one_denotation_applies_to_many_inputs_and_configs(self):
+        program = denote(parse(self.NESTED))
+        inputs = [PartialDensityOperator.ground_state(4), sampling.random_pdo(4, rng_for(26))]
+        for cfg in [FixpointConfig(max_iterations=1), FixpointConfig(max_iterations=3), FixpointConfig()]:
+            for f in inputs:
+                report = program.apply(f, cfg)
+                expected = interpret(parse(self.NESTED), f, cfg)
+                assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+                # only this application's loops: the outer loop's steps, each
+                # with one inner loop, then the outer loop itself
+                assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
+                assert all(n <= cfg.max_iterations for n in report.iterations_per_loop)
 
     @staticmethod
     def fair_coin_chain():
@@ -387,8 +390,8 @@ class TestBoundaryValidation:
             if stmt is not loop.body:
                 return body
 
-            def faulty_body(rho):
-                out = body(rho)
+            def faulty_body(rho, *args):
+                out = body(rho, *args)
                 calls.append(stmt)
                 return -dent if len(calls) == 2 else out
 
@@ -411,7 +414,7 @@ class TestBoundaryValidation:
             body = original(stmt, *args, **kwargs)
             if stmt is not prog.body.body:
                 return body
-            return lambda rho: body(rho) - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0])
+            return lambda rho, *args: body(rho, *args) - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0])
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         ground = PartialDensityOperator.ground_state(4)
@@ -455,9 +458,9 @@ def conjugations(monkeypatch):
     applied = []
     original = interpreter._conjugate
 
-    def spy(u, rho):
+    def spy(u, rho, *args):
         applied.append(u)
-        return original(u, rho)
+        return original(u, rho, *args)
 
     monkeypatch.setattr(interpreter, "_conjugate", spy)
     return applied

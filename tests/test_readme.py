@@ -48,6 +48,7 @@ def tour():
         ),
         ("ok, witness = qp.state_leq(f, g)", "False;", lambda v, ns: ns["ok"] is False),
         ("report.residual", "~9.3e-10:", lambda v, ns: abs(v - 9.3e-10) <= 1e-11),
+        ("coin.apply(f, three_steps).residual", "~0.34375:", lambda v, ns: abs(v - 0.34375) <= 1e-15),
     ],
 )
 def test_commented_value(tour, code, comment, check):

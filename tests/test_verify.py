@@ -3,6 +3,8 @@ import pytest
 
 from qpartial import sampling
 from qpartial.density import PartialDensityOperator
+from qpartial.qlang import interpreter
+from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, While
 from qpartial.verify import (
     CheckResult,
     SuiteReport,
@@ -69,3 +71,27 @@ def test_random_program_reproducible():
     p1 = random_program(2, np.random.default_rng(3))
     p2 = random_program(2, np.random.default_rng(3))
     assert p1 == p2
+
+
+def gate_count(stmt) -> int:
+    if isinstance(stmt, ApplyUnitary):
+        return 1
+    if isinstance(stmt, Seq):
+        return sum(gate_count(s) for s in stmt.statements)
+    if isinstance(stmt, Branch):
+        return gate_count(stmt.then_body) + gate_count(stmt.else_body)
+    if isinstance(stmt, While):
+        return gate_count(stmt.body)
+    return 0
+
+
+def test_qlang_suite_denotes_each_program_once(count_calls):
+    # the suite's random programs, drawn as it draws them
+    programs = []
+    for t in range(5):
+        rng = np.random.default_rng([42, 0, t])
+        programs.append(random_program(int(rng.integers(1, 3)), rng))
+    with count_calls(interpreter, "denote_unitary") as gates:
+        run_suite("qlang", [2], 5, 42)
+    # each random program's gates once, and the fair coin's two
+    assert len(gates) == sum(gate_count(p.body) for p in programs) + 2
