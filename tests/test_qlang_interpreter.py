@@ -243,12 +243,14 @@ class TestOneKleeneLoop:
         assert len(report.iterations_per_loop) > 2
         assert len(calls) == len(report.iterations_per_loop)
 
-    def test_program_is_denoted_once_per_run(self, count_calls):
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, None])
+    def test_program_is_denoted_once_per_run(self, count_calls, max_iterations):
+        cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
+        inputs = [PartialDensityOperator.ground_state(4), sampling.random_pdo(4, rng_for(27))]
         with count_calls(interpreter, "_GuardMaps") as guards, count_calls(interpreter, "denote_unitary") as gates:
             program = denote(parse(self.NESTED))
-            for max_iterations in [1, 2, 3, None]:
-                cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
-                report = program.apply(PartialDensityOperator.ground_state(4), cfg)
+            for f in inputs:
+                report = program.apply(f, cfg)
                 # the outer loop runs its body iterations_per_loop[-1] times,
                 # and the inner loop once per outer step
                 assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
