@@ -1,9 +1,10 @@
 """Command line front end: run programs, interval expectations, verification.
 
-All output is JSON with sorted keys, so identical inputs and seeds
-produce byte-identical reports. Exit codes: 0 success (``run``: loop
-converged; ``verify``: all checks passed), 2 for a nonconverged run or
-failed checks, 1 for any error.
+Every report is the text of ``json.dumps(report, indent=2, sort_keys=True)``
+plus a newline, so identical inputs and seeds produce byte-identical
+reports. Exit codes: 0 success (``run``: loop converged; ``verify``: all
+checks passed), 2 for a nonconverged run or failed checks, 1 for any
+error.
 """
 
 from __future__ import annotations
@@ -107,11 +108,51 @@ def _load_json(path: str) -> dict:
 
 def _emit(payload: dict, out_path: str | None) -> None:
     """Write the report to ``out_path`` first, so a failed write prints nothing."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+_compact = json.JSONEncoder(sort_keys=True).encode
+
+
+def _numbers(items) -> bool:
+    """Whether every item is an int, float or bool: JSON text with no brackets or spaces."""
+    return all(issubclass(t, (int, float)) for t in set(map(type, items)))
+
+
+def _json_text(o, level: int = 0) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte, at nesting ``level``.
+
+    Dicts and generic lists are laid out as the stdlib's pure-Python
+    encoder lays them out. A list of numbers, or a list of such lists
+    (an operator's rows), is encoded in one call of the C encoder and then
+    re-indented: its compact text separates items with ``", "`` and rows
+    with ``"], ["``, which no number's text contains. Everything else,
+    strings included, is a scalar for the C encoder, which also raises the
+    stdlib's ``TypeError`` for what JSON cannot hold.
+    """
+    if not isinstance(o, (dict, list, tuple)):
+        return _compact(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(o, dict):
+        # {k: 0} encodes as '{<key text>: 0}': the C encoder turns each key
+        # into its JSON string, or raises, as the stdlib does
+        items = (f"{_compact({k: 0})[1:-4]}: {_json_text(v, level + 1)}" for k, v in sorted(o.items()))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if _numbers(o):
+        return "[" + inner + _compact(o)[1:-1].replace(", ", "," + inner) + outer + "]"
+    if all(isinstance(row, (list, tuple)) and row and _numbers(row) for row in o):
+        row = inner + "  "
+        body = _compact(o)[2:-2].replace(", ", "," + row)
+        body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+        return "[" + inner + "[" + row + body + inner + "]" + outer + "]"
+    return "[" + inner + ("," + inner).join(_json_text(x, level + 1) for x in o) + outer + "]"
 
 
 if __name__ == "__main__":

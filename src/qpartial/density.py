@@ -102,13 +102,25 @@ class PartialDensityOperator:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    """Read the {dim, re, im} wire form back into a complex matrix."""
+    """Read the {dim, re, im} wire form back into a complex matrix.
+
+    ``dim`` must be an int and the entries numbers. Entries are checked
+    through the arrays' dtype, not one by one: strings, nulls and
+    all-boolean arrays are rejected, while numpy reads a boolean among
+    numbers as 0 or 1.
+    """
     try:
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        dim = data["dim"]
+        re = np.asarray(data["re"])
+        im = np.asarray(data["im"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidOperatorError(f"malformed operator JSON: {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InvalidOperatorError(f"operator JSON dim must be an integer, got {dim!r}")
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise InvalidOperatorError(
+            f"operator JSON entries must be numbers, got dtypes {re.dtype}/{im.dtype}"
+        )
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidOperatorError(
             f"operator JSON arrays have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
@@ -176,6 +188,8 @@ class FixpointConfig:
     monotonicity_check: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.trace_tol < 1.0:  # trace gaps lie in [0, 1]

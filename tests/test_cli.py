@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpartial.cli import main
+from qpartial.cli import _json_text, main
 
 FAIR_COIN = "qubit q;\nh q;\nwhile q in |1> { h q; }\n"
 
@@ -151,6 +151,13 @@ class TestExpect:
         code, _, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "heavy.json")
         assert code == 1 and "trace" in err
 
+    def test_string_entries_rejected(self, workdir, capsys, tmp_path):
+        (tmp_path / "strings.json").write_text(
+            json.dumps({"dim": 2, "re": [["0.5", "0"], ["0", "0.25"]], "im": [[0, 0], [0, 0]]})
+        )
+        code, out, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "strings.json")
+        assert code == 1 and out == "" and "numbers" in err
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -211,3 +218,31 @@ def test_flags_a_command_does_not_read_are_refused(workdir, argv):
     with pytest.raises(SystemExit) as exc:
         main([str(workdir / a) if (workdir / a).is_file() else a for a in argv])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        [[]],
+        {"empty": []},
+        ["a, b", "], [", "[[1, 2], [3]]"],
+        [[1.5], ["s"]],
+        [[1.5], []],
+        [[], [1, 2]],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300],
+        [[np.float64(0.1), np.float64(-2.5)], [3, True]],
+        {"mixed": [1, False, None, 2.0, "x"], "nested": {"m": [[0.25, 1], [2, 3]], "z": {}}},
+        {"é": "ü ∞", "k": [[1, 2], (3, 4)]},
+        {2: "int key", 1.5: "float key"},
+    ],
+)
+def test_json_text_matches_stdlib_indent(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_what_json_cannot_hold():
+    for payload in ({"a": {1, 2}}, [[1.0], [object()]], {(1,): 2}):
+        with pytest.raises(TypeError):
+            _json_text(payload)

@@ -4,7 +4,8 @@ The references in ``data/cli_outputs.json`` were recorded from the CLI
 before its internals were consolidated. Structure is compared exactly
 (keys, list lengths, iteration counts, flags, pass/fail counts, failure
 seeds, exit codes); floats within 1e-12, so that other BLAS builds do
-not make the comparison flaky.
+not make the comparison flaky. The layout is compared byte for byte with
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
 
 To record the references again from the current code, run
 ``PYTHONPATH=src python tests/test_cli_outputs.py``.
@@ -123,7 +124,17 @@ def test_output_matches_reference(name, references, tmp_path, capsys):
     code = main(argv_for(name, tmp_path))
     expected = references[name]
     assert code == expected["exit"]
-    assert_matches(json.loads(capsys.readouterr().out), expected["output"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert_matches(json.loads(out), expected["output"])
+
+
+def test_run_out_file_holds_the_printed_bytes(tmp_path, capsys):
+    write_inputs(tmp_path)
+    target = tmp_path / "report.json"
+    assert main(["run", str(tmp_path / "six_qubit.qp"), "--out", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert target.read_text(encoding="utf-8") == out and len(json.loads(out)["output"]["re"]) == 64
 
 
 def test_every_case_has_a_reference(references):

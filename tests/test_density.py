@@ -209,6 +209,9 @@ class TestFixpointConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FixpointConfig(max_iterations=0)
+        for not_an_int in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                FixpointConfig(max_iterations=not_an_int)
         with pytest.raises(ValueError):
             FixpointConfig(trace_tol=0.0)
         with pytest.raises(ValueError):
@@ -263,5 +266,14 @@ class TestJson:
         assert back.to_json() == f.to_json()
 
     def test_malformed_rejected(self):
-        with pytest.raises(InvalidOperatorError):
-            matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
+        for data in (
+            {"dim": 2, "re": [[1, 0]], "im": [[0, 0]]},
+            {"dim": 2.9, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+            {"dim": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+            {"dim": True, "re": [[1]], "im": [[0]]},
+            {"dim": 2, "re": [["1", "0"], ["0", "1"]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[True, False], [False, True]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, None]]},
+        ):
+            with pytest.raises(InvalidOperatorError):
+                matrix_from_json(data)
