@@ -28,7 +28,6 @@ from .intervals import (
 )
 from .logic import (
     ClosedSubspace,
-    check_subprobability_axioms,
     gleason_measure,
     join,
     meet,
@@ -64,7 +63,6 @@ __all__ = [
     "RunReport",
     "add_intervals",
     "chain_supremum",
-    "check_subprobability_axioms",
     "denote",
     "directed_intersection",
     "distribution",

@@ -33,13 +33,6 @@ class CompactInterval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CompactInterval":
-        return cls(float(data["lo"]), float(data["hi"]))
-
 
 def point(x: float) -> CompactInterval:
     return CompactInterval(x, x)

@@ -15,8 +15,6 @@ at the time the check runs (max norm unless stated otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, NotPositiveError
@@ -29,7 +27,6 @@ RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
 PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections
 EIG_GROUP_TOL = 1e-8  # gap below which eigenvalues share an eigenprojection
 IMAG_TOL = 1e-9  # imaginary part of a measure value
-ADDITIVITY_TOL = 1e-8  # additivity of a measure over orthogonal families
 E0_CROSS_TOL = 1e-7  # spectral sum versus trace form of an expectation
 
 
@@ -63,28 +60,14 @@ def require_hermitian(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a) -> SpectralDecomposition:
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, certified after the fact.
 
-    Raises ``NotHermitianError`` for non-Hermitian input and
-    ``CrossCheckError`` if the reconstruction ``V diag(w) V+`` or the
-    orthonormality of ``V`` misses ``EIG_TOL`` in max norm.
+    Returns ``(w, V)`` as ``numpy.linalg.eigh`` does: ascending eigenvalues
+    and orthonormal eigenvector columns, both read-only. Raises
+    ``NotHermitianError`` for non-Hermitian input and ``CrossCheckError``
+    if the reconstruction ``V diag(w) V+`` or the orthonormality of ``V``
+    misses ``EIG_TOL`` in max norm.
     """
     a = require_hermitian(a)
     try:
@@ -101,12 +84,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(vals, vecs)
-
-
-def hermitian_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues only (no certification of eigenvectors)."""
-    return np.linalg.eigvalsh(require_hermitian(a)).astype(float)
+    return vals, vecs
 
 
 def orthonormalize(vectors) -> list[np.ndarray]:

@@ -15,8 +15,6 @@ evaluated as ``gleason_measure(f, K)`` from its operator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import linalg
@@ -215,83 +213,3 @@ def state_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[boo
     if ok:
         return True, None
     return False, subspace_from_vectors([witness])
-
-
-@dataclass
-class AxiomCheckReport:
-    """Outcome of randomized sub-probability axiom checks for one operator."""
-
-    trials: int
-    seed: int
-    zero_event_value: float
-    full_space_value: float
-    worst_additivity_deviation: float
-    failures: list = field(default_factory=list)
-    passed: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "zero_event_value": self.zero_event_value,
-            "full_space_value": self.full_space_value,
-            "worst_additivity_deviation": self.worst_additivity_deviation,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
-
-def check_subprobability_axioms(
-    f: PartialDensityOperator, trials: int, rng_seed: int
-) -> AxiomCheckReport:
-    """Randomized check of the three sub-probability measure axioms.
-
-    Per trial, a random unitary image of a random partition of basis
-    vectors gives a family of mutually orthogonal subspaces; additivity
-    requires the measure of the join to match the sum of the members'
-    measures within ``linalg.ADDITIVITY_TOL``. The zero event must measure
-    exactly 0 and the whole space at most 1 (within ``linalg.PSD_TOL``).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = f.dim
-    zero_value = gleason_measure(f, ClosedSubspace.zero(n))
-    full_value = gleason_measure(f, ClosedSubspace.full(n))
-    report = AxiomCheckReport(
-        trials=trials,
-        seed=rng_seed,
-        zero_event_value=zero_value,
-        full_space_value=full_value,
-        worst_additivity_deviation=0.0,
-    )
-    if zero_value != 0.0:
-        report.failures.append({"check": "zero_event", "value": zero_value})
-    if full_value > 1.0 + linalg.PSD_TOL:
-        report.failures.append({"check": "full_space", "value": full_value})
-    for t in range(trials):
-        rng = np.random.default_rng([rng_seed, t])
-        family = _random_orthogonal_family(n, rng)
-        total = sum(gleason_measure(f, k) for k in family)
-        joined = family[0]
-        for k in family[1:]:
-            joined = join(joined, k)
-        deviation = abs(gleason_measure(f, joined) - total)
-        report.worst_additivity_deviation = max(report.worst_additivity_deviation, deviation)
-        if deviation > linalg.ADDITIVITY_TOL:
-            report.failures.append({"check": "additivity", "trial": t, "deviation": deviation})
-    report.passed = not report.failures
-    return report
-
-
-def _random_orthogonal_family(n: int, rng: np.random.Generator) -> list[ClosedSubspace]:
-    """Mutually orthogonal subspaces spanned by unitary images of basis blocks."""
-    from .sampling import random_unitary
-
-    u = random_unitary(n, rng)
-    subset_size = int(rng.integers(1, n + 1))
-    axes = rng.permutation(n)[:subset_size]
-    group_count = int(rng.integers(1, subset_size + 1))
-    groups: list[list[int]] = [[] for _ in range(group_count)]
-    for idx, axis in enumerate(axes):
-        groups[idx % group_count].append(int(axis))
-    return [subspace_from_vectors([u[:, i] for i in g], dim=n) for g in groups]

@@ -116,8 +116,7 @@ class BoundedObservable:
 
     def __init__(self, operator):
         a = linalg.as_matrix(operator)
-        eig = linalg.hermitian_eig(a)
-        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        vals, vecs = linalg.hermitian_eig(a)
         spectral = []
         for idx in _group_indices(vals, linalg.EIG_GROUP_TOL):
             spectral.append((float(np.mean(vals[idx])), _span(vecs[:, idx])))
@@ -216,7 +215,6 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
     matches the operator.
     """
-    linalg.require_same_dim(r.dim, f.dim)
     dist = distribution(r, f)
     spectral_sum = sum(lam * w for lam, w in dist.support)
     trace_form = float(np.trace(r.operator @ f.matrix).real)
@@ -235,7 +233,6 @@ def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, h
 
 def expected_interval(r: BoundedObservable, f: PartialDensityOperator) -> CompactInterval:
     """Interval expected value: e0 plus the missing mass spread over [m, M]."""
-    linalg.require_same_dim(r.dim, f.dim)
     return missing_mass_interval(e0(r, f), f, *spectrum_bounds(r))
 
 

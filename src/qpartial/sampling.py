@@ -45,9 +45,9 @@ def random_subspace(dim: int, rank: int, rng: np.random.Generator) -> ClosedSubs
     return k
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().T)
 
 
 def random_pdo(
@@ -70,10 +70,8 @@ def random_density(dim: int, rng: np.random.Generator) -> PartialDensityOperator
     return random_pdo(dim, rng, trace=1.0)
 
 
-def random_observable(
-    dim: int, rng: np.random.Generator, scale: float = 1.0
-) -> BoundedObservable:
-    return BoundedObservable(random_hermitian(dim, rng, scale))
+def random_observable(dim: int, rng: np.random.Generator) -> BoundedObservable:
+    return BoundedObservable(random_hermitian(dim, rng))
 
 
 def loewner_pair(
@@ -103,7 +101,7 @@ def total_completion(
 
 
 def commuting_pair_product_spectrum(
-    dims: tuple[int, int], rng: np.random.Generator, scale: float = 1.0
+    dims: tuple[int, int], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Commuting Hermitian pair whose joint spectrum is a full product grid.
 
@@ -116,8 +114,8 @@ def commuting_pair_product_spectrum(
     """
     n1, n2 = dims
     dim = n1 * n2
-    a_eigs = np.kron(rng.uniform(-scale, scale, size=n1), np.ones(n2))
-    b_eigs = np.kron(np.ones(n1), rng.uniform(-scale, scale, size=n2))
+    a_eigs = np.kron(rng.uniform(-1.0, 1.0, size=n1), np.ones(n2))
+    b_eigs = np.kron(np.ones(n1), rng.uniform(-1.0, 1.0, size=n2))
     u = random_unitary(dim, rng)
     a = (u * a_eigs) @ u.conj().T
     b = (u * b_eigs) @ u.conj().T

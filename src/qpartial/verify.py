@@ -10,6 +10,8 @@ end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import count
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .errors import ChainMonotonicityError
 from .intervals import CompactInterval, add_intervals, directed_intersection, reverse_inclusion_leq, scale_interval, translate
 from .logic import (
     ClosedSubspace,
-    check_subprobability_axioms,
     gleason_measure,
     join,
     meet,
@@ -47,6 +48,7 @@ SUITES = ("gleason", "dcpo", "interval", "qlang")
 
 _MEASURE_LEQ_TOL = 1e-9
 _WITNESS_SEPARATION = 1e-9
+ADDITIVITY_TOL = 1e-8  # additivity of a measure over orthogonal families
 
 
 @dataclass
@@ -152,14 +154,13 @@ def measure_violation(
     return worst
 
 
-def order_isomorphism_checks(
-    dims, trials: int, seed: int, pool_size: int = 100, fresh_lines: int = 100
-) -> list[CheckResult]:
+def order_isomorphism_checks(dims, trials: int, seed: int) -> list[CheckResult]:
     """Loewner order versus sampled measure order, with witness extraction.
 
     Random pairs are a mix of constructed-comparable and independent
-    operators. When the Loewner test accepts, no sampled event may see
-    f exceed g beyond 1e-9; when it rejects, the returned witness event
+    operators, each sampled against 100 pool events and 100 fresh lines.
+    When the Loewner test accepts, no sampled event may see f exceed g
+    beyond 1e-9; when it rejects, the returned witness event
     must separate the two measures by more than 1e-9 (the witness line is
     part of the sampled events, so the two verdicts can never disagree).
     """
@@ -167,7 +168,7 @@ def order_isomorphism_checks(
     witness_check = CheckResult("loewner_failure_witness_separates")
     for dim in dims:
         pool_rng = np.random.default_rng([seed, dim])
-        pool = np.stack([k.projection for k in subspace_pool(dim, pool_size, pool_rng)])
+        pool = np.stack([k.projection for k in subspace_pool(dim, 100, pool_rng)])
         for t in range(trials):
             trial_seed = (seed, dim, t)
             rng = np.random.default_rng(list(trial_seed))
@@ -175,9 +176,7 @@ def order_isomorphism_checks(
                 f, g = sampling.loewner_pair(dim, rng)
             else:
                 f, g = sampling.independent_pair(dim, rng)
-            lines = rng.standard_normal((fresh_lines, dim)) + 1j * rng.standard_normal(
-                (fresh_lines, dim)
-            )
+            lines = rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))
             lines /= np.linalg.norm(lines, axis=1, keepdims=True)
             ok, witness = state_leq(f, g)
             violation = measure_violation(f, g, pool, lines)
@@ -234,21 +233,50 @@ def gleason_suite(dims, trials: int, seed: int) -> SuiteReport:
             lin_dev = abs(gleason_measure(scale(f, r), ka) - r * gleason_measure(f, ka))
             linearity.record(lin_dev <= 1e-10, lin_dev, trial_seed)
 
-            report = check_subprobability_axioms(f, trials=3, rng_seed=seed + t)
-            axioms.record(report.passed, report.worst_additivity_deviation, trial_seed)
+            axioms.record(*subprobability_axioms(f, seed + t), trial_seed)
     return SuiteReport(
         "gleason", seed, list(dims), trials, checks + [additivity, monotone, lattice, linearity, axioms]
     )
 
 
+def subprobability_axioms(f: PartialDensityOperator, rng_seed: int) -> tuple[bool, float]:
+    """Randomized check of the three sub-probability measure axioms.
+
+    The zero event must measure exactly 0 and the whole space at most 1
+    (within ``linalg.PSD_TOL``). In each of three trials t, drawn from
+    ``default_rng([rng_seed, t])``, a random unitary image of a random
+    partition of basis vectors gives a family of mutually orthogonal
+    events; their join must measure the sum of their measures within
+    ``ADDITIVITY_TOL``. Returns whether all held and the worst additivity
+    deviation.
+    """
+    n = f.dim
+    zero_value = gleason_measure(f, ClosedSubspace.zero(n))
+    full_value = gleason_measure(f, ClosedSubspace.full(n))
+    passed = zero_value == 0.0 and full_value <= 1.0 + linalg.PSD_TOL
+    worst = 0.0
+    for t in range(3):
+        rng = np.random.default_rng([rng_seed, t])
+        u = sampling.random_unitary(n, rng)
+        subset_size = int(rng.integers(1, n + 1))
+        axes = rng.permutation(n)[:subset_size]
+        group_count = int(rng.integers(1, subset_size + 1))
+        family = [
+            subspace_from_vectors([u[:, i] for i in axes[j::group_count]], dim=n) for j in range(group_count)
+        ]
+        total = sum(gleason_measure(f, k) for k in family)
+        deviation = abs(gleason_measure(f, reduce(join, family)) - total)
+        worst = max(worst, deviation)
+        passed = passed and deviation <= ADDITIVITY_TOL
+    return passed, worst
+
+
 # ------------------------------------------------------------------- dcpo
 
 
-def geometric_chain(f: PartialDensityOperator, steps: int | None = None):
+def geometric_chain(f: PartialDensityOperator):
     """The increasing chain (1 - 2^-n) f, n = 1, 2, ..."""
-    n = 0
-    while steps is None or n < steps:
-        n += 1
+    for n in count(1):
         yield scale(f, 1.0 - 2.0**-n)
 
 
@@ -293,7 +321,7 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             anti = linalg.max_norm(close.matrix - f.matrix) <= 10 * linalg.PSD_TOL
             order_laws.record(refl and t1 and t2 and t3 and (not both or anti), 0.0, trial_seed)
 
-            eigs = linalg.hermitian_eigenvalues(f.matrix)
+            eigs = np.linalg.eigvalsh(f.matrix)
             dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
             norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
 
@@ -530,9 +558,10 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
     )
 
 
-def random_program(qubits: int, rng: np.random.Generator, depth: int = 3) -> Program:
+def random_program(qubits: int, rng: np.random.Generator) -> Program:
+    """A random program on ``qubits`` qubits whose blocks nest at most three deep."""
     names = [f"q{i}" for i in range(qubits)]
-    body = _random_block(qubits, rng, depth)
+    body = _random_block(qubits, rng, 3)
     return Program(declarations=tuple((n, 1) for n in names), body=body)
 
 

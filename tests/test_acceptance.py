@@ -5,6 +5,7 @@ summary lines. Everything is seeded; the whole module is deterministic.
 """
 
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from qpartial.density import (
     chain_supremum,
 )
 from qpartial.intervals import add_intervals, directed_intersection, reverse_inclusion_leq, scale_interval
-from qpartial.logic import ClosedSubspace, check_subprobability_axioms, gleason_measure
+from qpartial.logic import ClosedSubspace, gleason_measure
 from qpartial.observables import (
     BoundedObservable,
     e0,
@@ -25,7 +26,7 @@ from qpartial.observables import (
     spectrum_bounds,
 )
 from qpartial.qlang import interpret, parse
-from qpartial.verify import geometric_chain, order_isomorphism_checks, random_program
+from qpartial.verify import geometric_chain, order_isomorphism_checks, random_program, subprobability_axioms
 
 SEED = 20240901
 
@@ -57,12 +58,12 @@ def test_criterion_2_subprobability_axioms():
     for i in range(200):
         dim = int(rng.integers(2, 9))
         f = sampling.random_pdo(dim, rng)
-        report = check_subprobability_axioms(f, trials=3, rng_seed=SEED + i)
-        worst_additivity = max(worst_additivity, report.worst_additivity_deviation)
-        exact_zero = exact_zero and report.zero_event_value == 0.0
+        ok, deviation = subprobability_axioms(f, SEED + i)
+        worst_additivity = max(worst_additivity, deviation)
+        exact_zero = exact_zero and gleason_measure(f, ClosedSubspace.zero(dim)) == 0.0
         full = gleason_measure(f, ClosedSubspace.full(dim))
         worst_mass_gap = max(worst_mass_gap, abs(full - f.trace))
-        assert report.passed
+        assert ok
     passed = worst_additivity < 1e-8 and exact_zero and worst_mass_gap <= 1e-10
     announce(
         2,
@@ -80,7 +81,7 @@ def test_criterion_3_dcpo_chains():
     for dim in (2, 3, 4, 8):
         for _ in range(20):
             f = sampling.random_pdo(dim, rng, trace=float(rng.uniform(0.3, 1.0)))
-            traces = [fn.trace for fn in geometric_chain(f, steps=20)]
+            traces = [fn.trace for fn in islice(geometric_chain(f), 20)]
             gaps = np.diff(traces)
             worst_ratio = max(worst_ratio, float(np.max(np.abs(gaps[1:] / gaps[:-1] - 0.5))))
             sup, _, converged, _ = chain_supremum(fn.matrix for fn in geometric_chain(f))
@@ -147,13 +148,13 @@ def test_criterion_5_interval_monotonicity_and_continuity():
         shifted = shifted - np.linalg.eigvalsh(shifted)[0] * np.eye(dim)
         r_pos = BoundedObservable(shifted)
         _, iters, _, _ = chain_supremum(fn.matrix for fn in geometric_chain(f))
-        boxes = [expected_interval(r_pos, fn) for fn in geometric_chain(f, steps=iters + 1)]
+        boxes = [expected_interval(r_pos, fn) for fn in islice(geometric_chain(f), iters + 1)]
         limit = directed_intersection(boxes, tol=1e-13)
         target = expected_interval(r_pos, f)
         worst_endpoint = max(
             worst_endpoint, abs(limit.lo - target.lo), abs(limit.hi - target.hi)
         )
-        sup_e0 = max(e0(r_pos, fn) for fn in geometric_chain(f, steps=iters + 1))
+        sup_e0 = max(e0(r_pos, fn) for fn in islice(geometric_chain(f), iters + 1))
         worst_e0 = max(worst_e0, abs(sup_e0 - e0(r_pos, f)))
     passed = monotone_failures == 0 and worst_endpoint <= 1e-6 and worst_e0 <= 1e-8
     announce(
@@ -256,12 +257,12 @@ def test_criterion_9_eigensolver_quality():
     for _ in range(1000):
         dim = int(rng.integers(2, 17))
         a = sampling.random_hermitian(dim, rng)
-        dec = linalg.hermitian_eig(a)
-        worst_recon = max(worst_recon, linalg.max_norm(dec.reconstruct() - a))
+        w, v = linalg.hermitian_eig(a)
+        worst_recon = max(worst_recon, linalg.max_norm((v * w) @ v.conj().T - a))
         worst_trace = max(
             worst_trace,
-            abs(float(np.sum(dec.eigenvalues)) - float(np.trace(a).real)),
-            abs(float(np.sum(dec.eigenvalues**2)) - float(np.trace(a @ a).real)),
+            abs(float(np.sum(w)) - float(np.trace(a).real)),
+            abs(float(np.sum(w**2)) - float(np.trace(a @ a).real)),
         )
     passed = worst_recon < 1e-9 and worst_trace <= 1e-9
     announce(

@@ -112,8 +112,3 @@ def test_directed_intersection_rejects_non_nested():
 def test_directed_intersection_rejects_empty():
     with pytest.raises(ValueError):
         directed_intersection([])
-
-
-def test_json_roundtrip():
-    a = CompactInterval(-0.5, 1.25)
-    assert CompactInterval.from_json(a.to_json()) == a

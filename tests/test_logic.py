@@ -6,7 +6,6 @@ from qpartial.density import PartialDensityOperator, scale
 from qpartial.errors import CrossCheckError, DimensionMismatchError
 from qpartial.logic import (
     ClosedSubspace,
-    check_subprobability_axioms,
     gleason_measure,
     join,
     meet,
@@ -15,6 +14,7 @@ from qpartial.logic import (
     subspace_from_vectors,
     subspace_leq,
 )
+from qpartial.verify import subprobability_axioms
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -203,33 +203,31 @@ class TestGleasonMeasure:
 
 class TestSubprobabilityAxioms:
     def test_zero_operator(self):
-        report = check_subprobability_axioms(PartialDensityOperator.zero(3), trials=5, rng_seed=1)
-        assert report.passed
-        assert report.full_space_value == 0.0
+        f = PartialDensityOperator.zero(3)
+        for seed in (1, 2):
+            assert subprobability_axioms(f, seed)[0]
+        assert gleason_measure(f, ClosedSubspace.full(3)) == 0.0
 
     def test_maximally_mixed(self):
-        report = check_subprobability_axioms(PartialDensityOperator.maximally_mixed(4), trials=5, rng_seed=2)
-        assert report.passed
-        assert report.full_space_value == pytest.approx(1.0, abs=1e-12)
+        f = PartialDensityOperator.maximally_mixed(4)
+        for seed in (2, 3):
+            assert subprobability_axioms(f, seed)[0]
+        assert gleason_measure(f, ClosedSubspace.full(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_operator_many_trials(self):
         f = sampling.random_pdo(4, rng_for(15))
-        report = check_subprobability_axioms(f, trials=100, rng_seed=3)
-        assert report.passed
-        assert report.worst_additivity_deviation < 1e-8
+        for seed in range(3, 37):
+            passed, worst = subprobability_axioms(f, seed)
+            assert passed
+            assert worst < 1e-8
 
-    def test_report_serializes(self):
-        f = sampling.random_pdo(2, rng_for(16))
-        data = check_subprobability_axioms(f, trials=2, rng_seed=4).to_json()
-        assert set(data) == {
-            "trials",
-            "seed",
-            "zero_event_value",
-            "full_space_value",
-            "worst_additivity_deviation",
-            "failures",
-            "passed",
-        }
+    def test_mass_above_one_fails(self):
+        f = PartialDensityOperator.maximally_mixed(2)
+        f._matrix = np.diag([0.8, 0.7]).astype(complex)  # bypass validation: trace 1.5
+        assert gleason_measure(f, ClosedSubspace.full(2)) == pytest.approx(1.5)
+        passed, worst = subprobability_axioms(f, 1)
+        assert not passed
+        assert worst < 1e-8  # additivity still holds; the whole-space axiom fails
 
 
 class TestStateOrder:

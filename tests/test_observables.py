@@ -5,7 +5,7 @@ import pytest
 
 from qpartial import linalg, sampling
 from qpartial.density import PartialDensityOperator, nontermination_probability, scale
-from qpartial.errors import CrossCheckError, NotHermitianError
+from qpartial.errors import CrossCheckError, DimensionMismatchError, NotHermitianError
 from qpartial.intervals import (
     CompactInterval,
     add_intervals,
@@ -135,7 +135,7 @@ class TestEigenprojectionCertificate:
         # the degenerate pair's columns have Gram matrix [[1, s], [s, 1 + s^2]]
         vecs = np.eye(3, dtype=complex)
         vecs[0, 1] = s
-        fake = linalg.SpectralDecomposition(np.array([1.0, 1.0, 2.0]), vecs)
+        fake = (np.array([1.0, 1.0, 2.0]), vecs)
         monkeypatch.setattr(linalg, "hermitian_eig", lambda a: fake)
         if accepted:
             r = BoundedObservable(np.diag([1.0, 1.0, 2.0]))
@@ -462,3 +462,20 @@ class TestSquareLaw:
             right = expected_interval_op(a @ a, f)
             assert left.lo == pytest.approx(right.lo, abs=1e-9)
             assert left.hi == pytest.approx(right.hi, abs=1e-9)
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda a, f: distribution(BoundedObservable(a), f),
+            lambda a, f: e0(BoundedObservable(a), f),
+            lambda a, f: expected_interval(BoundedObservable(a), f),
+            expected_interval_op,
+            observable_square_interval,
+        ],
+        ids=["distribution", "e0", "expected_interval", "expected_interval_op", "observable_square_interval"],
+    )
+    def test_two_dim_observable_on_three_dim_state(self, entry):
+        with pytest.raises(DimensionMismatchError):
+            entry(PAULI_Z, PartialDensityOperator.maximally_mixed(3))
