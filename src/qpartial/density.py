@@ -104,10 +104,9 @@ class PartialDensityOperator:
 def matrix_from_json(data: dict) -> np.ndarray:
     """Read the {dim, re, im} wire form back into a complex matrix.
 
-    ``dim`` must be an int and the entries numbers. Entries are checked
-    through the arrays' dtype, not one by one: strings, nulls and
-    all-boolean arrays are rejected, while numpy reads a boolean among
-    numbers as 0 or 1.
+    ``dim`` must be an int and the entries numbers: strings and nulls
+    are rejected through the arrays' dtype, and booleans row by row, as
+    numpy would read a boolean among numbers as 0 or 1.
     """
     try:
         dim = data["dim"]
@@ -125,6 +124,8 @@ def matrix_from_json(data: dict) -> np.ndarray:
         raise InvalidOperatorError(
             f"operator JSON arrays have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
         )
+    if any(bool in set(map(type, row)) for rows in (data["re"], data["im"]) for row in rows):
+        raise InvalidOperatorError("operator JSON entries must be numbers, got a boolean")
     return re + 1j * im
 
 

@@ -30,13 +30,14 @@ class ClosedSubspace:
     ``orthocomplement`` keeps that certificate without validating again,
     and ``_span`` certifies an event from its orthonormal columns instead.
     Unless the event was built from its columns, the rank and basis are
-    computed on first use and cached: for the complement of an event with
-    known columns, as the completion of those columns to a unitary (one
-    QR factorization); otherwise from one eigensolve of the projection,
-    the rank being the number of eigenvalues above one half.
+    computed on first use and cached: for a complement, as the completion
+    of the other event's basis to a unitary (one QR factorization), so
+    its value does not depend on which bases were read before; otherwise
+    from one eigensolve of the projection, the rank being the number of
+    eigenvalues above one half.
     """
 
-    __slots__ = ("_projection", "_basis", "_cobasis")
+    __slots__ = ("_projection", "_basis", "_complement_of")
 
     def __init__(self, projection):
         p = linalg.require_hermitian(projection)
@@ -49,7 +50,7 @@ class ClosedSubspace:
         p.setflags(write=False)
         self._projection = p
         self._basis = None
-        self._cobasis = None
+        self._complement_of = None
 
     @property
     def projection(self) -> np.ndarray:
@@ -67,8 +68,8 @@ class ClosedSubspace:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the subspace, as matrix columns."""
         if self._basis is None:
-            c = self._cobasis
-            if c is not None:
+            if self._complement_of is not None:
+                c = self._complement_of.basis
                 basis = np.linalg.qr(c, mode="complete")[0][:, c.shape[1]:]
             else:
                 vals, vecs = np.linalg.eigh(self._projection)
@@ -95,18 +96,18 @@ class ClosedSubspace:
 
 
 def _certified(
-    projection: np.ndarray, basis: np.ndarray | None = None, cobasis: np.ndarray | None = None
+    projection: np.ndarray, basis: np.ndarray | None = None, complement_of: ClosedSubspace | None = None
 ) -> ClosedSubspace:
     """The one place that builds an event without ``ClosedSubspace.__init__``;
     each caller states why its projection needs no check. ``basis`` spans
-    the event and ``cobasis`` its complement, each if known."""
+    the event, if known; ``complement_of`` is the event it complements."""
     projection.setflags(write=False)
     if basis is not None:
         basis.setflags(write=False)
     event = object.__new__(ClosedSubspace)
     event._projection = projection
     event._basis = basis
-    event._cobasis = cobasis
+    event._complement_of = complement_of
     return event
 
 
@@ -157,11 +158,12 @@ def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
     I - P keeps P's certificate: its Hermitian deviation is exactly P's,
     and (I - P)^2 - (I - P) = P^2 - P, so its idempotency defect is
     mathematically P's, up to rounding of about d * eps (below 1.5e-14 at
-    d = 64), far inside ``linalg.PROJ_TOL``. If P's basis is known, the
-    complement's basis is its completion to a unitary, so reading it (as
-    ``meet`` does through ``join``) runs no eigensolve.
+    d = 64), far inside ``linalg.PROJ_TOL``. The complement's basis, when
+    read, is the completion of ``k.basis`` to a unitary, whatever was read
+    before; if P's basis is known, reading it (as ``meet`` does through
+    ``join``) runs no eigensolve.
     """
-    return _certified(np.eye(k.dim, dtype=complex) - k.projection, cobasis=k._basis)
+    return _certified(np.eye(k.dim, dtype=complex) - k.projection, complement_of=k)
 
 
 def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:

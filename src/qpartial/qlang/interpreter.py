@@ -29,6 +29,24 @@ I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
 factors' certified defects. Runs never extend across ``skip``, ``if`` or
 ``while``. Fusion changes results only by rounding.
 
+A loop whose body is one gate run (a lone gate, or a ``Seq`` of gates
+only) runs on blocks. The looping mass lies in the guard's range and the
+exited mass in its complement's, so with orthonormal bases B (r columns)
+and E (d - r columns) of the two, ``denote`` compresses the run's
+product U into ``M = B+ U B`` (r x r) and ``C = E+ U B`` ((d - r) x r),
+and the chain runs as
+
+    a_0 = E+ rho E,   s_0 = B+ rho B
+    a_{n+1} = a_n + C s_n C+,   s_{n+1} = M s_n M+
+
+``chain_supremum`` consumes the exit blocks a_n, whose traces are those
+of their lifts, and the loop returns ``E a E+``. For a ``|0>``/``|1>``
+guard B and E are index sets, so compressing and lifting are an exact
+gather and scatter and the block products only leave out terms that are
+exact zeros in the full-matrix chain; for other guards B and E come from
+an eigensolve and the result differs from that chain by rounding. Loops
+with any other body run the chain above on full matrices.
+
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
@@ -36,8 +54,9 @@ input is touched; every statement maps partial density operators to
 partial density operators by construction, so statements act on raw
 arrays and the output is certified once, by ``apply``. Inside loops,
 ``cfg.monotonicity_check`` tests each step's increment ``P_exit sigma_n
-P_exit`` for positivity on the r x r block of the exit subspace (the
-increment's nonzero eigenvalues all live there).
+P_exit`` for positivity on its exit block ``E+ (.) E`` (the increment's
+nonzero eigenvalues all live there), which the block path computes
+directly as ``C s C+``.
 """
 
 from __future__ import annotations
@@ -52,7 +71,7 @@ import numpy as np
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
 from ..errors import ChainMonotonicityError
-from ..logic import ClosedSubspace, orthocomplement
+from ..logic import ClosedSubspace
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
 from .gates import _require_unitary, denote_unitary
 
@@ -87,28 +106,33 @@ class RunReport:
 
 
 class _GuardMaps:
-    """``P rho P`` and ``Q rho Q`` for a guard P and its orthocomplement Q.
+    """``P rho P`` and ``Q rho Q`` for a guard P and its orthocomplement Q,
+    and compressions onto orthonormal bases B of P's range and E of Q's.
 
     A diagonal 0/1 projection (every ``|0>``/``|1>`` guard) acts as an
-    elementwise mask, which never writes ``-0.0``; any other guard as the
-    dense product. ``exit_block`` and ``lift`` move between the full space
-    and the range of Q, for the per-step monotonicity check.
+    elementwise mask, which never writes ``-0.0``, and B and E are index
+    sets, so compressing is an exact gather and lifting an exact scatter.
+    Any other guard acts as the dense product, and B and E are the
+    eigenvectors of one ``eigh(P)`` with eigenvalue above and below one
+    half, taken from P alone so that they do not depend on which bases of
+    the guard or its complement were read before.
     """
 
     def __init__(self, guard: ClosedSubspace):
         p = guard.projection
         diag = np.diag(p)
-        self.guard = guard
+        self.dim = guard.dim
         self.masked = bool(np.array_equal(p, np.diag(diag)) and np.all((diag == 0) | (diag == 1)))
         if self.masked:
             inside = diag == 1
             self._keep = np.outer(inside, inside)
             self._exit = np.outer(~inside, ~inside)
-            self._exit_index = np.flatnonzero(~inside)
+            self._inside, self._outside = np.flatnonzero(inside), np.flatnonzero(~inside)
         else:
-            self._complement = orthocomplement(guard)
             self._keep = p
-            self._exit = self._complement.projection
+            self._exit = np.eye(self.dim, dtype=complex) - p
+            vals, vecs = np.linalg.eigh(p)
+            self._inside, self._outside = vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
 
     def keep(self, rho: np.ndarray) -> np.ndarray:
         return self._apply(self._keep, rho)
@@ -119,19 +143,38 @@ class _GuardMaps:
     def _apply(self, op: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return np.where(op, rho, 0) if self.masked else op @ rho @ op
 
-    def exit_block(self, rho: np.ndarray) -> np.ndarray:
-        """Compression ``B+ rho B`` onto an orthonormal basis B of Q's range."""
+    def _compress(self, left, right, a: np.ndarray) -> np.ndarray:
+        """``L+ a R`` for bases (index sets, if masked) L and R."""
         if self.masked:
-            return rho[np.ix_(self._exit_index, self._exit_index)]
-        b = self._complement.basis
-        return b.conj().T @ rho @ b
+            return a[np.ix_(left, right)]
+        return left.conj().T @ a @ right
+
+    def keep_block(self, rho: np.ndarray) -> np.ndarray:
+        """``B+ rho B``."""
+        return self._compress(self._inside, self._inside, rho)
+
+    def exit_block(self, rho: np.ndarray) -> np.ndarray:
+        """``E+ rho E``."""
+        return self._compress(self._outside, self._outside, rho)
+
+    def unitary_blocks(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``M = B+ U B`` and ``C = E+ U B``: where ``U`` sends looping mass."""
+        return self._compress(self._inside, self._inside, u), self._compress(self._outside, self._inside, u)
 
     def lift(self, w: np.ndarray) -> np.ndarray:
-        """The full-dimension vector ``B w``."""
+        """The full-dimension vector ``E w``."""
         if not self.masked:
-            return self._complement.basis @ w
-        x = np.zeros(self.guard.dim, dtype=complex)
-        x[self._exit_index] = w
+            return self._outside @ w
+        x = np.zeros(self.dim, dtype=complex)
+        x[self._outside] = w
+        return x
+
+    def lift_block(self, a: np.ndarray) -> np.ndarray:
+        """The full-dimension matrix ``E a E+``."""
+        if not self.masked:
+            return self._outside @ a @ self._outside.conj().T
+        x = np.zeros((self.dim, self.dim), dtype=complex)
+        x[np.ix_(self._outside, self._outside)] = a
         return x
 
 
@@ -208,13 +251,18 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
         return lambda rho, cfg, loops: taken(guard.keep(rho), cfg, loops) + other(guard.exit(rho), cfg, loops)
     if isinstance(stmt, While):
         guard = _GuardMaps(stmt.guard)
-        body = _denote(stmt.body, total_qubits)
+        run = _gate_run(stmt.body)
+        on_blocks = bool(run)
+        if on_blocks:
+            step = functools.partial(_block_step, *guard.unitary_blocks(_product(run, total_qubits)))
+        else:
+            step = functools.partial(_full_step, guard, _denote(stmt.body, total_qubits))
 
         def loop(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-            chain = _approximants(guard, body, rho, cfg, loops)
+            chain = _approximants(guard, step, on_blocks, rho, cfg, loops)
             acc, count, converged, traces = chain_supremum(chain, cfg)
             loops.append((count, converged, traces))
-            return acc
+            return guard.lift_block(acc) if on_blocks else acc
 
         return loop
     raise TypeError(f"unknown statement node {stmt!r}")
@@ -231,23 +279,45 @@ def _conjugate(u: np.ndarray, rho: np.ndarray, cfg: FixpointConfig, loops: list)
     return u @ rho @ u.conj().T
 
 
-def _approximants(maps: _GuardMaps, body: Map, rho: np.ndarray, cfg: FixpointConfig, loops: list):
-    """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring)."""
-    acc = maps.exit(rho)
+def _gate_run(stmt: Statement) -> list[ApplyUnitary]:
+    """The gates of a lone gate or of a ``Seq`` of gates only; else empty."""
+    statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
+    return list(statements) if all(isinstance(s, ApplyUnitary) for s in statements) else []
+
+
+def _full_step(maps: _GuardMaps, body: Map, sigma: np.ndarray, cfg: FixpointConfig, loops: list):
+    """One Kleene step on full matrices: ``(sigma_n, P_exit sigma_n P_exit)``."""
+    sigma = body(maps.keep(sigma), cfg, loops)
+    return sigma, maps.exit(sigma)
+
+
+def _block_step(m: np.ndarray, c: np.ndarray, s: np.ndarray, cfg: FixpointConfig, loops: list):
+    """One Kleene step of a gate-run body on the guard's blocks: the looping
+    block ``M s M+`` and the exit increment ``C s C+``."""
+    return m @ s @ m.conj().T, c @ s @ c.conj().T
+
+
+def _approximants(
+    maps: _GuardMaps, step, on_blocks: bool, rho: np.ndarray, cfg: FixpointConfig, loops: list
+):
+    """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring),
+    as exit blocks ``E+ acc_n E`` if ``on_blocks``, else as full matrices."""
+    if on_blocks:
+        acc, sigma = maps.exit_block(rho), maps.keep_block(rho)
+    else:
+        acc, sigma = maps.exit(rho), rho
     yield acc
-    sigma = rho
     for n in itertools.count(1):
-        sigma = body(maps.keep(sigma), cfg, loops)
-        step = maps.exit(sigma)
+        sigma, increment = step(sigma, cfg, loops)
         if cfg.monotonicity_check:
-            _require_positive_step(maps, step, n)
-        acc = acc + step
+            _require_positive_step(maps, increment if on_blocks else maps.exit_block(increment), n)
+        acc = acc + increment
         yield acc
 
 
-def _require_positive_step(maps: _GuardMaps, step: np.ndarray, index: int) -> None:
-    """Raise unless ``acc_{index+1} - acc_index = step`` is PSD."""
-    block = maps.exit_block(step)
+def _require_positive_step(maps: _GuardMaps, block: np.ndarray, index: int) -> None:
+    """Raise unless ``acc_{index+1} - acc_index``, whose exit block is
+    ``block``, is PSD."""
     if not block.size:
         return
     ok, witness = linalg.is_positive_semidefinite(block)

@@ -158,6 +158,13 @@ class TestExpect:
         code, out, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "strings.json")
         assert code == 1 and out == "" and "numbers" in err
 
+    def test_boolean_among_numbers_rejected(self, workdir, capsys, tmp_path):
+        (tmp_path / "bools.json").write_text(
+            json.dumps({"dim": 2, "re": [[True, 0.0], [0.0, 0.25]], "im": [[0, 0], [0, 0]]})
+        )
+        code, out, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "bools.json")
+        assert code == 1 and out == "" and "boolean" in err
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

@@ -273,6 +273,8 @@ class TestJson:
             {"dim": True, "re": [[1]], "im": [[0]]},
             {"dim": 2, "re": [["1", "0"], ["0", "1"]], "im": [[0, 0], [0, 0]]},
             {"dim": 2, "re": [[True, False], [False, True]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[True, 0.0], [0.0, 1.0]], "im": [[0, 0], [0, 0]]},
+            {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, False], [0.0, 0.0]]},
             {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, None]]},
         ):
             with pytest.raises(InvalidOperatorError):

@@ -14,6 +14,7 @@ from qpartial.logic import (
     subspace_from_vectors,
     subspace_leq,
 )
+from qpartial.qlang.gates import ket_guard_projection
 from qpartial.verify import subprobability_axioms
 
 
@@ -124,6 +125,28 @@ class TestLattice:
         assert q.projection.tobytes() == (np.eye(4) - k.projection).tobytes()
         assert not q.projection.flags.writeable
         assert q.rank == 1
+
+    @pytest.mark.parametrize("ket", ["+", "-"])
+    def test_complement_basis_does_not_depend_on_what_was_read_first(self, ket):
+        # guards validated from their projection learn their basis only when
+        # it is read; the complement's basis, and so a meet, must come out
+        # the same bytes whether or not it was read before the complement
+        def events():
+            return (
+                ClosedSubspace(ket_guard_projection(ket, 1, 2)),
+                ClosedSubspace(ket_guard_projection("0", 0, 2)),
+            )
+
+        a, b = events()
+        cold = meet(a, b).projection
+        a, b = events()
+        a.basis
+        warm = meet(a, b).projection
+        assert cold.tobytes() == warm.tobytes()
+        a, _ = events()
+        q = orthocomplement(a)
+        a.basis
+        assert q.basis.tobytes() == orthocomplement(events()[0]).basis.tobytes()
 
     def test_double_complement(self):
         rng = rng_for(6)

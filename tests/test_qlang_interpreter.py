@@ -378,12 +378,15 @@ class TestBoundaryValidation:
         assert first.converged and first.iterations_per_loop == second.iterations_per_loop
         assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
 
+    # |01> lies in the exit subspace of `a in |1>`; it is the second basis
+    # vector of that subspace, so index 1 of the exit block
+    DENT = np.diag([0.0, 0.3, 0.0, 0.0]).astype(complex)
+
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
-        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
+        # `skip` keeps the body off the gate-run path: it runs on full matrices
+        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; skip; }")
         loop = prog.body.statements[-1]
         assert isinstance(loop, While)
-        dent = np.zeros((4, 4), dtype=complex)
-        dent[1, 1] = 0.3  # |01>, inside the exit subspace of `a in |1>`
         calls = []
         original = interpreter._denote
 
@@ -395,30 +398,65 @@ class TestBoundaryValidation:
             def faulty_body(rho, *args):
                 out = body(rho, *args)
                 calls.append(stmt)
-                return -dent if len(calls) == 2 else out
+                return -self.DENT if len(calls) == 2 else out
 
             return faulty_body
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         with pytest.raises(ChainMonotonicityError) as err:
             interpret(prog, PartialDensityOperator.ground_state(4))
-        assert err.value.index == 2
-        witness = err.value.witness
-        assert witness.shape == (4,)
-        assert np.linalg.norm(witness) == pytest.approx(1.0)
-        assert abs(witness[1]) == pytest.approx(1.0)
+        self.assert_witness_at_01(err.value, index=2)
+
+    def test_negative_block_step_raises_with_witness(self, monkeypatch):
+        # a gate-run body runs on the guard's blocks, one `_block_step` a step
+        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
+        calls = []
+        original = interpreter._block_step
+
+        def faulty_step(m, c, s, *args):
+            calls.append(s)
+            s, t = original(m, c, s, *args)
+            return s, (-self.DENT[:2, :2] if len(calls) == 2 else t)
+
+        monkeypatch.setattr(interpreter, "_block_step", faulty_step)
+        with pytest.raises(ChainMonotonicityError) as err:
+            interpret(prog, PartialDensityOperator.ground_state(4))
+        assert all(s.shape == (2, 2) for s in calls)
+        self.assert_witness_at_01(err.value, index=2)
+
+    @staticmethod
+    def assert_witness_at_01(err: ChainMonotonicityError, index: int) -> None:
+        assert err.index == index
+        assert err.witness.shape == (4,)
+        assert np.linalg.norm(err.witness) == pytest.approx(1.0)
+        assert abs(err.witness[1]) == pytest.approx(1.0)
 
     def test_without_monotonicity_check_the_output_certificate_catches_it(self, monkeypatch):
-        prog = parse("qubit a; qubit b; while a in |1> { h a; }")
+        prog = parse("qubit a; qubit b; while a in |1> { h a; skip; }")
         original = interpreter._denote
 
         def faulty_denote(stmt, *args, **kwargs):
             body = original(stmt, *args, **kwargs)
             if stmt is not prog.body.body:
                 return body
-            return lambda rho, *args: body(rho, *args) - 0.3 * np.diag([0.0, 1.0, 0.0, 0.0])
+            return lambda rho, *args: body(rho, *args) - self.DENT
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
+        self.assert_caught_with_and_without_the_check(prog)
+
+    def test_without_monotonicity_check_the_output_certificate_catches_a_block_step(self, monkeypatch):
+        prog = parse("qubit a; qubit b; while a in |1> { h a; }")
+        original = interpreter._block_step
+
+        def faulty_step(*args):
+            s, t = original(*args)
+            return s, t - self.DENT[:2, :2]
+
+        monkeypatch.setattr(interpreter, "_block_step", faulty_step)
+        self.assert_caught_with_and_without_the_check(prog)
+
+    @staticmethod
+    def assert_caught_with_and_without_the_check(prog: Program) -> None:
         ground = PartialDensityOperator.ground_state(4)
         with pytest.raises(ChainMonotonicityError) as err:
             interpret(prog, ground)
@@ -483,7 +521,9 @@ class TestGateFusion:
     BODY = (("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (4,)), ("CNOT", (4, 5)))
 
     def test_six_qubit_runs_are_one_conjugation_each(self, conjugations):
-        prog = parse(ROADMAP_6Q)
+        # `skip` keeps the loop body off the block path: the 5-gate run is
+        # one conjugation of the full 64 x 64 state per Kleene step
+        prog = parse(ROADMAP_6Q.replace("cnot e f; }", "cnot e f; skip; }"))
         ground = PartialDensityOperator.ground_state(64)
         report = interpret(prog, ground)
         assert report.iterations_per_loop == [29]
@@ -493,6 +533,36 @@ class TestGateFusion:
         body = conjugations[1]
         assert all(u is body for u in conjugations[1:])
         assert linalg.max_norm(body - gate_product(self.BODY, 6)) <= 1e-15
+
+        reference = unfused(prog.body, ground.matrix, 6, iter([29]))
+        assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
+
+    def test_six_qubit_loop_runs_on_the_guards_blocks(self, conjugations, count_calls, monkeypatch):
+        steps = []
+        original = interpreter._block_step
+
+        def spy(m, c, s, *args):
+            steps.append((m, c, s.shape))
+            return original(m, c, s, *args)
+
+        monkeypatch.setattr(interpreter, "_block_step", spy)
+        prog = parse(ROADMAP_6Q)
+        ground = PartialDensityOperator.ground_state(64)
+        with count_calls(interpreter, "_product") as products:
+            report = interpret(prog, ground)
+        assert report.iterations_per_loop == [29]
+        # the prefix is one 64 x 64 conjugation; the body's product is formed
+        # once and compressed onto `a in |1>` (indices 32..63) and its
+        # complement (0..31), and each Kleene step runs on 32 x 32 blocks
+        assert len(products) == 2
+        assert len(conjugations) == 1
+        assert linalg.max_norm(conjugations[0] - gate_product(self.PREFIX, 6)) <= 1e-15
+        assert len(steps) == 29
+        m, c, _ = steps[0]
+        assert all(step[0] is m and step[1] is c and step[2] == (32, 32) for step in steps)
+        u = gate_product(self.BODY, 6)
+        assert linalg.max_norm(m - u[32:, 32:]) <= 1e-15
+        assert linalg.max_norm(c - u[:32, 32:]) <= 1e-15
 
         reference = unfused(prog.body, ground.matrix, 6, iter([29]))
         assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
@@ -632,3 +702,49 @@ class TestGuardPaths:
                     sigma = body @ p @ sigma @ p @ body.conj().T
                     acc = acc + e @ sigma @ e
                 assert linalg.max_norm(report.output.matrix - acc) <= 1e-12, (ket, q)
+
+
+class TestBlockPath:
+    """A loop whose body is one gate run runs on the guard's blocks; with a
+    `skip` appended, the same loop runs on full matrices."""
+
+    DECLARATIONS = (("a", 1), ("b", 1))
+    BODY = (ApplyUnitary("H", (0,)), ApplyUnitary("CNOT", (0, 1)))
+
+    def both_paths(self, guard: ClosedSubspace, f: PartialDensityOperator, cfg: FixpointConfig):
+        blocks = interpret(Program(self.DECLARATIONS, While(guard, Seq(self.BODY))), f, cfg)
+        full = interpret(Program(self.DECLARATIONS, While(guard, Seq(self.BODY + (Skip(),)))), f, cfg)
+        return blocks, full
+
+    @pytest.mark.parametrize("edge", ["full", "zero"])
+    @pytest.mark.parametrize("max_iterations", [1, 3, None])
+    def test_edge_ranks_match_the_full_path(self, edge, max_iterations):
+        # r = d: nothing ever exits, the exit block is 0 x 0; r = 0: all
+        # mass exits at once, the looping block is 0 x 0
+        cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
+        f = sampling.random_pdo(4, rng_for(28))
+        blocks, full = self.both_paths(getattr(ClosedSubspace, edge)(4), f, cfg)
+        assert blocks.output.matrix.tobytes() == full.output.matrix.tobytes()
+        assert blocks.iterations_per_loop == full.iterations_per_loop == [min(1, cfg.max_iterations - 1)]
+        assert blocks.chain_trace_log == full.chain_trace_log
+        assert blocks.residual == (1.0 if edge == "full" else full.residual)
+
+    def test_every_ket_guard_matches_the_full_path(self):
+        f = sampling.random_pdo(4, rng_for(29))
+        for ket in KET_VECTORS:
+            for q in range(2):
+                guard = ClosedSubspace(ket_guard_projection(ket, q, 2))
+                blocks, full = self.both_paths(guard, f, FixpointConfig())
+                assert blocks.converged and full.converged
+                assert blocks.iterations_per_loop == full.iterations_per_loop, (ket, q)
+                assert linalg.max_norm(blocks.output.matrix - full.output.matrix) <= 1e-14, (ket, q)
+                assert np.allclose(blocks.chain_trace_log, full.chain_trace_log, rtol=0, atol=1e-14)
+
+    def test_dense_guard_output_does_not_depend_on_reading_its_basis(self):
+        prog = parse("qubit a; qubit b; h b; while a in |+> { t a; h a; cnot a b; }")
+        f = sampling.random_pdo(4, rng_for(30))
+        first = denote(prog).apply(f)
+        prog.body.statements[-1].guard.basis
+        second = denote(prog).apply(f)
+        assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
+        assert first.chain_trace_log == second.chain_trace_log
