@@ -3,16 +3,20 @@
 Statements denote positive linear trace-nonincreasing maps. Measurement
 branching projects without renormalizing, which is exactly what makes
 intermediate states sub-normalized: lost trace is mass parked on paths
-that have not terminated. A while loop is evaluated as the supremum of
-its Kleene approximants
+that have not terminated. Every guard is used through orthonormal bases
+B (r columns) of its range and E (d - r columns) of its complement's: an
+``if`` sends ``B B+ rho B B+`` to its then-arm and ``E E+ rho E E+`` to
+its else-arm. A while loop is evaluated as the supremum of its Kleene
+approximants. The looping mass lies in the guard's range and the exited
+mass in its complement's, so the chain runs on the two blocks
 
-    acc_0 = P_exit rho P_exit,   sigma_0 = rho
-    sigma_{n+1} = [[body]](P_guard sigma_n P_guard)
-    acc_{n+1} = acc_n + P_exit sigma_{n+1} P_exit
+    a_0 = E+ rho E,   s_0 = B+ rho B
+    (s_{n+1}, e_n) = step(s_n),   a_{n+1} = a_n + e_n
 
-an increasing chain that ``_approximants`` yields and
+an increasing chain of exit blocks that ``_approximants`` yields and
 ``density.chain_supremum``, the one Kleene loop, consumes under its
-stopping rule.
+stopping rule. The traces of the a_n are those of their lifts, and the
+loop returns ``E a E+``.
 
 A program is denoted once, before any run: ``denote`` compiles the AST
 into a ``Denotation``, one function on raw matrices, which ``apply`` runs
@@ -29,23 +33,17 @@ I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
 factors' certified defects. Runs never extend across ``skip``, ``if`` or
 ``while``. Fusion changes results only by rounding.
 
-A loop whose body is one gate run (a lone gate, or a ``Seq`` of gates
-only) runs on blocks. The looping mass lies in the guard's range and the
-exited mass in its complement's, so with orthonormal bases B (r columns)
-and E (d - r columns) of the two, ``denote`` compresses the run's
-product U into ``M = B+ U B`` (r x r) and ``C = E+ U B`` ((d - r) x r),
-and the chain runs as
-
-    a_0 = E+ rho E,   s_0 = B+ rho B
-    a_{n+1} = a_n + C s_n C+,   s_{n+1} = M s_n M+
-
-``chain_supremum`` consumes the exit blocks a_n, whose traces are those
-of their lifts, and the loop returns ``E a E+``. For a ``|0>``/``|1>``
-guard B and E are index sets, so compressing and lifting are an exact
-gather and scatter and the block products only leave out terms that are
-exact zeros in the full-matrix chain; for other guards B and E come from
-an eigensolve and the result differs from that chain by rounding. Loops
-with any other body run the chain above on full matrices.
+A loop step has two kernels. A body that is one gate run (a lone gate,
+or a ``Seq`` of gates only) runs ``_block_step``: ``denote`` compresses
+the run's product U into ``M = B+ U B`` (r x r) and ``C = E+ U B``
+((d - r) x r) once, and a step is ``s -> M s M+`` with exit increment
+``C s C+``. Any other body runs ``_body_step``: ``sigma = [[body]](B s
+B+)``, then the looping block ``B+ sigma B`` and the exit increment
+``E+ sigma E``. For a ``|0>``/``|1>`` guard B and E are index sets, so
+compressing and lifting are an exact gather and scatter, and both kernels
+only leave out terms that are exact zeros in the full-matrix chain; for
+other guards B and E come from an eigensolve and the result differs from
+that chain by rounding.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
@@ -53,10 +51,9 @@ Validation happens at the boundary. The input is a validated
 input is touched; every statement maps partial density operators to
 partial density operators by construction, so statements act on raw
 arrays and the output is certified once, by ``apply``. Inside loops,
-``cfg.monotonicity_check`` tests each step's increment ``P_exit sigma_n
-P_exit`` for positivity on its exit block ``E+ (.) E`` (the increment's
-nonzero eigenvalues all live there), which the block path computes
-directly as ``C s C+``.
+``cfg.monotonicity_check`` tests each step's exit increment e_n for
+positivity: it is the exit block of the full increment, which holds all
+of that increment's nonzero eigenvalues.
 """
 
 from __future__ import annotations
@@ -106,16 +103,16 @@ class RunReport:
 
 
 class _GuardMaps:
-    """``P rho P`` and ``Q rho Q`` for a guard P and its orthocomplement Q,
-    and compressions onto orthonormal bases B of P's range and E of Q's.
+    """A guard P as orthonormal bases B of its range (r columns) and E of
+    its orthocomplement's (d - r columns), used through two maps:
+    ``compress(L, R, a) = L+ a R`` and ``lift(L, a) = L a L+``.
 
-    A diagonal 0/1 projection (every ``|0>``/``|1>`` guard) acts as an
-    elementwise mask, which never writes ``-0.0``, and B and E are index
-    sets, so compressing is an exact gather and lifting an exact scatter.
-    Any other guard acts as the dense product, and B and E are the
-    eigenvectors of one ``eigh(P)`` with eigenvalue above and below one
-    half, taken from P alone so that they do not depend on which bases of
-    the guard or its complement were read before.
+    For a diagonal 0/1 projection (every ``|0>``/``|1>`` guard) B and E are
+    index arrays, so compressing is an exact gather and lifting an exact
+    scatter into zeros. For any other guard they are the eigenvectors of
+    one ``eigh(P)`` with eigenvalue above and below one half, taken from P
+    alone so that they do not depend on which bases of the guard or its
+    complement were read before.
     """
 
     def __init__(self, guard: ClosedSubspace):
@@ -124,57 +121,23 @@ class _GuardMaps:
         self.dim = guard.dim
         self.masked = bool(np.array_equal(p, np.diag(diag)) and np.all((diag == 0) | (diag == 1)))
         if self.masked:
-            inside = diag == 1
-            self._keep = np.outer(inside, inside)
-            self._exit = np.outer(~inside, ~inside)
-            self._inside, self._outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+            self.b, self.e = np.flatnonzero(diag == 1), np.flatnonzero(diag == 0)
         else:
-            self._keep = p
-            self._exit = np.eye(self.dim, dtype=complex) - p
             vals, vecs = np.linalg.eigh(p)
-            self._inside, self._outside = vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
+            self.b, self.e = vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
 
-    def keep(self, rho: np.ndarray) -> np.ndarray:
-        return self._apply(self._keep, rho)
-
-    def exit(self, rho: np.ndarray) -> np.ndarray:
-        return self._apply(self._exit, rho)
-
-    def _apply(self, op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return np.where(op, rho, 0) if self.masked else op @ rho @ op
-
-    def _compress(self, left, right, a: np.ndarray) -> np.ndarray:
-        """``L+ a R`` for bases (index sets, if masked) L and R."""
+    def compress(self, left: np.ndarray, right: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``L+ a R`` for bases L and R of this guard."""
         if self.masked:
-            return a[np.ix_(left, right)]
+            return a[left[:, None], right]
         return left.conj().T @ a @ right
 
-    def keep_block(self, rho: np.ndarray) -> np.ndarray:
-        """``B+ rho B``."""
-        return self._compress(self._inside, self._inside, rho)
-
-    def exit_block(self, rho: np.ndarray) -> np.ndarray:
-        """``E+ rho E``."""
-        return self._compress(self._outside, self._outside, rho)
-
-    def unitary_blocks(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``M = B+ U B`` and ``C = E+ U B``: where ``U`` sends looping mass."""
-        return self._compress(self._inside, self._inside, u), self._compress(self._outside, self._inside, u)
-
-    def lift(self, w: np.ndarray) -> np.ndarray:
-        """The full-dimension vector ``E w``."""
+    def lift(self, left: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The full-dimension matrix ``L a L+``, or vector ``L a``."""
         if not self.masked:
-            return self._outside @ w
-        x = np.zeros(self.dim, dtype=complex)
-        x[self._outside] = w
-        return x
-
-    def lift_block(self, a: np.ndarray) -> np.ndarray:
-        """The full-dimension matrix ``E a E+``."""
-        if not self.masked:
-            return self._outside @ a @ self._outside.conj().T
-        x = np.zeros((self.dim, self.dim), dtype=complex)
-        x[np.ix_(self._outside, self._outside)] = a
+            return left @ a @ left.conj().T if a.ndim == 2 else left @ a
+        x = np.zeros((self.dim,) * a.ndim, dtype=complex)
+        x[(left[:, None], left) if a.ndim == 2 else left] = a
         return x
 
 
@@ -248,21 +211,28 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
         guard = _GuardMaps(stmt.guard)
         taken = _denote(stmt.then_body, total_qubits)
         other = _denote(stmt.else_body, total_qubits)
-        return lambda rho, cfg, loops: taken(guard.keep(rho), cfg, loops) + other(guard.exit(rho), cfg, loops)
+
+        def branch(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+            kept = guard.lift(guard.b, guard.compress(guard.b, guard.b, rho))
+            exited = guard.lift(guard.e, guard.compress(guard.e, guard.e, rho))
+            return taken(kept, cfg, loops) + other(exited, cfg, loops)
+
+        return branch
     if isinstance(stmt, While):
         guard = _GuardMaps(stmt.guard)
         run = _gate_run(stmt.body)
-        on_blocks = bool(run)
-        if on_blocks:
-            step = functools.partial(_block_step, *guard.unitary_blocks(_product(run, total_qubits)))
+        if run:
+            u = _product(run, total_qubits)
+            step = functools.partial(
+                _block_step, guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
+            )
         else:
-            step = functools.partial(_full_step, guard, _denote(stmt.body, total_qubits))
+            step = functools.partial(_body_step, guard, _denote(stmt.body, total_qubits))
 
         def loop(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-            chain = _approximants(guard, step, on_blocks, rho, cfg, loops)
-            acc, count, converged, traces = chain_supremum(chain, cfg)
+            acc, count, converged, traces = chain_supremum(_approximants(guard, step, rho, cfg, loops), cfg)
             loops.append((count, converged, traces))
-            return guard.lift_block(acc) if on_blocks else acc
+            return guard.lift(guard.e, acc)
 
         return loop
     raise TypeError(f"unknown statement node {stmt!r}")
@@ -285,32 +255,28 @@ def _gate_run(stmt: Statement) -> list[ApplyUnitary]:
     return list(statements) if all(isinstance(s, ApplyUnitary) for s in statements) else []
 
 
-def _full_step(maps: _GuardMaps, body: Map, sigma: np.ndarray, cfg: FixpointConfig, loops: list):
-    """One Kleene step on full matrices: ``(sigma_n, P_exit sigma_n P_exit)``."""
-    sigma = body(maps.keep(sigma), cfg, loops)
-    return sigma, maps.exit(sigma)
-
-
 def _block_step(m: np.ndarray, c: np.ndarray, s: np.ndarray, cfg: FixpointConfig, loops: list):
-    """One Kleene step of a gate-run body on the guard's blocks: the looping
-    block ``M s M+`` and the exit increment ``C s C+``."""
+    """One Kleene step of a gate-run body: the looping block ``M s M+`` and
+    the exit increment ``C s C+``."""
     return m @ s @ m.conj().T, c @ s @ c.conj().T
 
 
-def _approximants(
-    maps: _GuardMaps, step, on_blocks: bool, rho: np.ndarray, cfg: FixpointConfig, loops: list
-):
-    """The loop's Kleene chain acc_0, acc_1, ... (see the module docstring),
-    as exit blocks ``E+ acc_n E`` if ``on_blocks``, else as full matrices."""
-    if on_blocks:
-        acc, sigma = maps.exit_block(rho), maps.keep_block(rho)
-    else:
-        acc, sigma = maps.exit(rho), rho
+def _body_step(maps: _GuardMaps, body: Map, s: np.ndarray, cfg: FixpointConfig, loops: list):
+    """One Kleene step of any other body: ``sigma = [[body]](B s B+)``, then
+    the looping block ``B+ sigma B`` and the exit increment ``E+ sigma E``."""
+    sigma = body(maps.lift(maps.b, s), cfg, loops)
+    return maps.compress(maps.b, maps.b, sigma), maps.compress(maps.e, maps.e, sigma)
+
+
+def _approximants(maps: _GuardMaps, step, rho: np.ndarray, cfg: FixpointConfig, loops: list):
+    """The loop's Kleene chain as exit blocks a_0, a_1, ... (see the module
+    docstring), each step one call of ``step`` on the looping block."""
+    acc, s = maps.compress(maps.e, maps.e, rho), maps.compress(maps.b, maps.b, rho)
     yield acc
     for n in itertools.count(1):
-        sigma, increment = step(sigma, cfg, loops)
+        s, increment = step(s, cfg, loops)
         if cfg.monotonicity_check:
-            _require_positive_step(maps, increment if on_blocks else maps.exit_block(increment), n)
+            _require_positive_step(maps, increment, n)
         acc = acc + increment
         yield acc
 
@@ -325,5 +291,5 @@ def _require_positive_step(maps: _GuardMaps, block: np.ndarray, index: int) -> N
         raise ChainMonotonicityError(
             f"chain decreases between elements {index} and {index + 1}",
             index=index,
-            witness=maps.lift(witness),
+            witness=maps.lift(maps.e, witness),
         )

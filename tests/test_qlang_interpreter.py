@@ -1,6 +1,6 @@
 import json
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from qpartial.logic import ClosedSubspace
 from qpartial.qlang import denote, denote_unitary, interpret, interpreter, parse
 from qpartial.qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
 from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
+from qpartial.verify import random_program
 
 GROUND = PartialDensityOperator.ground_state(2)
 KET0 = np.array([1.0, 0.0])
@@ -383,7 +384,7 @@ class TestBoundaryValidation:
     DENT = np.diag([0.0, 0.3, 0.0, 0.0]).astype(complex)
 
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
-        # `skip` keeps the body off the gate-run path: it runs on full matrices
+        # `skip` keeps the body off `_block_step`: it runs through `_body_step`
         prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; skip; }")
         loop = prog.body.statements[-1]
         assert isinstance(loop, While)
@@ -521,8 +522,8 @@ class TestGateFusion:
     BODY = (("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (4,)), ("CNOT", (4, 5)))
 
     def test_six_qubit_runs_are_one_conjugation_each(self, conjugations):
-        # `skip` keeps the loop body off the block path: the 5-gate run is
-        # one conjugation of the full 64 x 64 state per Kleene step
+        # `skip` sends the loop body through `_body_step`: the 5-gate run is
+        # one conjugation of the lifted 64 x 64 state per Kleene step
         prog = parse(ROADMAP_6Q.replace("cnot e f; }", "cnot e f; skip; }"))
         ground = PartialDensityOperator.ground_state(64)
         report = interpret(prog, ground)
@@ -663,12 +664,14 @@ class TestGuardPaths:
                 assert maps.masked == (ket in "01")
                 p = kron_at({q: np.outer(v, v.conj())}, self.N)
                 e = np.eye(2**self.N) - p
-                assert linalg.max_norm(maps.keep(rho) - p @ rho @ p) <= 1e-12
-                assert linalg.max_norm(maps.exit(rho) - e @ rho @ e) <= 1e-12
+                keep = maps.lift(maps.b, maps.compress(maps.b, maps.b, rho))
+                exit = maps.lift(maps.e, maps.compress(maps.e, maps.e, rho))
+                assert linalg.max_norm(keep - p @ rho @ p) <= 1e-12
+                assert linalg.max_norm(exit - e @ rho @ e) <= 1e-12
                 w = rng_for(22).standard_normal(2 ** (self.N - 1)) + 0j
-                x = maps.lift(w)
+                x = maps.lift(maps.e, w)
                 assert linalg.max_norm(e @ x - x) <= 1e-12
-                block = maps.exit_block(rho)
+                block = maps.compress(maps.e, maps.e, rho)
                 assert np.vdot(x, rho @ x) == pytest.approx(np.vdot(w, block @ w), abs=1e-12)
 
     def test_programs_match_kron_reference(self):
@@ -705,8 +708,9 @@ class TestGuardPaths:
 
 
 class TestBlockPath:
-    """A loop whose body is one gate run runs on the guard's blocks; with a
-    `skip` appended, the same loop runs on full matrices."""
+    """A loop whose body is one gate run runs on the guard's blocks through
+    `_block_step`; with a `skip` appended, the same loop runs through
+    `_body_step` on the same blocks."""
 
     DECLARATIONS = (("a", 1), ("b", 1))
     BODY = (ApplyUnitary("H", (0,)), ApplyUnitary("CNOT", (0, 1)))
@@ -748,3 +752,64 @@ class TestBlockPath:
         second = denote(prog).apply(f)
         assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
         assert first.chain_trace_log == second.chain_trace_log
+
+
+class TestBodyStep:
+    """Under a `|0>`/`|1>` guard a loop whose body is not one gate run runs
+    through `_body_step` on index blocks, an exact gather and scatter: with
+    lone gates, so that no product is formed, it equals the full-matrix
+    reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "h a; skip; h b; while a in |1> { h a; skip; }",
+            "h a; skip; h b; while a in |1> { h a; if b in |0> { x b; } else { skip; } }",
+            "h a; skip; h b; while a in |1> { while b in |1> { h b; } h a; }",
+            "h b; while a in |0> { skip; }",
+        ],
+    )
+    def test_masked_guards_match_the_full_matrix_reference_exactly(self, source, count_calls):
+        prog = parse(f"qubit a; qubit b; {source}")
+        with count_calls(interpreter, "_body_step") as steps:
+            denotation = denote(prog)
+            for seed in range(20):
+                f = sampling.random_pdo(4, np.random.default_rng([17, 31, seed]))
+                report = denotation.apply(f)
+                counts = report.iterations_per_loop
+                # `unfused` takes the outer loop's count before those of the
+                # loops in its body, which complete first
+                reference = unfused(prog.body, f.matrix, 2, iter(counts[-1:] + counts[:-1]))
+                assert np.array_equal(report.output.matrix, reference), seed
+        assert steps
+
+
+class TestStalledLoop:
+    """Trial ``[42, 0, 27]`` of ``verify qlang`` at its defaults: the loop
+    ``while q1 in |+> { skip; cnot q1 q0; t q0; }`` exits no mass on its
+    first step, so the trace-gap rule stops it there, far below its limit."""
+
+    @staticmethod
+    def trial():
+        # drawn in `qlang_suite`'s order
+        rng = np.random.default_rng([42, 0, 27])
+        prog = random_program(int(rng.integers(1, 3)), rng)
+        return prog, sampling.random_pdo(prog.dim, rng)
+
+    @staticmethod
+    def limit(prog, rho) -> float:
+        return float(np.trace(unfused(prog.body, rho.matrix, prog.total_qubits, repeat(400))).real)
+
+    def test_limit_of_the_reference(self):
+        prog, rho = self.trial()
+        limit = self.limit(prog, rho)
+        assert limit == pytest.approx(0.42473, abs=1e-5)
+        longer = np.trace(unfused(prog.body, rho.matrix, prog.total_qubits, repeat(800))).real
+        assert abs(longer - limit) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_converged_run_reaches_the_limit(self):
+        prog, rho = self.trial()
+        cfg = FixpointConfig()
+        report = interpret(prog, rho, cfg)
+        assert report.output.trace >= self.limit(prog, rho) - cfg.trace_tol
