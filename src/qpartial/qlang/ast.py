@@ -8,7 +8,7 @@ immutable; a Program is a declaration list plus one body statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class While:
 
 
 Statement = Union[Skip, Seq, ApplyUnitary, Branch, While]
+
+
+def to_body(statements: Sequence[Statement]) -> Statement:
+    """The one block constructor: ``Skip`` for no statements, a lone
+    statement as it is, else their ``Seq``."""
+    if not statements:
+        return Skip()
+    return statements[0] if len(statements) == 1 else Seq(tuple(statements))
 
 
 @dataclass(frozen=True)

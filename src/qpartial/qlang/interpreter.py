@@ -24,26 +24,27 @@ on any input under any ``FixpointConfig``. Every gate run is certified and
 every guard's maps are built by ``denote``, so a program is accepted or
 rejected whatever path a run takes and however long its loops run.
 
-Gates are fused: each maximal run ``U_1; ...; U_k`` of consecutive gates
-in a ``Seq`` denotes the single map ``rho -> U rho U+`` with ``U = U_k ...
-U_1``, so the product is formed once per ``denote`` and every run
-is applied as one conjugation. A lone gate (k = 1) is applied as it is,
-with no product. The product is certified like a gate, ``max_norm(U+U -
-I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
-factors' certified defects. Runs never extend across ``skip``, ``if`` or
+Sequences are denoted in one normal form, ``_sequence``: nested ``Seq``
+flattened and ``skip``, the identity, dropped. Gates are fused: each
+maximal run ``U_1; ...; U_k`` of consecutive gates in it denotes the
+single map ``rho -> U rho U+`` with ``U = U_k ... U_1``, formed once per
+``denote`` and applied as one conjugation; a lone gate is applied as it
+is. The product is certified like a gate, ``max_norm(U+U - I)``, within
+``k * UNITARY_TOL``: to first order, the sum of the k factors' certified
+defects. ``skip`` is dropped first; runs never cross ``if`` or
 ``while``. Fusion changes results only by rounding.
 
-A loop step has two kernels. A body that is one gate run (a lone gate,
-or a ``Seq`` of gates only) runs ``_block_step``: ``denote`` compresses
-the run's product U into ``M = B+ U B`` (r x r) and ``C = E+ U B``
-((d - r) x r) once, and a step is ``s -> M s M+`` with exit increment
-``C s C+``. Any other body runs ``_body_step``: ``sigma = [[body]](B s
-B+)``, then the looping block ``B+ sigma B`` and the exit increment
-``E+ sigma E``. For a ``|0>``/``|1>`` guard B and E are index sets, so
-compressing and lifting are an exact gather and scatter, and both kernels
-only leave out terms that are exact zeros in the full-matrix chain; for
-other guards B and E come from an eigensolve and the result differs from
-that chain by rounding.
+A loop step has two kernels. A body whose normal form is all gates runs
+``_block_step``: ``denote`` compresses the run's product U into ``M = B+
+U B`` (r x r) and ``C = E+ U B`` ((d - r) x r) once, and a step is ``s
+-> M s M+`` with exit increment ``C s C+``. A body of only ``skip`` has
+U = I. A body that holds ``if`` or ``while`` runs ``_body_step``: ``sigma
+= [[body]](B s B+)``, then the looping block ``B+ sigma B`` and the exit
+increment ``E+ sigma E``. For a ``|0>``/``|1>`` guard B and E are index
+sets, so compressing and lifting are an exact gather and scatter, and
+both kernels only leave out terms that are exact zeros in the
+full-matrix chain; for other guards B and E come from an eigensolve and
+the result differs from that chain by rounding.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
@@ -142,9 +143,10 @@ class _GuardMaps:
 
 
 def _product(run: list[ApplyUnitary], total_qubits: int) -> np.ndarray:
-    """``U_k ... U_1``; a lone gate's unitary is returned as it is."""
+    """``U_k ... U_1``; a lone gate's unitary is returned as it is, and an
+    empty run is the identity."""
     factors = [denote_unitary(g.gate, g.targets, total_qubits) for g in run]
-    u = factors[0]
+    u = factors[0] if factors else np.eye(2**total_qubits, dtype=complex)
     for factor in factors[1:]:
         u = factor @ u
     if len(factors) > 1:
@@ -196,17 +198,6 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
     """The map ``(rho, cfg, loops) -> rho`` that ``stmt`` denotes, with its gate
     runs certified and its guards' maps built. Each loop evaluation under
     ``cfg`` appends ``(iterations, converged, traces)`` to ``loops``."""
-    if isinstance(stmt, Skip):
-        return lambda rho, cfg, loops: rho
-    if isinstance(stmt, (Seq, ApplyUnitary)):
-        statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
-        maps = []
-        for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
-            if is_gate:
-                maps.append(functools.partial(_conjugate, _product(list(group), total_qubits)))
-            else:
-                maps.extend(_denote(s, total_qubits) for s in group)
-        return functools.partial(_compose, maps)
     if isinstance(stmt, Branch):
         guard = _GuardMaps(stmt.guard)
         taken = _denote(stmt.then_body, total_qubits)
@@ -220,9 +211,9 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
         return branch
     if isinstance(stmt, While):
         guard = _GuardMaps(stmt.guard)
-        run = _gate_run(stmt.body)
-        if run:
-            u = _product(run, total_qubits)
+        body = _sequence(stmt.body)
+        if all(isinstance(s, ApplyUnitary) for s in body):
+            u = _product(body, total_qubits)
             step = functools.partial(
                 _block_step, guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
             )
@@ -235,7 +226,23 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
             return guard.lift(guard.e, acc)
 
         return loop
-    raise TypeError(f"unknown statement node {stmt!r}")
+    maps = []
+    for is_gate, group in itertools.groupby(_sequence(stmt), lambda s: isinstance(s, ApplyUnitary)):
+        if is_gate:
+            maps.append(functools.partial(_conjugate, _product(list(group), total_qubits)))
+        else:
+            maps.extend(_denote(s, total_qubits) for s in group)
+    return functools.partial(_compose, maps)
+
+
+def _sequence(stmt: Statement) -> list[Statement]:
+    """``stmt`` in normal form: the statements it runs in order, with nested
+    ``Seq`` flattened and ``Skip``, the identity, dropped."""
+    if isinstance(stmt, Seq):
+        return [s for inner in stmt.statements for s in _sequence(inner)]
+    if not isinstance(stmt, (Skip, ApplyUnitary, Branch, While)):
+        raise TypeError(f"unknown statement node {stmt!r}")
+    return [] if isinstance(stmt, Skip) else [stmt]
 
 
 def _compose(maps: list[Map], rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
@@ -247,12 +254,6 @@ def _compose(maps: list[Map], rho: np.ndarray, cfg: FixpointConfig, loops: list)
 def _conjugate(u: np.ndarray, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
     """``u rho u+``, the one place a gate or fused gate run is applied."""
     return u @ rho @ u.conj().T
-
-
-def _gate_run(stmt: Statement) -> list[ApplyUnitary]:
-    """The gates of a lone gate or of a ``Seq`` of gates only; else empty."""
-    statements = stmt.statements if isinstance(stmt, Seq) else (stmt,)
-    return list(statements) if all(isinstance(s, ApplyUnitary) for s in statements) else []
 
 
 def _block_step(m: np.ndarray, c: np.ndarray, s: np.ndarray, cfg: FixpointConfig, loops: list):

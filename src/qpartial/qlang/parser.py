@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ParseError
 from ..logic import ClosedSubspace
-from .ast import MAX_QUBITS, ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
+from .ast import MAX_QUBITS, ApplyUnitary, Branch, Program, Skip, Statement, While, to_body
 from .gates import GATES, KET_VECTORS, gate_arity, ket_guard_projection
 
 _KEYWORDS = {"qubit", "skip", "if", "else", "while", "in"}
@@ -127,7 +127,7 @@ class _Parser:
             statements.append(self.statement())
         return Program(
             declarations=tuple((name, 1) for name in self.registers),
-            body=_to_body(statements),
+            body=to_body(statements),
         )
 
     def statement(self) -> Statement:
@@ -171,7 +171,7 @@ class _Parser:
                 self.error("unterminated block")
             statements.append(self.statement())
         self.advance()
-        return _to_body(statements)
+        return to_body(statements)
 
     def guard(self) -> ClosedSubspace:
         reg_tok = self.expect("ident", "register name")
@@ -246,14 +246,6 @@ def _number_value(tok: Token) -> complex:
     if text.endswith("i"):
         return 1j * float(text[:-1])
     return complex(float(text))
-
-
-def _to_body(statements: list[Statement]) -> Statement:
-    if not statements:
-        return Skip()
-    if len(statements) == 1:
-        return statements[0]
-    return Seq(tuple(statements))
 
 
 def parse(text: str) -> Program:

@@ -41,7 +41,7 @@ from .observables import (
     spectrum_bounds,
 )
 from .qlang import denote, parse
-from .qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
+from .qlang.ast import ApplyUnitary, Branch, Program, Skip, While, to_body
 from .qlang.gates import GATES, gate_arity, ket_guard_projection
 
 SUITES = ("gleason", "dcpo", "interval", "qlang")
@@ -566,10 +566,7 @@ def random_program(qubits: int, rng: np.random.Generator) -> Program:
 
 
 def _random_block(qubits: int, rng: np.random.Generator, depth: int):
-    statements = tuple(
-        _random_statement(qubits, rng, depth) for _ in range(int(rng.integers(1, 4)))
-    )
-    return statements[0] if len(statements) == 1 else Seq(statements)
+    return to_body([_random_statement(qubits, rng, depth) for _ in range(int(rng.integers(1, 4)))])
 
 
 def _random_statement(qubits: int, rng: np.random.Generator, depth: int):

@@ -194,6 +194,19 @@ class TestDivergingLoop:
         report = interpret(parse("qubit q; while q in |0> { skip; }"), plus)
         assert report.residual == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("body", ["skip;", ""])
+    def test_skip_body_runs_on_blocks_with_the_identity(self, body, count_calls):
+        # `skip` is the identity, so the body is the empty gate run: U = I,
+        # M = I_r and C = 0, and no step lifts the state to full dimension
+        prog = parse(f"qubit q; while q in |0> {{ {body} }}")
+        with count_calls(interpreter, "_block_step") as blocks, count_calls(interpreter, "_body_step") as bodies:
+            report = interpret(prog, GROUND)
+        assert bodies == []
+        m, c = blocks[0][:2]
+        assert np.array_equal(m, np.eye(1)) and np.array_equal(c, np.zeros((1, 1)))
+        assert report.residual == 1.0
+        assert report.iterations_per_loop == [1]
+
 
 class TestPhaseFlipLoop:
     def test_two_round_convergence(self):
@@ -356,6 +369,12 @@ ROADMAP_6Q = (
 )
 
 
+# The body `h a` of a loop on `a in |1>`, behind an `if` whose arms are
+# equal: the identity on the loop's inputs, but not a gate, so the loop
+# runs through `_body_step`
+BODY_STEP_H = "if a in |1> { } else { } h a;"
+
+
 class TestBoundaryValidation:
     def test_only_the_output_is_certified_at_full_dimension(self, count_eigensolves):
         ground = PartialDensityOperator.ground_state(2**6)
@@ -384,8 +403,10 @@ class TestBoundaryValidation:
     DENT = np.diag([0.0, 0.3, 0.0, 0.0]).astype(complex)
 
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
-        # `skip` keeps the body off `_block_step`: it runs through `_body_step`
-        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; skip; }")
+        # an `if` whose arms are equal keeps the body off `_block_step`: it
+        # runs through `_body_step`. On the loop's own guard the `if` is the
+        # identity, so the body still denotes `h a`
+        prog = parse(f"qubit a; qubit b; h a; h b; while a in |1> {{ {BODY_STEP_H} }}")
         loop = prog.body.statements[-1]
         assert isinstance(loop, While)
         calls = []
@@ -433,7 +454,7 @@ class TestBoundaryValidation:
         assert abs(err.witness[1]) == pytest.approx(1.0)
 
     def test_without_monotonicity_check_the_output_certificate_catches_it(self, monkeypatch):
-        prog = parse("qubit a; qubit b; while a in |1> { h a; skip; }")
+        prog = parse(f"qubit a; qubit b; while a in |1> {{ {BODY_STEP_H} }}")
         original = interpreter._denote
 
         def faulty_denote(stmt, *args, **kwargs):
@@ -522,9 +543,10 @@ class TestGateFusion:
     BODY = (("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (4,)), ("CNOT", (4, 5)))
 
     def test_six_qubit_runs_are_one_conjugation_each(self, conjugations):
-        # `skip` sends the loop body through `_body_step`: the 5-gate run is
-        # one conjugation of the lifted 64 x 64 state per Kleene step
-        prog = parse(ROADMAP_6Q.replace("cnot e f; }", "cnot e f; skip; }"))
+        # an `if` whose arms are equal, first in the body, sends it through
+        # `_body_step`: the 5-gate run is one conjugation of the lifted
+        # 64 x 64 state per Kleene step
+        prog = parse(ROADMAP_6Q.replace("{ h a;", "{ if a in |1> { } else { } h a;"))
         ground = PartialDensityOperator.ground_state(64)
         report = interpret(prog, ground)
         assert report.iterations_per_loop == [29]
@@ -568,11 +590,27 @@ class TestGateFusion:
         reference = unfused(prog.body, ground.matrix, 6, iter([29]))
         assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
 
+    def test_runs_are_fused_across_skip_and_nested_seqs(self, conjugations, count_calls):
+        # `skip` is the identity and a nested `Seq` runs its statements in
+        # order, so neither ends a run: each program is one product of three
+        # factors, applied as one conjugation, with the same bytes out
+        flat = parse("qubit a; qubit b; h a; cnot a b; t b;")
+        h, cnot, t = flat.body.statements
+        nested = Program(flat.declarations, Seq((h, Skip(), Seq((cnot, t)))))
+        skipped = parse("qubit a; qubit b; h a; cnot a b; skip; t b;")
+        f = sampling.random_pdo(4, rng_for(25))
+        with count_calls(interpreter, "_product") as products:
+            outputs = [interpret(prog, f).output.matrix.tobytes() for prog in (flat, nested, skipped)]
+        assert [len(run) for run, _ in products] == [3, 3, 3]
+        u = gate_product((("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))), 2)
+        assert len(conjugations) == 3 and all(np.array_equal(c, u) for c in conjugations)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     @pytest.mark.parametrize(
         "breaker",
-        ["skip;", "if b in |1> { x a; } else { skip; }", "while b in |1> { h b; }"],
+        ["if b in |1> { x a; } else { skip; }", "while b in |1> { h b; }"],
     )
-    def test_runs_are_not_fused_across_skip_if_or_while(self, breaker, conjugations):
+    def test_runs_are_not_fused_across_if_or_while(self, breaker, conjugations):
         prog = parse(f"qubit a; qubit b; h a; cnot a b; {breaker} t b; h a;")
         f = sampling.random_pdo(4, rng_for(25))
         report = interpret(prog, f)
@@ -709,7 +747,8 @@ class TestGuardPaths:
 
 class TestBlockPath:
     """A loop whose body is one gate run runs on the guard's blocks through
-    `_block_step`; with a `skip` appended, the same loop runs through
+    `_block_step`; behind an `if` on the loop's guard whose arms are equal,
+    the identity on the loop's inputs, the same body runs through
     `_body_step` on the same blocks."""
 
     DECLARATIONS = (("a", 1), ("b", 1))
@@ -717,7 +756,8 @@ class TestBlockPath:
 
     def both_paths(self, guard: ClosedSubspace, f: PartialDensityOperator, cfg: FixpointConfig):
         blocks = interpret(Program(self.DECLARATIONS, While(guard, Seq(self.BODY))), f, cfg)
-        full = interpret(Program(self.DECLARATIONS, While(guard, Seq(self.BODY + (Skip(),)))), f, cfg)
+        same = Branch(guard, Skip(), Skip())
+        full = interpret(Program(self.DECLARATIONS, While(guard, Seq((same,) + self.BODY))), f, cfg)
         return blocks, full
 
     @pytest.mark.parametrize("edge", ["full", "zero"])
@@ -755,18 +795,19 @@ class TestBlockPath:
 
 
 class TestBodyStep:
-    """Under a `|0>`/`|1>` guard a loop whose body is not one gate run runs
-    through `_body_step` on index blocks, an exact gather and scatter: with
-    lone gates, so that no product is formed, it equals the full-matrix
-    reference bit for bit."""
+    """Under a `|0>`/`|1>` guard a loop whose body holds an `if` or a `while`
+    runs through `_body_step` on index blocks, an exact gather and scatter:
+    with lone gates, so that no product is formed, it equals the full-matrix
+    reference bit for bit. An `if` whose arms are equal parts gates that
+    would otherwise fuse."""
 
     @pytest.mark.parametrize(
         "source",
         [
-            "h a; skip; h b; while a in |1> { h a; skip; }",
-            "h a; skip; h b; while a in |1> { h a; if b in |0> { x b; } else { skip; } }",
-            "h a; skip; h b; while a in |1> { while b in |1> { h b; } h a; }",
-            "h b; while a in |0> { skip; }",
+            f"h a; if b in |0> {{ }} else {{ }} h b; while a in |1> {{ {BODY_STEP_H} }}",
+            "h a; if b in |0> { } else { } h b; while a in |1> { h a; if b in |0> { x b; } else { skip; } }",
+            "h a; if b in |0> { } else { } h b; while a in |1> { while b in |1> { h b; } h a; }",
+            "h b; while a in |0> { if a in |0> { } else { } }",
         ],
     )
     def test_masked_guards_match_the_full_matrix_reference_exactly(self, source, count_calls):
@@ -787,7 +828,8 @@ class TestBodyStep:
 class TestStalledLoop:
     """Trial ``[42, 0, 27]`` of ``verify qlang`` at its defaults: the loop
     ``while q1 in |+> { skip; cnot q1 q0; t q0; }`` exits no mass on its
-    first step, so the trace-gap rule stops it there, far below its limit."""
+    first step, so the trace-gap rule stops it there, far below its limit.
+    Its ``skip`` is dropped, so the body is a gate run on the guard's blocks."""
 
     @staticmethod
     def trial():
@@ -799,6 +841,13 @@ class TestStalledLoop:
     @staticmethod
     def limit(prog, rho) -> float:
         return float(np.trace(unfused(prog.body, rho.matrix, prog.total_qubits, repeat(400))).real)
+
+    def test_loop_runs_on_blocks(self, count_calls):
+        prog, rho = self.trial()
+        with count_calls(interpreter, "_block_step") as blocks, count_calls(interpreter, "_body_step") as bodies:
+            interpret(prog, rho)
+        assert blocks and bodies == []
+        assert all(s.shape == (2, 2) for _, _, s, *_ in blocks)
 
     def test_limit_of_the_reference(self):
         prog, rho = self.trial()

@@ -55,6 +55,16 @@ def test_empty_program_is_skip():
     assert parse("qubit q;").body == Skip()
 
 
+def test_blocks_keep_skip_and_nesting_as_written():
+    # the parser does not normalise: an empty block is `Skip()`, and a
+    # `skip` in a block stays a statement of its `Seq`
+    prog = parse("qubit q; while q in |0> { } if q in |0> { skip; x q; } else { skip; }")
+    loop, branch = prog.body.statements
+    assert loop.body == Skip()
+    assert branch.then_body == Seq((Skip(), ApplyUnitary("X", (0,))))
+    assert branch.else_body == Skip()
+
+
 def test_guard_lives_in_full_dimension():
     prog = parse("qubit a; qubit b; while b in |1> { x a; }")
     guard = prog.body.guard
