@@ -182,7 +182,8 @@ def dyadic_diagonal_state(bits, dim: int) -> PartialDensityOperator:
 @dataclass(frozen=True)
 class FixpointConfig:
     """Stopping rules of ``chain_supremum``; ``monotonicity_check`` switches
-    the interpreter's per-step check that its loop chains increase."""
+    the interpreter's check that its loop chains increase, run at every
+    iteration on every loop step that ``qlang.denote`` did not certify."""
 
     max_iterations: int = 10000
     trace_tol: float = 1e-9
@@ -217,9 +218,9 @@ def chain_supremum(
     one that stalls for a step can be reported converged early.
 
     The chain is not checked for monotonicity; its producer certifies that
-    it increases in the Loewner order (the interpreter checks each
-    approximant's increment, and ``scale`` makes ``(1 - 2^-n) f`` increase
-    by construction).
+    it increases in the Loewner order (the interpreter certifies a gate-run
+    loop's step once, at ``denote``, and checks each increment of any other
+    loop, and ``scale`` makes ``(1 - 2^-n) f`` increase by construction).
     """
     cfg = cfg or FixpointConfig()
     it = iter(chain)

@@ -88,8 +88,10 @@ def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
 
 
 def _require_unitary(u: np.ndarray, tol: float, what: str) -> None:
-    """Raise ``NonUnitaryError`` unless ``max_norm(u+u - I) <= tol``."""
-    dev = linalg.max_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    """Raise ``NonUnitaryError`` unless ``max_norm(u+u - I) <= tol``. A tall
+    ``u`` is certified as an isometry: for ``u = [M; C]`` that is the
+    Kraus split ``M+M + C+C = I``."""
+    dev = linalg.max_norm(u.conj().T @ u - np.eye(u.shape[1]))
     if dev > tol:
         raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
 

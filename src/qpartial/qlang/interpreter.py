@@ -51,10 +51,15 @@ Validation happens at the boundary. The input is a validated
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
 input is touched; every statement maps partial density operators to
 partial density operators by construction, so statements act on raw
-arrays and the output is certified once, by ``apply``. Inside loops,
-``cfg.monotonicity_check`` tests each step's exit increment e_n for
-positivity: it is the exit block of the full increment, which holds all
-of that increment's nonzero eigenvalues.
+arrays and the output is certified once, by ``apply``. A ``_block_step``
+loop is certified once too: ``denote`` checks its pair (M, C) as a Kraus
+split of the identity, ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) *
+UNITARY_TOL`` for a run of k gates, so each exit increment ``C s C+`` is
+PSD by construction and no step of it is checked. A ``_body_step`` loop
+is not certified at ``denote``, since its body may hold an ``if`` or a
+nested loop: ``cfg.monotonicity_check`` tests each of its exit increments
+e_n for positivity, at every iteration. e_n is the exit block of the full
+increment, which holds all of that increment's nonzero eigenvalues.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ def _product(run: list[ApplyUnitary], total_qubits: int) -> np.ndarray:
 
 
 def denote(prog: Program) -> Denotation:
-    """Denote ``prog`` once: certify every gate run, build every guard's maps."""
+    """Denote ``prog`` once: certify every gate run and every gate-run loop's
+    Kraus pair, build every guard's maps."""
     return Denotation(prog.dim, _denote(prog.body, prog.total_qubits))
 
 
@@ -212,16 +218,22 @@ def _denote(stmt: Statement, total_qubits: int) -> Map:
     if isinstance(stmt, While):
         guard = _GuardMaps(stmt.guard)
         body = _sequence(stmt.body)
-        if all(isinstance(s, ApplyUnitary) for s in body):
+        certified = all(isinstance(s, ApplyUnitary) for s in body)
+        if certified:
             u = _product(body, total_qubits)
-            step = functools.partial(
-                _block_step, guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
+            m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
+            _require_unitary(
+                np.vstack((m, c)),
+                max(len(body), 1) * linalg.UNITARY_TOL,
+                f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
             )
+            step = functools.partial(_block_step, m, c)
         else:
             step = functools.partial(_body_step, guard, _denote(stmt.body, total_qubits))
 
         def loop(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-            acc, count, converged, traces = chain_supremum(_approximants(guard, step, rho, cfg, loops), cfg)
+            chain = _approximants(guard, step, rho, cfg, loops, check=cfg.monotonicity_check and not certified)
+            acc, count, converged, traces = chain_supremum(chain, cfg)
             loops.append((count, converged, traces))
             return guard.lift(guard.e, acc)
 
@@ -269,14 +281,15 @@ def _body_step(maps: _GuardMaps, body: Map, s: np.ndarray, cfg: FixpointConfig, 
     return maps.compress(maps.b, maps.b, sigma), maps.compress(maps.e, maps.e, sigma)
 
 
-def _approximants(maps: _GuardMaps, step, rho: np.ndarray, cfg: FixpointConfig, loops: list):
+def _approximants(maps: _GuardMaps, step, rho: np.ndarray, cfg: FixpointConfig, loops: list, check: bool):
     """The loop's Kleene chain as exit blocks a_0, a_1, ... (see the module
-    docstring), each step one call of ``step`` on the looping block."""
+    docstring), each step one call of ``step`` on the looping block, and its
+    exit increment checked for positivity if ``check``."""
     acc, s = maps.compress(maps.e, maps.e, rho), maps.compress(maps.b, maps.b, rho)
     yield acc
     for n in itertools.count(1):
         s, increment = step(s, cfg, loops)
-        if cfg.monotonicity_check:
+        if check:
             _require_positive_step(maps, increment, n)
         acc = acc + increment
         yield acc

@@ -2,10 +2,15 @@ import json
 from functools import reduce
 from itertools import permutations, repeat
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartial import linalg, sampling
+from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import (
     ChainMonotonicityError,
@@ -381,12 +386,12 @@ class TestBoundaryValidation:
         with count_eigensolves() as sizes:
             prog = parse(ROADMAP_6Q)
             report = interpret(prog, ground)
-        (steps,) = report.iterations_per_loop
+        assert report.iterations_per_loop == [29]
         assert report.converged
-        # parsing builds the `|1>` guard without an eigensolve; a converged
-        # loop compares `steps` pairs of approximants: one 32 x 32
-        # exit-block check each; then the output is certified
-        assert sizes == [32] * steps + [64]
+        # parsing builds the `|1>` guard without an eigensolve; the loop's
+        # body is a gate run, whose Kraus pair `denote` certifies once, so
+        # its 29 steps run no check; then the output is certified
+        assert sizes == [64]
 
     def test_dense_guard_builds_no_subspace_per_run(self, count_inits):
         prog = parse("qubit a; qubit b; h b; while a in |+> { t a; h a; cnot a b; }")
@@ -430,21 +435,22 @@ class TestBoundaryValidation:
         self.assert_witness_at_01(err.value, index=2)
 
     def test_negative_block_step_raises_with_witness(self, monkeypatch):
-        # a gate-run body runs on the guard's blocks, one `_block_step` a step
+        # a gate-run body runs on the guard's blocks with the Kraus pair
+        # (M, C) of its product U; a fault in U puts M+M + C+C off the
+        # identity, and `denote` rejects it, naming the loop and its defect
+        # (1 + 1e-6)^2 - 1, before any input is touched
         prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
-        calls = []
-        original = interpreter._block_step
+        body = interpreter._sequence(prog.body.statements[-1].body)
+        original = interpreter._product
 
-        def faulty_step(m, c, s, *args):
-            calls.append(s)
-            s, t = original(m, c, s, *args)
-            return s, (-self.DENT[:2, :2] if len(calls) == 2 else t)
+        def faulty_product(run, total_qubits):
+            u = original(run, total_qubits)
+            return (1.0 + 1e-6) * u if run == body else u
 
-        monkeypatch.setattr(interpreter, "_block_step", faulty_step)
-        with pytest.raises(ChainMonotonicityError) as err:
-            interpret(prog, PartialDensityOperator.ground_state(4))
-        assert all(s.shape == (2, 2) for s in calls)
-        self.assert_witness_at_01(err.value, index=2)
+        monkeypatch.setattr(interpreter, "_product", faulty_product)
+        with pytest.raises(NonUnitaryError, match=r"loop on a rank-2 guard \(1-gate body\)") as err:
+            denote(prog)
+        assert "by 2.000e-06" in str(err.value)
 
     @staticmethod
     def assert_witness_at_01(err: ChainMonotonicityError, index: int) -> None:
@@ -467,6 +473,9 @@ class TestBoundaryValidation:
         self.assert_caught_with_and_without_the_check(prog)
 
     def test_without_monotonicity_check_the_output_certificate_catches_a_block_step(self, monkeypatch):
+        # a certified block step runs no per-step check, with or without
+        # `monotonicity_check`: a faulty `_block_step` is caught by the
+        # output certificate alone
         prog = parse("qubit a; qubit b; while a in |1> { h a; }")
         original = interpreter._block_step
 
@@ -475,7 +484,10 @@ class TestBoundaryValidation:
             return s, t - self.DENT[:2, :2]
 
         monkeypatch.setattr(interpreter, "_block_step", faulty_step)
-        self.assert_caught_with_and_without_the_check(prog)
+        ground = PartialDensityOperator.ground_state(4)
+        for cfg in (FixpointConfig(), FixpointConfig(monotonicity_check=False)):
+            with pytest.raises(NotPositiveError):
+                interpret(prog, ground, cfg)
 
     @staticmethod
     def assert_caught_with_and_without_the_check(prog: Program) -> None:
@@ -533,6 +545,14 @@ def gate_product(source_gates, n: int) -> np.ndarray:
     for name, targets in source_gates:
         u = denote_unitary(name, targets, n) @ u
     return u
+
+
+# each factor is (1 + eps) X or (1 + eps) Z, with defect (1 + eps)^2 - 1 =
+# 0.9 UNITARY_TOL; the run's defect is about 4.5 UNITARY_TOL
+NEAR_SCALE = 1.0 + 0.45 * linalg.UNITARY_TOL
+_NEAR_X = f"[[0, {NEAR_SCALE!r}], [{NEAR_SCALE!r}, 0]]"
+_NEAR_Z = f"[[{NEAR_SCALE!r}, 0], [0, -{NEAR_SCALE!r}]]"
+NEAR_RUN = f"{_NEAR_X} a; {_NEAR_Z} b; {_NEAR_X} b; {_NEAR_Z} a; {_NEAR_X} a;"
 
 
 class TestGateFusion:
@@ -659,16 +679,11 @@ class TestGateFusion:
             assert abs(truncated.residual - 2.0**-n) <= 2.5e-16
 
     def test_run_of_near_unitaries_within_k_tolerances_is_accepted(self):
-        # each factor is (1 + eps) X or (1 + eps) Z, with defect
-        # (1 + eps)^2 - 1 = 0.9 UNITARY_TOL; the run's defect is about 4.5
-        scale = 1.0 + 0.45 * linalg.UNITARY_TOL
-        x = f"[[0, {scale!r}], [{scale!r}, 0]]"
-        z = f"[[{scale!r}, 0], [0, -{scale!r}]]"
-        prog = parse(f"qubit a; qubit b; {x} a; {z} b; {x} b; {z} a; {x} a;")
+        prog = parse(f"qubit a; qubit b; {NEAR_RUN}")
         defects = [linalg.max_norm(s.gate.conj().T @ s.gate - np.eye(2)) for s in prog.body.statements]
         assert all(0.85 * linalg.UNITARY_TOL < d < 0.95 * linalg.UNITARY_TOL for d in defects)
         report = interpret(prog, PartialDensityOperator.ground_state(4))
-        assert report.output.trace == pytest.approx(scale**10, abs=1e-15)
+        assert report.output.trace == pytest.approx(NEAR_SCALE**10, abs=1e-15)
 
     def test_run_beyond_k_tolerances_is_rejected(self, monkeypatch):
         # factors with defect 1.2 UNITARY_TOL each, as no certified gate
@@ -792,6 +807,96 @@ class TestBlockPath:
         second = denote(prog).apply(f)
         assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
         assert first.chain_trace_log == second.chain_trace_log
+
+
+class TestKrausCertificate:
+    """`denote` certifies a gate-run loop's Kraus pair (M, C) once,
+    ``max_norm(M+M + C+C - I_r) <= max(k, 1) UNITARY_TOL`` for a run of k
+    gates, and its steps then run no per-step check; loops on
+    `_body_step` keep one check a step."""
+
+    def test_defect_beyond_tolerance_is_rejected_at_denote(self, monkeypatch, tmp_path, capsys):
+        source = "qubit a; qubit b; h a; while a in |1> { h a; cnot a b; }"
+        body = interpreter._sequence(parse(source).body.statements[-1].body)
+        original = interpreter._product
+
+        def faulty_product(run, total_qubits):
+            # defect (1 + 1.1e-10)^2 - 1 = 2.2 UNITARY_TOL, above the 2
+            # UNITARY_TOL a 2-gate run is allowed
+            u = original(run, total_qubits)
+            return (1.0 + 1.1 * linalg.UNITARY_TOL) * u if run == body else u
+
+        monkeypatch.setattr(interpreter, "_product", faulty_product)
+        with pytest.raises(NonUnitaryError, match=r"rank-2 guard \(2-gate body\)"):
+            denote(parse(source))
+        (tmp_path / "prog.qp").write_text(source)
+        assert main(["run", str(tmp_path / "prog.qp"), "--max-iter", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Kraus pair [M; C]" in captured.err
+
+    @pytest.mark.parametrize("ket", ["1", "+"])
+    def test_near_unitary_run_is_accepted_in_a_loop_body(self, ket, count_calls):
+        # the run `_product` accepts, with a defect of about 4.5
+        # UNITARY_TOL, in a loop body: M+M + C+C is a compression of U+U,
+        # so its defect is no larger
+        prog = parse(f"qubit a; qubit b; h a; while a in |{ket}> {{ {NEAR_RUN} }}")
+        with count_calls(interpreter, "_require_unitary") as certified:
+            denotation = denote(prog)
+        (stacked, tol, _) = certified[-1]
+        assert tol == 5 * linalg.UNITARY_TOL
+        assert linalg.max_norm(stacked.conj().T @ stacked - np.eye(2)) <= tol
+        report = denotation.apply(PartialDensityOperator.ground_state(4))
+        assert report.converged
+
+    @pytest.mark.parametrize("body", ["skip;", ""])
+    def test_skip_body_is_certified_with_defect_zero(self, body, count_calls):
+        prog = parse(f"qubit a; qubit b; while a in |1> {{ {body} }}")
+        with count_calls(interpreter, "_require_unitary") as certified:
+            denote(prog)
+        ((stacked, tol, _),) = certified
+        assert tol == linalg.UNITARY_TOL
+        assert linalg.max_norm(stacked.conj().T @ stacked - np.eye(2)) == 0.0
+
+    @pytest.mark.parametrize(
+        "body",
+        ["h a; if b in |0> { x b; } else { skip; }", "while b in |1> { h b; } h a;"],
+    )
+    def test_body_step_runs_one_eigensolve_a_step(self, body, count_eigensolves):
+        prog = parse(f"qubit a; qubit b; h a; h b; while a in |1> {{ {body} }}")
+        ground = PartialDensityOperator.ground_state(4)
+        with count_eigensolves() as sizes:
+            report = interpret(prog, ground)
+        # the outer loop completes last; an inner gate-run loop is certified
+        # and runs no check. One 2 x 2 exit-block check per outer step, then
+        # the output's certificate
+        assert sizes == [2] * report.iterations_per_loop[-1] + [4]
+        with count_eigensolves() as sizes:
+            interpret(prog, ground, FixpointConfig(monotonicity_check=False))
+        assert sizes == [4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_block_steps_conserve_trace(self, n, data):
+        names = sorted(g for g in GATES if n >= 2 or g != "CNOT")
+        run = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            gate = data.draw(st.sampled_from(names))
+            k = 2 if gate == "CNOT" else 1
+            run.append(ApplyUnitary(gate, tuple(data.draw(st.permutations(range(n)))[:k])))
+        qubit = data.draw(st.integers(0, n - 1))
+        f = sampling.random_pdo(2**n, np.random.default_rng([17, 32, data.draw(st.integers(0, 2**16))]))
+        for ket in KET_VECTORS:
+            guard = ClosedSubspace(ket_guard_projection(ket, qubit, n))
+            prog = Program(tuple((f"q{i}", 1) for i in range(n)), While(guard, Seq(tuple(run))))
+            with mock.patch.object(interpreter, "_block_step", wraps=interpreter._block_step) as spy:
+                denote(prog).apply(f, FixpointConfig(max_iterations=2))
+            m, c, s = spy.call_args.args[:3]
+            assert linalg.max_norm(m.conj().T @ m + c.conj().T @ c - np.eye(m.shape[1])) < 1e-14, ket
+            exited = np.trace((np.eye(2**n) - guard.projection) @ f.matrix).real
+            for _ in range(30):
+                s, increment = interpreter._block_step(m, c, s, None, [])
+                exited += np.trace(increment).real
+            assert abs(np.trace(s).real + exited - f.trace) <= 1e-12, ket
 
 
 class TestBodyStep:
