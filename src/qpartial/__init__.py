@@ -36,8 +36,6 @@ from .logic import (
     subspace_from_vectors,
 )
 from .observables import (
-    BorelInterval,
-    BorelSet,
     BoundedObservable,
     distribution,
     e0,
@@ -52,8 +50,6 @@ from .qlang import Denotation, RunReport, denote, interpret, parse
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorelInterval",
-    "BorelSet",
     "BoundedObservable",
     "ClosedSubspace",
     "CompactInterval",

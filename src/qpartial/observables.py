@@ -7,8 +7,9 @@ certified eigensolve gives the eigenvector columns, and each
 eigenprojection is the span of its group's columns, certified from their
 Gram matrix (``logic._span``), as is every event of the
 projection-valued measure. In finite dimension that measure factors
-through the spectrum, so Borel sets are represented as finite unions of
-intervals; membership of each eigenvalue is all that matters.
+through the spectrum, so a Borel set acts only through which eigenvalues
+it contains: it is passed as its indicator function, a predicate on
+floats such as ``lambda x: x > 0``.
 
 The expected value against a partial density operator f is the compact
 interval
@@ -21,8 +22,7 @@ sit somewhere in the spectrum's range, but not where.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,71 +31,6 @@ from .density import PartialDensityOperator, nontermination_probability
 from .errors import CrossCheckError
 from .intervals import CompactInterval, scale_interval, translate
 from .logic import ClosedSubspace, _span
-
-
-@dataclass(frozen=True)
-class BorelInterval:
-    """One real interval with open/closed endpoint tags; endpoints may be inf."""
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("NaN endpoint")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def contains(self, x: float) -> bool:
-        if self.lo < x < self.hi:
-            return True
-        if x == self.lo and self.lo_closed and not math.isinf(x):
-            return True
-        if x == self.hi and self.hi_closed and not math.isinf(x):
-            return True
-        return False
-
-    def intersects(self, other: "BorelInterval") -> bool:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        return self.contains(lo) and other.contains(lo)
-
-
-class BorelSet:
-    """A finite union of pairwise disjoint intervals, kept sorted."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals):
-        parts = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-        for prev, cur in zip(parts, parts[1:]):
-            if prev.intersects(cur):
-                raise ValueError(f"intervals {prev} and {cur} are not disjoint")
-        self.intervals = tuple(parts)
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
-    @classmethod
-    def empty(cls) -> "BorelSet":
-        return cls(())
-
-    @classmethod
-    def reals(cls) -> "BorelSet":
-        return cls((BorelInterval(-math.inf, math.inf, False, False),))
-
-    @classmethod
-    def closed(cls, lo: float, hi: float) -> "BorelSet":
-        return cls((BorelInterval(lo, hi),))
-
-    def __repr__(self):
-        return f"BorelSet({list(self.intervals)!r})"
 
 
 class BoundedObservable:
@@ -157,14 +92,16 @@ def _group_indices(vals: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def pvm_map(r: BoundedObservable, u: BorelSet) -> ClosedSubspace:
-    """Event that the observable's value lies in the Borel set u.
+def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
+    """Event that the observable's value lies in the Borel set u, passed
+    as its indicator function: ``u(x)`` is true when x is in the set, and
+    only its values at the eigenvalues are read.
 
     The join of the eigenprojections with eigenvalue in u: being mutually
     orthogonal, it is the span of their columns taken together. An empty
     selection is the zero event.
     """
-    columns = [k.basis for lam, k in r.spectral if u.contains(lam)]
+    columns = [k.basis for lam, k in r.spectral if u(lam)]
     if not columns:
         return ClosedSubspace.zero(r.dim)
     return _span(np.hstack(columns))
@@ -175,36 +112,19 @@ def spectrum_bounds(r: BoundedObservable) -> tuple[float, float]:
     return eigs[0], eigs[-1]
 
 
-@dataclass(frozen=True)
-class SubDistribution:
-    """(eigenvalue, weight) pairs of a certified state's measure.
-
-    Not checked again: a rank-r eigenprojection may carry weight down to
-    -r * ``linalg.PSD_TOL``, and ``total`` is tr f up to rounding.
-    """
-
-    support: tuple[tuple[float, float], ...]
-    total: float
-
-
-def distribution(r: BoundedObservable, f: PartialDensityOperator) -> SubDistribution:
-    """Push the state's measure through the observable's PVM.
+def distribution(r: BoundedObservable, f: PartialDensityOperator) -> tuple[tuple[float, float], ...]:
+    """Push the state's measure through the observable's PVM: its
+    (eigenvalue, weight) pairs, eigenvalues ascending.
 
     Each weight is tr(P f) = sum_ij P_ij f_ji, as in ``gleason_measure``,
     but not clamped: ``e0`` cross-checks the weighted sum against the
     trace form, and clamping many weights near the PSD floor could move
     that sum past ``linalg.E0_CROSS_TOL``. Nor are they checked again:
     f's certificate lets a rank-r eigenprojection carry weight down to
-    -r * ``linalg.PSD_TOL``, and the total is tr f up to rounding.
+    -r * ``linalg.PSD_TOL``, and the weights sum to tr f up to rounding.
     """
     linalg.require_same_dim(r.dim, f.dim)
-    support = []
-    total = 0.0
-    for lam, k in r.spectral:
-        w = float(np.einsum("ij,ji->", k.projection, f.matrix).real)
-        support.append((lam, w))
-        total += w
-    return SubDistribution(tuple(support), total)
+    return tuple((lam, float(np.einsum("ij,ji->", k.projection, f.matrix).real)) for lam, k in r.spectral)
 
 
 def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
@@ -215,8 +135,7 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
     matches the operator.
     """
-    dist = distribution(r, f)
-    spectral_sum = sum(lam * w for lam, w in dist.support)
+    spectral_sum = sum(lam * w for lam, w in distribution(r, f))
     trace_form = float(np.trace(r.operator @ f.matrix).real)
     if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
         raise CrossCheckError(

@@ -30,8 +30,6 @@ from .logic import (
     subspace_leq,
 )
 from .observables import (
-    BorelInterval,
-    BorelSet,
     BoundedObservable,
     e0,
     expected_interval,
@@ -409,8 +407,8 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
             m, big_m = spectrum_bounds(r)
             amax = max(abs(m), abs(big_m))
             pvm_ok = (
-                pvm_map(r, BorelSet.empty()).rank == 0
-                and pvm_map(r, BorelSet.closed(-amax, amax)).rank == dim
+                pvm_map(r, lambda x: False).rank == 0
+                and pvm_map(r, lambda x: -amax <= x <= amax).rank == dim
                 and are_orth_disjoint(r, rng)
             )
             pvm.record(pvm_ok, 0.0, trial_seed)
@@ -466,14 +464,11 @@ def are_orth_disjoint(r: BoundedObservable, rng: np.random.Generator) -> bool:
     """Disjoint Borel sets map to orthogonal events and unions to joins."""
     eigs = r.eigenvalues
     cut = float(rng.uniform(eigs[0], eigs[-1])) if len(eigs) > 1 else eigs[0]
-    low = BorelSet((BorelInterval(-np.inf, cut, False, True),))
-    high = BorelSet((BorelInterval(cut, np.inf, False, False),))
-    k_low, k_high = pvm_map(r, low), pvm_map(r, high)
+    k_low, k_high = pvm_map(r, lambda x: x <= cut), pvm_map(r, lambda x: x > cut)
     if linalg.max_norm(k_low.projection @ k_high.projection) > linalg.PROJ_TOL:
         return False
-    union = BorelSet((BorelInterval(-np.inf, cut, False, True), BorelInterval(cut, np.inf, False, False)))
-    joined = join(k_low, k_high)
-    return linalg.max_norm(pvm_map(r, union).projection - joined.projection) <= linalg.PROJ_TOL
+    union = pvm_map(r, lambda x: x <= cut or x > cut)
+    return linalg.max_norm(union.projection - join(k_low, k_high).projection) <= linalg.PROJ_TOL
 
 
 def linearity_deviation(dim: int, rng: np.random.Generator) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qpartial import cli
 from qpartial.cli import _json_text, main
 
 FAIR_COIN = "qubit q;\nh q;\nwhile q in |1> { h q; }\n"
@@ -225,6 +226,13 @@ def test_flags_a_command_does_not_read_are_refused(workdir, argv):
     with pytest.raises(SystemExit) as exc:
         main([str(workdir / a) if (workdir / a).is_file() else a for a in argv])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_at_import(workdir, capsys, count_calls):
+    with count_calls(cli, "build_parser") as calls:
+        assert run_cli(capsys, "run", workdir / "coin.qp")[0] == 0
+        assert run_cli(capsys, "expect", workdir / "pauli_z.json", workdir / "state.json")[0] == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ def tour():
             "CompactInterval(lo=0.0, hi=0.5)",
             lambda v, ns: (v.lo, v.hi) == (0.0, 0.5),
         ),
+        ("qp.gleason_measure(f, up)", "0.5", lambda v, ns: v == 0.5),
         ("ok, witness = qp.state_leq(f, g)", "False;", lambda v, ns: ns["ok"] is False),
         ("report.residual", "~9.3e-10:", lambda v, ns: abs(v - 9.3e-10) <= 1e-11),
         ("coin.apply(f, three_steps).residual", "~0.34375:", lambda v, ns: abs(v - 0.34375) <= 1e-15),
