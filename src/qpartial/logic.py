@@ -124,12 +124,18 @@ def _span(b: np.ndarray) -> ClosedSubspace:
     (below 1.5e-14 at d = 64), far inside ``linalg.HERMITIAN_TOL``.
     """
     r = b.shape[1]
-    eps = float(np.linalg.norm(b.conj().T @ b - np.eye(r)))
+    _require_orthonormal(float(np.linalg.norm(b.conj().T @ b - np.eye(r))))
+    return _certified(b @ b.conj().T, b)
+
+
+def _require_orthonormal(eps: float) -> None:
+    """Raise ``CrossCheckError`` unless eps (1 + eps) <= ``linalg.PROJ_TOL``,
+    eps being |B+B - I|_F of columns B; see ``_span`` for why that bound
+    certifies B B+ as a projection."""
     if eps * (1.0 + eps) > linalg.PROJ_TOL:
         raise CrossCheckError(
             f"span columns are not orthonormal: |B+B - I|_F = {eps:.3e} (tol {linalg.PROJ_TOL:.1e})"
         )
-    return _certified(b @ b.conj().T, b)
 
 
 def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:

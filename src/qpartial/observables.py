@@ -1,15 +1,18 @@
 """Bounded observables, their projection-valued measures, and interval
 expected values.
 
-An observable is a Hermitian matrix together with its grouped spectral
-decomposition: distinct eigenvalues paired with eigenprojections. One
-certified eigensolve gives the eigenvector columns, and each
-eigenprojection is the span of its group's columns, certified from their
-Gram matrix (``logic._span``), as is every event of the
-projection-valued measure. In finite dimension that measure factors
-through the spectrum, so a Borel set acts only through which eigenvalues
-it contains: it is passed as its indicator function, a predicate on
-floats such as ``lambda x: x > 0``.
+An observable is a Hermitian matrix stored as its certified eigenvector
+columns, grouped by eigenvalue: one certified eigensolve gives the
+columns, and one Gram product certifies every group's columns as
+orthonormal at construction. The expected value needs only the
+spectrum's ends and one weight tr(P_k f) per eigenvalue, and each weight
+is read off the group's columns, so no eigenprojection is formed for it.
+Eigenprojections, and every event of the projection-valued measure, are
+built from the columns only when ``spectral`` or ``pvm_map`` reads them.
+In finite dimension that measure factors through the spectrum, so a
+Borel set acts only through which eigenvalues it contains: it is passed
+as its indicator function, a predicate on floats such as
+``lambda x: x > 0``.
 
 The expected value against a partial density operator f is the compact
 interval
@@ -30,35 +33,48 @@ from . import linalg
 from .density import PartialDensityOperator, nontermination_probability
 from .errors import CrossCheckError
 from .intervals import CompactInterval, scale_interval, translate
-from .logic import ClosedSubspace, _span
+from .logic import ClosedSubspace, _certified, _require_orthonormal, _span
 
 
 class BoundedObservable:
-    """Hermitian operator with its grouped spectral decomposition cached.
+    """Hermitian operator stored as its certified eigenvector columns V,
+    the start index of each eigenvalue group in V, and one eigenvalue per
+    group.
 
     The eigendecomposition comes from ``linalg.hermitian_eig``, certified
     there within ``linalg.EIG_TOL``: its eigenvector columns are
-    orthonormal and reconstruct the operator. Eigenvalues closer than
-    ``linalg.EIG_GROUP_TOL`` are merged into a single eigenprojection,
-    the span of their columns, with the group's mean as eigenvalue; so
-    the eigenprojections resolve the identity and are mutually
-    orthogonal, and grouping moves an eigenvalue by at most its group's
-    spread. Each eigenprojection is certified from its group's r x r Gram
-    matrix and keeps the columns as its basis.
+    orthonormal and reconstruct the operator. Eigenvalues whose
+    consecutive gaps stay within ``linalg.EIG_GROUP_TOL`` form one group,
+    with the group's mean as eigenvalue, so grouping moves an eigenvalue
+    by at most its group's spread. Construction certifies every group at
+    once from the one Gram product V+V - I: with eps the Frobenius norm of
+    a group's own diagonal block, each group needs eps (1 + eps) <=
+    ``linalg.PROJ_TOL``, the bound ``logic._span`` applies to one group's
+    columns, so each group spans an eigenprojection. The blocks between
+    groups are bounded only by ``hermitian_eig``'s certificate; an event
+    spanning several groups is certified again when ``pvm_map`` builds it.
+    Eigenprojections are built from the columns each time ``spectral`` is
+    read, and not kept.
     """
 
-    __slots__ = ("_operator", "_spectral")
+    __slots__ = ("_operator", "_vecs", "_starts", "_eigenvalues")
 
     def __init__(self, operator):
         a = linalg.as_matrix(operator)
         vals, vecs = linalg.hermitian_eig(a)
-        spectral = []
-        for idx in _group_indices(vals, linalg.EIG_GROUP_TOL):
-            spectral.append((float(np.mean(vals[idx])), _span(vecs[:, idx])))
+        # a group starts where the gap to the previous eigenvalue exceeds
+        # the tolerance; the first eigenvalue's gap is infinite
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > linalg.EIG_GROUP_TOL)
+        defect = np.abs(vecs.conj().T @ vecs - np.eye(len(vals))) ** 2
+        block_sums = np.add.reduceat(np.add.reduceat(defect, starts, axis=0), starts, axis=1)
+        _require_orthonormal(float(np.sqrt(np.max(np.diagonal(block_sums), initial=0.0))))
+        counts = np.diff(starts, append=len(vals))
         a = np.array(a, dtype=complex)
         a.setflags(write=False)
         self._operator = a
-        self._spectral = tuple(spectral)
+        self._vecs = vecs
+        self._starts = starts
+        self._eigenvalues = tuple((np.add.reduceat(vals, starts) / counts).tolist())
 
     @property
     def operator(self) -> np.ndarray:
@@ -70,26 +86,21 @@ class BoundedObservable:
 
     @property
     def spectral(self) -> tuple[tuple[float, ClosedSubspace], ...]:
-        """Pairs (eigenvalue, eigenprojection), eigenvalues ascending and distinct."""
-        return self._spectral
+        """Pairs (eigenvalue, eigenprojection), eigenvalues ascending and
+        distinct, each eigenprojection built from its group's certified
+        columns on this read."""
+        return tuple((lam, _certified(b @ b.conj().T, b)) for lam, b in self._eigenspaces())
 
     @property
     def eigenvalues(self) -> list[float]:
-        return [lam for lam, _ in self._spectral]
+        return list(self._eigenvalues)
+
+    def _eigenspaces(self):
+        """Pairs (eigenvalue, the group's columns as a view of V), eigenvalues ascending."""
+        return zip(self._eigenvalues, np.split(self._vecs, self._starts[1:], axis=1))
 
     def __repr__(self):
         return f"BoundedObservable(dim={self.dim}, spectrum={self.eigenvalues})"
-
-
-def _group_indices(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Cluster ascending eigenvalues whose consecutive gaps stay within tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
 
 
 def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
@@ -101,7 +112,7 @@ def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
     orthogonal, it is the span of their columns taken together. An empty
     selection is the zero event.
     """
-    columns = [k.basis for lam, k in r.spectral if u(lam)]
+    columns = [b for lam, b in r._eigenspaces() if u(lam)]
     if not columns:
         return ClosedSubspace.zero(r.dim)
     return _span(np.hstack(columns))
@@ -116,27 +127,30 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> tuple[tuple
     """Push the state's measure through the observable's PVM: its
     (eigenvalue, weight) pairs, eigenvalues ascending.
 
-    Each weight is tr(P f) = sum_ij P_ij f_ji, as in ``gleason_measure``,
-    but not clamped: ``e0`` cross-checks the weighted sum against the
-    trace form, and clamping many weights near the PSD floor could move
-    that sum past ``linalg.E0_CROSS_TOL``. Nor are they checked again:
-    f's certificate lets a rank-r eigenprojection carry weight down to
-    -r * ``linalg.PSD_TOL``, and the weights sum to tr f up to rounding.
+    Each weight is tr(P f) = sum over the group's columns v of v+ f v,
+    every column's term read off the one product f V; no eigenprojection
+    is formed. The weights are not clamped: ``e0`` cross-checks the
+    weighted sum against the trace form, and clamping many weights near
+    the PSD floor could move that sum past ``linalg.E0_CROSS_TOL``. Nor
+    are they checked again: f's certificate lets a rank-r eigenprojection
+    carry weight down to -r * ``linalg.PSD_TOL``, and the weights sum to
+    tr f up to rounding.
     """
     linalg.require_same_dim(r.dim, f.dim)
-    return tuple((lam, float(np.einsum("ij,ji->", k.projection, f.matrix).real)) for lam, k in r.spectral)
+    v = r._vecs
+    column_weights = np.einsum("ij,ij->j", v.conj(), f.matrix @ v).real
+    return tuple(zip(r._eigenvalues, np.add.reduceat(column_weights, r._starts).tolist()))
 
 
 def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     """Expectation of the observed part: sum of eigenvalue * weight.
 
-    Cross-checked against tr(A f), formed as a matrix product so that it
-    shares no code with the weights; divergence beyond
-    ``linalg.E0_CROSS_TOL`` means the cached spectral data no longer
-    matches the operator.
+    Cross-checked against tr(A f) = sum_ij A_ij f_ji, which shares no
+    code with the weights; divergence beyond ``linalg.E0_CROSS_TOL``
+    means the stored spectral data no longer matches the operator.
     """
     spectral_sum = sum(lam * w for lam, w in distribution(r, f))
-    trace_form = float(np.trace(r.operator @ f.matrix).real)
+    trace_form = float(np.einsum("ij,ji->", r.operator, f.matrix).real)
     if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
         raise CrossCheckError(
             f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpartial import observables
 from qpartial.cli import main
+from qpartial.logic import ClosedSubspace
 
 REFERENCE = Path(__file__).with_name("data") / "cli_outputs.json"
 FLOAT_TOL = 1e-12
@@ -135,6 +137,19 @@ def test_run_out_file_holds_the_printed_bytes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "six_qubit.qp"), "--out", str(target)]) == 0
     out = capsys.readouterr().out
     assert target.read_text(encoding="utf-8") == out and len(json.loads(out)["output"]["re"]) == 64
+
+
+def test_expect_builds_no_eigenprojection(tmp_path, capsys, count_calls, count_inits):
+    # the weights of the 64 eigenvalues are read off the eigenvector columns
+    write_inputs(tmp_path)
+    with (
+        count_calls(observables, "_span") as spans,
+        count_calls(observables, "_certified") as certified,
+        count_inits(ClosedSubspace) as inits,
+    ):
+        assert main(argv_for("expect-d64", tmp_path)) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 6
+    assert (len(spans), len(certified), len(inits)) == (0, 0, 0)
 
 
 def test_every_case_has_a_reference(references):

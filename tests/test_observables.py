@@ -156,6 +156,30 @@ class TestEigenprojectionCertificate:
             with pytest.raises(CrossCheckError, match="not orthonormal"):
                 BoundedObservable(np.diag([1.0, 1.0, 2.0]))
 
+    @staticmethod
+    def fake_eig_with_defect(monkeypatch, values, row, col):
+        """Make ``hermitian_eig`` return the given eigenvalues and identity
+        columns with entry (row, col) set, so that columns row and col have
+        Gram defect eps just past the bound, eps (1 + eps) > PROJ_TOL."""
+        eps = (1 + 1e-6) * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
+        vecs = np.eye(len(values), dtype=complex)
+        vecs[row, col] = eps / np.sqrt(2.0)
+        fake = (np.array(values), vecs)
+        monkeypatch.setattr(linalg, "hermitian_eig", lambda a: fake)
+
+    def test_defect_inside_the_middle_group_is_rejected(self, monkeypatch):
+        self.fake_eig_with_defect(monkeypatch, [0.0, 1.0, 1.0, 2.0], 1, 2)
+        with pytest.raises(CrossCheckError, match="not orthonormal"):
+            BoundedObservable(np.diag([0.0, 1.0, 1.0, 2.0]))
+
+    def test_defect_between_groups_is_left_to_their_join(self, monkeypatch):
+        # construction reads each group's own Gram block only, and neither
+        # block sees the defect; the event spanned by both groups does
+        self.fake_eig_with_defect(monkeypatch, [1.0, 1.0, 2.0], 1, 2)
+        r = BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+        with pytest.raises(CrossCheckError, match="not orthonormal"):
+            pvm_map(r, lambda x: True)
+
     def test_pvm_events_are_spans_of_the_selected_columns(self, count_inits, count_eigensolves):
         r = sampling.random_observable(16, rng_for(23))
         m, big_m = spectrum_bounds(r)
@@ -259,6 +283,26 @@ class TestDistribution:
         assert weights[1.0] == pytest.approx(-1.8e-9, rel=1e-9)
         assert weights[1.0] < -linalg.PSD_TOL
         assert e0(r, f) == pytest.approx(1.9979999982, abs=1e-15)
+
+    def test_weights_are_the_eigenprojections_measures_on_a_degenerate_spectrum(self):
+        # multiplicities 1 to 4, and a pair 5e-9 apart that shares one group
+        ranks = [1, 2, 3, 4, 1, 2, 1, 2]
+        lams = np.repeat([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0], ranks)
+        lams[-1] += 5e-9
+        rng = rng_for(26)
+        u = sampling.random_unitary(16, rng)
+        a = (u * lams) @ u.conj().T
+        f = sampling.random_pdo(16, rng)
+        r = BoundedObservable(a)
+        d = distribution(r, f)
+        assert [k.rank for _, k in r.spectral] == ranks
+        for (lam, w), (mu, k) in zip(d, r.spectral, strict=True):
+            assert lam == mu
+            assert abs(w - np.einsum("ij,ji->", k.projection, f.matrix).real) <= 1e-14
+        assert abs(total_weight(d) - f.trace) <= 1e-12
+        vals, _ = linalg.hermitian_eig(a)
+        for lam, group in zip(r.eigenvalues, np.split(vals, np.cumsum(ranks)[:-1]), strict=True):
+            assert abs(lam - np.mean(group)) <= 1e-15
 
     def test_state_with_trace_at_the_boundary(self):
         # tr f = 1 + PSD_TOL exactly; the weights sum to it only up to
