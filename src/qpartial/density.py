@@ -151,11 +151,18 @@ def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"scale factor must lie in [0, 1], got {r}")
     m = r * f.matrix
+    return _certified(m, float(np.trace(m).real))
+
+
+def _certified(m: np.ndarray, trace: float) -> PartialDensityOperator:
+    """The one place that builds a state without the validating
+    constructor; each caller states why m needs no check. ``m`` is made
+    read-only, and ``trace`` must be ``float(np.trace(m).real)``."""
     m.setflags(write=False)
-    scaled = object.__new__(PartialDensityOperator)
-    scaled._matrix = m
-    scaled._trace = float(np.trace(m).real)
-    return scaled
+    state = object.__new__(PartialDensityOperator)
+    state._matrix = m
+    state._trace = trace
+    return state
 
 
 def nontermination_probability(f: PartialDensityOperator) -> float:

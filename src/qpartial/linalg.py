@@ -21,7 +21,7 @@ from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, 
 
 HERMITIAN_TOL = 1e-10  # deviation from Hermitian
 UNITARY_TOL = 1e-10  # deviation of U+U from the identity
-EIG_TOL = 1e-9  # certification of an (ungrouped) eigendecomposition
+EIG_TOL = 1e-9  # orthonormality of an (ungrouped) eigendecomposition; its reconstruction, times max(1, |A|)
 PSD_TOL = 1e-9  # eigenvalue floor of the PSD test; trace slack of partial density operators
 RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
 PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections
@@ -66,8 +66,10 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, V)`` as ``numpy.linalg.eigh`` does: ascending eigenvalues
     and orthonormal eigenvector columns, both read-only. Raises
     ``NotHermitianError`` for non-Hermitian input and ``CrossCheckError``
-    if the reconstruction ``V diag(w) V+`` or the orthonormality of ``V``
-    misses ``EIG_TOL`` in max norm.
+    if, in max norm, the reconstruction ``V diag(w) V+`` misses A by more
+    than ``EIG_TOL * max(1, |A|)`` or ``V+V`` misses the identity by more
+    than ``EIG_TOL``. The reconstruction bound scales with A because its
+    rounding does, about d * eps * |A|; at |A| <= 1 it is ``EIG_TOL``.
     """
     a = require_hermitian(a)
     try:
@@ -77,10 +79,11 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     vals = vals.astype(float)
     recon_err = max_norm((vecs * vals) @ vecs.conj().T - a)
     ortho_err = max_norm(vecs.conj().T @ vecs - np.eye(a.shape[0]))
-    if recon_err > EIG_TOL or ortho_err > EIG_TOL:
+    recon_tol = EIG_TOL * max(1.0, max_norm(a))
+    if recon_err > recon_tol or ortho_err > EIG_TOL:
         raise CrossCheckError(
-            f"spectral decomposition failed certification: reconstruction {recon_err:.3e}, "
-            f"orthonormality {ortho_err:.3e} (tol {EIG_TOL:.1e})"
+            f"spectral decomposition failed certification: reconstruction {recon_err:.3e} "
+            f"(tol {recon_tol:.1e}), orthonormality {ortho_err:.3e} (tol {EIG_TOL:.1e})"
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)

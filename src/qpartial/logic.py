@@ -195,16 +195,22 @@ def gleason_measure(f: PartialDensityOperator, k: ClosedSubspace) -> float:
     """Probability tr(P_K f) that the event K occurs in the partial state f.
 
     It is evaluated as sum_ij P_ij f_ji, which equals tr(P f) for any two
-    square matrices, in O(d^2) and without forming the product P f. The
-    value is clamped to [0, 1] when it lies within ``linalg.PSD_TOL``
-    of that range; an imaginary component beyond ``linalg.IMAG_TOL``
-    signals corrupted inputs and raises ``CrossCheckError``.
+    square matrices, in O(d^2) and without forming the product P f, and
+    then read through ``_measure_value``.
     """
     linalg.require_same_dim(f.dim, k.dim)
-    value = complex(np.einsum("ij,ji->", k.projection, f.matrix))
-    if abs(value.imag) > linalg.IMAG_TOL:
-        raise CrossCheckError(f"measure has imaginary part {value.imag:.3e}")
-    x = value.real
+    return _measure_value(complex(np.einsum("ij,ji->", k.projection, f.matrix)))
+
+
+def _measure_value(trace: complex) -> float:
+    """The value rule of ``gleason_measure``, for one trace tr(P f): its
+    real part, clamped to [0, 1] when it lies within ``linalg.PSD_TOL`` of
+    that range. An imaginary part beyond ``linalg.IMAG_TOL`` signals
+    corrupted inputs and raises ``CrossCheckError``.
+    """
+    if abs(trace.imag) > linalg.IMAG_TOL:
+        raise CrossCheckError(f"measure has imaginary part {trace.imag:.3e}")
+    x = trace.real
     if -linalg.PSD_TOL <= x <= 1.0 + linalg.PSD_TOL:
         x = min(1.0, max(0.0, x))
     return x

@@ -42,8 +42,9 @@ class BoundedObservable:
     group.
 
     The eigendecomposition comes from ``linalg.hermitian_eig``, certified
-    there within ``linalg.EIG_TOL``: its eigenvector columns are
-    orthonormal and reconstruct the operator. Eigenvalues whose
+    there: its eigenvector columns are orthonormal within
+    ``linalg.EIG_TOL`` and reconstruct the operator within
+    ``EIG_TOL * max(1, |A|)``. Eigenvalues whose
     consecutive gaps stay within ``linalg.EIG_GROUP_TOL`` form one group,
     with the group's mean as eigenvalue, so grouping moves an eigenvalue
     by at most its group's spread. Construction certifies every group at
@@ -137,9 +138,16 @@ def distribution(r: BoundedObservable, f: PartialDensityOperator) -> tuple[tuple
     tr f up to rounding.
     """
     linalg.require_same_dim(r.dim, f.dim)
+    return tuple(zip(r._eigenvalues, _weights(r, f.matrix[None])[0].tolist()))
+
+
+def _weights(r: BoundedObservable, stack: np.ndarray) -> np.ndarray:
+    """The weights of ``distribution`` for each matrix of an n x d x d
+    stack, as an n x (groups) array, all read off the one product
+    ``stack @ V``."""
     v = r._vecs
-    column_weights = np.einsum("ij,ij->j", v.conj(), f.matrix @ v).real
-    return tuple(zip(r._eigenvalues, np.add.reduceat(column_weights, r._starts).tolist()))
+    column_weights = np.einsum("ij,nij->nj", v.conj(), stack @ v).real
+    return np.add.reduceat(column_weights, r._starts, axis=1)
 
 
 def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
@@ -149,13 +157,24 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     code with the weights; divergence beyond ``linalg.E0_CROSS_TOL``
     means the stored spectral data no longer matches the operator.
     """
-    spectral_sum = sum(lam * w for lam, w in distribution(r, f))
-    trace_form = float(np.einsum("ij,ji->", r.operator, f.matrix).real)
-    if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
-        raise CrossCheckError(
-            f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"
-        )
-    return spectral_sum
+    linalg.require_same_dim(r.dim, f.dim)
+    return _expectations(r, f.matrix[None])[0]
+
+
+def _expectations(r: BoundedObservable, stack: np.ndarray) -> list[float]:
+    """``e0`` of each matrix of an n x d x d stack: the weights of all of
+    them from ``_weights``, their trace forms from one product over the
+    stack, then each matrix's spectral sum and cross-check in turn."""
+    trace_forms = np.einsum("ij,nji->n", r.operator, stack).real.tolist()
+    values = []
+    for weights, trace_form in zip(_weights(r, stack).tolist(), trace_forms):
+        spectral_sum = sum(lam * w for lam, w in zip(r._eigenvalues, weights))
+        if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
+            raise CrossCheckError(
+                f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"
+            )
+        values.append(spectral_sum)
+    return values
 
 
 def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, hi: float) -> CompactInterval:

@@ -16,11 +16,20 @@ from itertools import count
 import numpy as np
 
 from . import linalg, sampling
-from .density import FixpointConfig, PartialDensityOperator, chain_supremum, dyadic_diagonal_state, loewner_leq, scale
+from .density import (
+    FixpointConfig,
+    PartialDensityOperator,
+    _certified,
+    chain_supremum,
+    dyadic_diagonal_state,
+    loewner_leq,
+    scale,
+)
 from .errors import ChainMonotonicityError
 from .intervals import CompactInterval, add_intervals, directed_intersection, reverse_inclusion_leq, scale_interval, translate
 from .logic import (
     ClosedSubspace,
+    _measure_value,
     gleason_measure,
     join,
     meet,
@@ -31,9 +40,11 @@ from .logic import (
 )
 from .observables import (
     BoundedObservable,
+    _expectations,
     e0,
     expected_interval,
     expected_interval_op,
+    missing_mass_interval,
     observable_square_interval,
     pvm_map,
     spectrum_bounds,
@@ -278,18 +289,23 @@ def geometric_chain(f: PartialDensityOperator):
         yield scale(f, 1.0 - 2.0**-n)
 
 
+# 1 - 2^-n rounds to 1.0 from n = 54 on, where the trace gap is exactly 0,
+# below every trace_tol: chain_supremum never reads past element 55
+_CHAIN_BOUND = 64
+
+
 def _geometric_supremum(f: PartialDensityOperator, cfg: FixpointConfig):
-    """``chain_supremum`` of ``geometric_chain(f)``: the certified elements
-    it consumed, the last of them its supremum, and whether it converged."""
-    consumed = []
-
-    def matrices():
-        for fn in geometric_chain(f):
-            consumed.append(fn)
-            yield fn.matrix
-
-    _, _, converged, _ = chain_supremum(matrices(), cfg)
-    return consumed, converged
+    """``chain_supremum`` of ``geometric_chain(f)``, the chain built at once
+    as one read-only n x d x d stack whose element n - 1 is (1 - 2^-n) f,
+    the same product ``scale`` forms. Returns the slice of the stack that
+    ``chain_supremum`` consumed, its last element as ``scale(f, 1 - 2^-N)``
+    (the supremum, with the certificate ``scale`` gives it), and whether
+    the chain converged."""
+    factors = 1.0 - 2.0 ** -np.arange(1, _CHAIN_BOUND + 1)
+    stack = factors[:, None, None] * f.matrix
+    stack.setflags(write=False)
+    _, iterations, converged, _ = chain_supremum(stack, cfg)
+    return stack[: iterations + 1], scale(f, float(factors[iterations])), converged
 
 
 def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
@@ -323,8 +339,7 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
             norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
 
-            chain, converged = _geometric_supremum(f, cfg)
-            sup = chain[-1]
+            chain, sup, converged = _geometric_supremum(f, cfg)
             err = linalg.max_norm(sup.matrix - f.matrix)
             below, _ = linalg.is_positive_semidefinite(
                 f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix
@@ -335,9 +350,11 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
             for _ in range(10):
                 k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
                 target = gleason_measure(f, k)
-                sup_measure = max(gleason_measure(fn, k) for fn in chain)
-                worst = max(worst, abs(gleason_measure(sup, k) - sup_measure))
-                worst = max(worst, abs(gleason_measure(sup, k) - target))
+                at_sup = gleason_measure(sup, k)
+                # every element's measure, from one product over the stack
+                traces = np.einsum("ij,nji->n", k.projection, chain).tolist()
+                sup_measure = max(map(_measure_value, traces))
+                worst = max(worst, abs(at_sup - sup_measure), abs(at_sup - target))
             scott.record(worst <= 1e-6, worst, trial_seed)
 
             bits = [int(b) for b in rng.integers(0, 2, size=dim)]
@@ -420,9 +437,13 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
                 trial_seed,
             )
 
-            chain, _ = _geometric_supremum(f, cfg)
-            sup = chain[-1]
-            chain_intervals = [expected_interval(r, fn) for fn in chain]
+            chain, sup, _ = _geometric_supremum(f, cfg)
+            # each element (1 - 2^-n) f keeps f's certificate, as scale gives it
+            traces = np.trace(chain, axis1=1, axis2=2).real.tolist()
+            chain_intervals = [
+                missing_mass_interval(center, _certified(fn, trace), m, big_m)
+                for center, fn, trace in zip(_expectations(r, chain), chain, traces)
+            ]
             limit_interval = directed_intersection(chain_intervals, tol=1e-12)
             target = expected_interval(r, f)
             e_dev = max(abs(limit_interval.lo - target.lo), abs(limit_interval.hi - target.hi))
@@ -432,7 +453,7 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
             e0_dev = abs(e0(r, sup) - e0(r, f))
             shift = -min(0.0, spectrum_bounds(r)[0])
             r_pos = BoundedObservable(r.operator + shift * np.eye(dim))
-            sup_e0 = max(e0(r_pos, fn) for fn in chain)
+            sup_e0 = max(_expectations(r_pos, chain))
             e0_dev = max(e0_dev, abs(sup_e0 - e0(r_pos, f)))
             scott_e.record(e_dev <= 1e-6 and e0_dev <= 1e-8, max(e_dev, e0_dev), trial_seed)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg
-from qpartial.errors import NotHermitianError
+from qpartial.errors import CrossCheckError, NotHermitianError
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -45,6 +45,24 @@ class TestHermitianEig:
         (w1, v1), (w2, v2) = linalg.hermitian_eig(a), linalg.hermitian_eig(a)
         assert np.array_equal(w1, w2)
         assert np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("norm, rejected", [(1.0, True), (0.5, True), (100.0, False)])
+    def test_reconstruction_bound_is_relative_above_norm_one(self, monkeypatch, norm, rejected):
+        # eigh's eigenvalues moved by 1e-8 with its eigenvectors kept: a
+        # reconstruction defect of exactly 1e-8, orthonormality untouched
+        solver = np.linalg.eigh
+
+        def shifted(a):
+            vals, vecs = solver(a)
+            return vals + np.array([1e-8, 0.0, 0.0]), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        a = norm * np.diag([1.0, -0.5, 0.25])
+        if rejected:
+            with pytest.raises(CrossCheckError, match="reconstruction 1.000e-08"):
+                linalg.hermitian_eig(a)
+        else:
+            assert linalg.hermitian_eig(a)[0][0] == pytest.approx(-0.5 * norm + 1e-8, abs=1e-15)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

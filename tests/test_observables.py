@@ -95,10 +95,8 @@ class TestSpectralData:
         f = PartialDensityOperator(np.eye(n) / n)
         assert e0(r, f) == pytest.approx(np.sum(values) / n, abs=1e-15)
 
-    # hermitian_eig certifies the reconstruction against the absolute
-    # EIG_TOL, so at large norm rounding alone fails it: here the error is
-    # 1.3e-8, a relative error of 6e-16
-    @pytest.mark.xfail(strict=True, raises=CrossCheckError, reason="absolute EIG_TOL at large norm")
+    # the reconstruction error here is 1.3e-8, above the absolute EIG_TOL
+    # but a relative error of 6e-16: hermitian_eig scales its bound by |A|
     def test_large_norm_observable_accepted(self):
         a = 1e7 * np.array(
             [
@@ -110,6 +108,13 @@ class TestSpectralData:
         )
         r = BoundedObservable(a)
         assert e0(r, PartialDensityOperator.maximally_mixed(4)) == pytest.approx(1.5e7 / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_large_norm_random_observable_accepted(self, dim):
+        a = 1e6 * sampling.random_observable(dim, np.random.default_rng(0)).operator
+        r = BoundedObservable(a)
+        f = PartialDensityOperator.maximally_mixed(dim)
+        assert e0(r, f) == pytest.approx(np.trace(a).real / dim, rel=1e-12)
 
     def test_one_eigensolve_per_observable(self, count_eigensolves):
         a = sampling.random_hermitian(64, rng_for(21))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from qpartial import sampling
-from qpartial.density import PartialDensityOperator
+from qpartial import sampling, verify
+from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
+from qpartial.errors import CrossCheckError
 from qpartial.qlang import interpreter
 from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, While
 from qpartial.verify import (
     CheckResult,
     SuiteReport,
+    _geometric_supremum,
+    geometric_chain,
     linearity_deviation,
     measure_violation,
     order_isomorphism_checks,
@@ -95,3 +98,77 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
         run_suite("qlang", [2], 5, 42)
     # each random program's gates once, and the fair coin's two
     assert len(gates) == sum(gate_count(p.body) for p in programs) + 2
+
+
+CHAIN_CONFIGS = [
+    FixpointConfig(),
+    FixpointConfig(max_iterations=1),
+    FixpointConfig(max_iterations=5),
+    FixpointConfig(max_iterations=60),
+    FixpointConfig(trace_tol=1e-300),
+    FixpointConfig(trace_tol=0.5),
+]
+
+
+@pytest.mark.parametrize("cfg", CHAIN_CONFIGS, ids=repr)
+@pytest.mark.parametrize("trace", [0.0, 1.0])
+def test_stacked_geometric_chain_equals_the_lazy_one(cfg, trace):
+    f = sampling.random_pdo(3, np.random.default_rng(8), trace=trace)
+    chain, sup, converged = _geometric_supremum(f, cfg)
+    lazy_sup, iterations, lazy_converged, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
+    assert len(chain) == iterations + 1
+    assert converged == lazy_converged
+    assert np.array_equal(sup.matrix, lazy_sup) and np.array_equal(sup.matrix, chain[-1])
+    assert sup.trace == float(np.trace(lazy_sup).real)
+    assert all(np.array_equal(fn_stacked, fn.matrix) for fn_stacked, fn in zip(chain, geometric_chain(f)))
+    assert not chain.flags.writeable
+
+
+def corrupt_chains(monkeypatch, change):
+    """Make the suites' geometric chains carry ``change`` applied to their
+    element 10, a middle element: the supremum and the last element stay
+    intact."""
+    original = verify._geometric_supremum
+
+    def corrupted(f, cfg):
+        chain, sup, converged = original(f, cfg)
+        if len(chain) > 11:
+            chain = chain.copy()
+            chain[10] = change(chain[10])
+        return chain, sup, converged
+
+    monkeypatch.setattr(verify, "_geometric_supremum", corrupted)
+
+
+def scott_check(report):
+    return next(c for c in report.checks if c.name.endswith("scott_continuity"))
+
+
+def test_gleason_scott_continuity_reads_every_element(monkeypatch):
+    assert scott_check(run_suite("dcpo", [3], 4, 42)).passed
+    corrupt_chains(monkeypatch, lambda m: (1 + 1e-3) * m)
+    assert scott_check(run_suite("dcpo", [3], 4, 42)).failures > 0
+
+
+def test_gleason_scott_continuity_checks_every_measure_value(monkeypatch):
+    corrupt_chains(monkeypatch, lambda m: m + 1e-6j * np.eye(len(m)))
+    with pytest.raises(CrossCheckError, match="imaginary part"):
+        run_suite("dcpo", [3], 4, 42)
+
+
+def test_expected_interval_scott_continuity_cross_checks_every_element(monkeypatch):
+    # the trace form of one middle chain element read 1e-6 too high; a
+    # single state's trace form (a stack of one) is left alone
+    einsum = np.einsum
+
+    def corrupted(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if subscripts == "ij,nji->n" and len(out) > 11:
+            out = out.copy()
+            out[10] += 1e-6
+        return out
+
+    assert scott_check(run_suite("interval", [3], 4, 42)).passed
+    monkeypatch.setattr(np, "einsum", corrupted)
+    with pytest.raises(CrossCheckError, match="trace form"):
+        run_suite("interval", [3], 4, 42)
