@@ -27,7 +27,7 @@ RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
 PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections
 EIG_GROUP_TOL = 1e-8  # gap below which eigenvalues share an eigenprojection
 IMAG_TOL = 1e-9  # imaginary part of a measure value
-E0_CROSS_TOL = 1e-7  # spectral sum versus trace form of an expectation
+E0_CROSS_TOL = 1e-7  # spectral sum versus trace form of an expectation, times max(1, |A|)
 
 
 def as_matrix(a) -> np.ndarray:

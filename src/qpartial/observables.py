@@ -154,8 +154,9 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
     """Expectation of the observed part: sum of eigenvalue * weight.
 
     Cross-checked against tr(A f) = sum_ij A_ij f_ji, which shares no
-    code with the weights; divergence beyond ``linalg.E0_CROSS_TOL``
-    means the stored spectral data no longer matches the operator.
+    code with the weights; divergence beyond ``linalg.E0_CROSS_TOL *
+    max(1, |A|)`` means the stored spectral data no longer matches the
+    operator. The bound scales with A, as the rounding of both sums does.
     """
     linalg.require_same_dim(r.dim, f.dim)
     return _expectations(r, f.matrix[None])[0]
@@ -166,10 +167,11 @@ def _expectations(r: BoundedObservable, stack: np.ndarray) -> list[float]:
     them from ``_weights``, their trace forms from one product over the
     stack, then each matrix's spectral sum and cross-check in turn."""
     trace_forms = np.einsum("ij,nji->n", r.operator, stack).real.tolist()
+    tol = linalg.E0_CROSS_TOL * max(1.0, linalg.max_norm(r.operator))
     values = []
     for weights, trace_form in zip(_weights(r, stack).tolist(), trace_forms):
         spectral_sum = sum(lam * w for lam, w in zip(r._eigenvalues, weights))
-        if abs(spectral_sum - trace_form) > linalg.E0_CROSS_TOL:
+        if abs(spectral_sum - trace_form) > tol:
             raise CrossCheckError(
                 f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"
             )

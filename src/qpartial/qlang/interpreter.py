@@ -13,61 +13,44 @@ mass in its complement's, so the chain runs on the two blocks
     a_0 = E+ rho E,   s_0 = B+ rho B
     (s_{n+1}, e_n) = step(s_n),   a_{n+1} = a_n + e_n
 
-an increasing chain of exit blocks that ``_approximants`` yields and
-``density.chain_supremum``, the one Kleene loop, consumes under its
-stopping rule. The traces of the a_n are those of their lifts, and the
-loop returns ``E a E+``.
+an increasing chain of exit blocks that ``density.chain_supremum``, the
+one Kleene loop, consumes under its stopping rule. The traces of the a_n
+are those of their lifts, and the loop returns ``E a E+``.
 
 A program is denoted once, before any run: ``denote`` compiles the AST
-into a ``Denotation``, one function on raw matrices, which ``apply`` runs
-on any input under any ``FixpointConfig``. Every gate run is certified and
-every guard's maps are built by ``denote``, so a program is accepted or
-rejected whatever path a run takes and however long its loops run.
+into a ``Denotation``, a tree of frozen nodes that ``apply`` runs on any
+input under any ``FixpointConfig``. Each node is a map ``(rho, cfg,
+loops) -> rho`` on raw matrices: ``_Gates(u)`` conjugates by u,
+``_Seq(parts)`` runs its parts in order, ``_If(guard, then, other)``
+sends the guard's block to ``then`` and its complement's to ``other``,
+and ``_Loop(guard, body, m, c)`` runs the chain above, appending
+``(iterations, converged, traces)`` to ``loops`` when it completes.
+Every gate run is certified and every guard's maps are built by
+``denote``, so a program is accepted or rejected whatever path a run
+takes and however long its loops run.
 
 Sequences are denoted in one normal form, ``_sequence``: nested ``Seq``
 flattened and ``skip``, the identity, dropped. Gates are fused: each
-maximal run ``U_1; ...; U_k`` of consecutive gates in it denotes the
-single map ``rho -> U rho U+`` with ``U = U_k ... U_1``, formed once per
-``denote`` and applied as one conjugation; a lone gate is applied as it
-is. The product is certified like a gate, ``max_norm(U+U - I)``, within
-``k * UNITARY_TOL``: to first order, the sum of the k factors' certified
-defects. ``skip`` is dropped first; runs never cross ``if`` or
-``while``. Fusion changes results only by rounding.
-
-A loop step has two kernels. A body whose normal form is all gates runs
-``_block_step``: ``denote`` compresses the run's product U into ``M = B+
-U B`` (r x r) and ``C = E+ U B`` ((d - r) x r) once, and a step is ``s
--> M s M+`` with exit increment ``C s C+``. A body of only ``skip`` has
-U = I. A body that holds ``if`` or ``while`` runs ``_body_step``: ``sigma
-= [[body]](B s B+)``, then the looping block ``B+ sigma B`` and the exit
-increment ``E+ sigma E``. For a ``|0>``/``|1>`` guard B and E are index
-sets, so compressing and lifting are an exact gather and scatter, and
-both kernels only leave out terms that are exact zeros in the
-full-matrix chain; for other guards B and E come from an eigensolve and
-the result differs from that chain by rounding.
+maximal run ``U_1; ...; U_k`` of consecutive gates in it is one
+``_Gates`` node with ``U = U_k ... U_1``, formed once per ``denote``; a
+lone gate is applied as it is. The product is certified like a gate,
+``max_norm(U+U - I)``, within ``k * UNITARY_TOL``: to first order, the
+sum of the k factors' certified defects. ``skip`` is dropped first; runs
+never cross ``if`` or ``while``. A sequence of one part is that part.
+Fusion changes results only by rounding.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
-input is touched; every statement maps partial density operators to
-partial density operators by construction, so statements act on raw
-arrays and the output is certified once, by ``apply``. A ``_block_step``
-loop is certified once too: ``denote`` checks its pair (M, C) as a Kraus
-split of the identity, ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) *
-UNITARY_TOL`` for a run of k gates, so each exit increment ``C s C+`` is
-PSD by construction and no step of it is checked. A ``_body_step`` loop
-is not certified at ``denote``, since its body may hold an ``if`` or a
-nested loop: ``cfg.monotonicity_check`` tests each of its exit increments
-e_n for positivity, at every iteration. e_n is the exit block of the full
-increment, which holds all of that increment's nonzero eigenvalues.
+input is touched. Every node maps partial density operators to partial
+density operators by construction, so nodes act on raw arrays and the
+output is certified once, by ``apply``; ``_Loop`` says how loops are.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -77,8 +60,6 @@ from ..errors import ChainMonotonicityError
 from ..logic import ClosedSubspace
 from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
 from .gates import _require_unitary, denote_unitary
-
-Map = Callable[[np.ndarray, FixpointConfig, list], np.ndarray]
 
 
 @dataclass
@@ -167,10 +148,10 @@ def denote(prog: Program) -> Denotation:
 
 @dataclass(frozen=True)
 class Denotation:
-    """A program's map, built once by ``denote`` and applied by ``apply``."""
+    """A program's tree of nodes, built once by ``denote`` and applied by ``apply``."""
 
     dim: int
-    _map: Map = field(repr=False)
+    _root: _Node = field(repr=False)
 
     def apply(self, input_state: PartialDensityOperator, cfg: FixpointConfig | None = None) -> RunReport:
         """Run the program on an input partial density operator.
@@ -183,7 +164,7 @@ class Denotation:
         cfg = cfg or FixpointConfig()
         linalg.require_same_dim(input_state.dim, self.dim)
         loops: list[tuple[int, bool, list[float]]] = []
-        output = PartialDensityOperator(self._map(input_state.matrix, cfg, loops))
+        output = PartialDensityOperator(self._root(input_state.matrix, cfg, loops))
         return RunReport(
             output=output,
             iterations_per_loop=[count for count, _, _ in loops],
@@ -200,51 +181,133 @@ def interpret(
     return denote(prog).apply(input_state, cfg)
 
 
-def _denote(stmt: Statement, total_qubits: int) -> Map:
-    """The map ``(rho, cfg, loops) -> rho`` that ``stmt`` denotes, with its gate
-    runs certified and its guards' maps built. Each loop evaluation under
-    ``cfg`` appends ``(iterations, converged, traces)`` to ``loops``."""
+@dataclass(frozen=True, eq=False, slots=True)
+class _Gates:
+    """``rho -> u rho u+``, the one place a gate or fused gate run is applied."""
+
+    u: np.ndarray
+
+    def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+        return self.u @ rho @ self.u.conj().T
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Seq:
+    """Its parts, run in order; no parts is the identity."""
+
+    parts: tuple[_Node, ...]
+
+    def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+        for part in self.parts:
+            rho = part(rho, cfg, loops)
+        return rho
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _If:
+    """The guard's block ``B B+ rho B B+`` to ``then``, its complement's
+    ``E E+ rho E E+`` to ``other``, and the sum of the two results."""
+
+    guard: _GuardMaps
+    then: _Node
+    other: _Node
+
+    def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+        g = self.guard
+        kept = g.lift(g.b, g.compress(g.b, g.b, rho))
+        exited = g.lift(g.e, g.compress(g.e, g.e, rho))
+        return self.then(kept, cfg, loops) + self.other(exited, cfg, loops)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Loop:
+    """``while guard { body }``, the supremum of its chain of exit blocks
+    (see the module docstring). A step has two kernels.
+
+    If the body's normal form is a gate run with product U (U = I for a
+    body of only ``skip``), ``body`` is ``_Gates(U)`` and ``denote``
+    compresses U once into ``m = B+ U B`` (r x r) and ``c = E+ U B`` ((d -
+    r) x r): a step is ``s -> M s M+`` with exit increment ``C s C+``.
+    ``denote`` certifies (M, C) as a Kraus split of the identity,
+    ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) * UNITARY_TOL`` for a
+    run of k gates, so each ``C s C+`` is PSD by construction and no step
+    is checked.
+
+    A body that holds an ``if`` or a ``while`` leaves ``m`` and ``c`` None
+    and is not certified at ``denote``: a step is ``sigma = [[body]](B s
+    B+)``, then the looping block ``B+ sigma B`` and the exit increment
+    ``E+ sigma E``, the block that holds all of the full increment's
+    nonzero eigenvalues, tested for positivity under ``monotonicity_check``.
+
+    For a ``|0>``/``|1>`` guard B and E are index sets, an exact gather
+    and scatter, and both kernels leave out only exact zeros of the
+    full-matrix chain; other guards' B and E come from an eigensolve, and
+    the result differs from that chain by rounding.
+    """
+
+    guard: _GuardMaps
+    body: _Node
+    m: np.ndarray | None = None
+    c: np.ndarray | None = None
+
+    def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
+        acc, count, converged, traces = chain_supremum(self.approximants(rho, cfg, loops), cfg)
+        loops.append((count, converged, traces))
+        return self.guard.lift(self.guard.e, acc)
+
+    def step(self, s: np.ndarray, cfg: FixpointConfig, loops: list) -> tuple[np.ndarray, np.ndarray]:
+        """One Kleene step on the looping block s: (next looping block, exit increment)."""
+        if self.m is not None:
+            return self.m @ s @ self.m.conj().T, self.c @ s @ self.c.conj().T
+        g = self.guard
+        sigma = self.body(g.lift(g.b, s), cfg, loops)
+        return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
+
+    def approximants(self, rho: np.ndarray, cfg: FixpointConfig, loops: list):
+        """The chain's exit blocks a_0, a_1, ... on input ``rho``, checked as above."""
+        g = self.guard
+        check = cfg.monotonicity_check and self.m is None
+        acc, s = g.compress(g.e, g.e, rho), g.compress(g.b, g.b, rho)
+        yield acc
+        for n in itertools.count(1):
+            s, increment = self.step(s, cfg, loops)
+            if check and increment.size:
+                ok, witness = linalg.is_positive_semidefinite(increment)
+                if not ok:
+                    message = f"chain decreases between elements {n} and {n + 1}"
+                    raise ChainMonotonicityError(message, index=n, witness=g.lift(g.e, witness))
+            acc = acc + increment
+            yield acc
+
+
+_Node = _Gates | _Seq | _If | _Loop
+
+
+def _denote(stmt: Statement, total_qubits: int) -> _Node:
+    """The node ``stmt`` denotes, with its gate runs and gate-run loops'
+    Kraus pairs (M, C) certified and its guards' maps built."""
     if isinstance(stmt, Branch):
-        guard = _GuardMaps(stmt.guard)
-        taken = _denote(stmt.then_body, total_qubits)
-        other = _denote(stmt.else_body, total_qubits)
-
-        def branch(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-            kept = guard.lift(guard.b, guard.compress(guard.b, guard.b, rho))
-            exited = guard.lift(guard.e, guard.compress(guard.e, guard.e, rho))
-            return taken(kept, cfg, loops) + other(exited, cfg, loops)
-
-        return branch
+        then, other = stmt.then_body, stmt.else_body
+        return _If(_GuardMaps(stmt.guard), _denote(then, total_qubits), _denote(other, total_qubits))
     if isinstance(stmt, While):
-        guard = _GuardMaps(stmt.guard)
-        body = _sequence(stmt.body)
-        certified = all(isinstance(s, ApplyUnitary) for s in body)
-        if certified:
-            u = _product(body, total_qubits)
-            m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
-            _require_unitary(
-                np.vstack((m, c)),
-                max(len(body), 1) * linalg.UNITARY_TOL,
-                f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
-            )
-            step = functools.partial(_block_step, m, c)
-        else:
-            step = functools.partial(_body_step, guard, _denote(stmt.body, total_qubits))
-
-        def loop(rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-            chain = _approximants(guard, step, rho, cfg, loops, check=cfg.monotonicity_check and not certified)
-            acc, count, converged, traces = chain_supremum(chain, cfg)
-            loops.append((count, converged, traces))
-            return guard.lift(guard.e, acc)
-
-        return loop
-    maps = []
+        guard, body = _GuardMaps(stmt.guard), _sequence(stmt.body)
+        if not all(isinstance(s, ApplyUnitary) for s in body):
+            return _Loop(guard, _denote(stmt.body, total_qubits))
+        u = _product(body, total_qubits)
+        m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
+        _require_unitary(
+            np.vstack((m, c)),
+            max(len(body), 1) * linalg.UNITARY_TOL,
+            f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
+        )
+        return _Loop(guard, _Gates(u), m, c)
+    parts = []
     for is_gate, group in itertools.groupby(_sequence(stmt), lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
-            maps.append(functools.partial(_conjugate, _product(list(group), total_qubits)))
+            parts.append(_Gates(_product(list(group), total_qubits)))
         else:
-            maps.extend(_denote(s, total_qubits) for s in group)
-    return functools.partial(_compose, maps)
+            parts.extend(_denote(s, total_qubits) for s in group)
+    return parts[0] if len(parts) == 1 else _Seq(tuple(parts))
 
 
 def _sequence(stmt: Statement) -> list[Statement]:
@@ -255,55 +318,3 @@ def _sequence(stmt: Statement) -> list[Statement]:
     if not isinstance(stmt, (Skip, ApplyUnitary, Branch, While)):
         raise TypeError(f"unknown statement node {stmt!r}")
     return [] if isinstance(stmt, Skip) else [stmt]
-
-
-def _compose(maps: list[Map], rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-    for m in maps:
-        rho = m(rho, cfg, loops)
-    return rho
-
-
-def _conjugate(u: np.ndarray, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-    """``u rho u+``, the one place a gate or fused gate run is applied."""
-    return u @ rho @ u.conj().T
-
-
-def _block_step(m: np.ndarray, c: np.ndarray, s: np.ndarray, cfg: FixpointConfig, loops: list):
-    """One Kleene step of a gate-run body: the looping block ``M s M+`` and
-    the exit increment ``C s C+``."""
-    return m @ s @ m.conj().T, c @ s @ c.conj().T
-
-
-def _body_step(maps: _GuardMaps, body: Map, s: np.ndarray, cfg: FixpointConfig, loops: list):
-    """One Kleene step of any other body: ``sigma = [[body]](B s B+)``, then
-    the looping block ``B+ sigma B`` and the exit increment ``E+ sigma E``."""
-    sigma = body(maps.lift(maps.b, s), cfg, loops)
-    return maps.compress(maps.b, maps.b, sigma), maps.compress(maps.e, maps.e, sigma)
-
-
-def _approximants(maps: _GuardMaps, step, rho: np.ndarray, cfg: FixpointConfig, loops: list, check: bool):
-    """The loop's Kleene chain as exit blocks a_0, a_1, ... (see the module
-    docstring), each step one call of ``step`` on the looping block, and its
-    exit increment checked for positivity if ``check``."""
-    acc, s = maps.compress(maps.e, maps.e, rho), maps.compress(maps.b, maps.b, rho)
-    yield acc
-    for n in itertools.count(1):
-        s, increment = step(s, cfg, loops)
-        if check:
-            _require_positive_step(maps, increment, n)
-        acc = acc + increment
-        yield acc
-
-
-def _require_positive_step(maps: _GuardMaps, block: np.ndarray, index: int) -> None:
-    """Raise unless ``acc_{index+1} - acc_index``, whose exit block is
-    ``block``, is PSD."""
-    if not block.size:
-        return
-    ok, witness = linalg.is_positive_semidefinite(block)
-    if not ok:
-        raise ChainMonotonicityError(
-            f"chain decreases between elements {index} and {index + 1}",
-            index=index,
-            witness=maps.lift(maps.e, witness),
-        )

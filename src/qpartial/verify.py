@@ -25,7 +25,7 @@ from .density import (
     loewner_leq,
     scale,
 )
-from .errors import ChainMonotonicityError
+from .errors import ChainMonotonicityError, InvalidOperatorError, NotHermitianError, NotPositiveError
 from .intervals import CompactInterval, add_intervals, directed_intersection, reverse_inclusion_leq, scale_interval, translate
 from .logic import (
     ClosedSubspace,
@@ -514,9 +514,20 @@ FAIR_COIN = "qubit q; h q; while q in |1> { h q; }"
 DIVERGING = "qubit q; while q in |0> { skip; }"
 
 
+# A run that ends in one of these produced no partial density operator: a
+# fault in the interpreter, recorded against the trial's check, not raised
+_RUN_FAULTS = (ChainMonotonicityError, NotHermitianError, NotPositiveError, InvalidOperatorError)
+
+
 def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
     """Program-level checks; ``dims`` is accepted for interface uniformity
-    but program dimension is fixed by the programs themselves."""
+    but program dimension is fixed by the programs themselves.
+
+    A trial whose first run raises one of ``_RUN_FAULTS`` fails
+    ``approximant_chain_increasing``; one whose linearity runs raise it
+    fails ``denotation_linear``. Either is recorded with deviation 1.0 and
+    the trial's seed, and the suite goes on to the next trial.
+    """
     fair = CheckResult("fair_coin_residuals")
     diverge = CheckResult("diverging_loop")
     trace_mono = CheckResult("trace_nonincreasing")
@@ -550,7 +561,7 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
         cfg = FixpointConfig(max_iterations=60)
         try:
             report = program.apply(rho, cfg)
-        except ChainMonotonicityError:
+        except _RUN_FAULTS:
             increasing.record(False, 1.0, trial_seed)
             continue
         increasing.record(True, 0.0, trial_seed)
@@ -562,11 +573,15 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
         beta = float(rng.uniform(0.0, 1.0 - alpha))
         mix = PartialDensityOperator(alpha * rho.matrix + beta * rho2.matrix)
         lin_cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300, monotonicity_check=False)
-        combined = program.apply(mix, lin_cfg).output.matrix
-        parts = (
-            alpha * program.apply(rho, lin_cfg).output.matrix
-            + beta * program.apply(rho2, lin_cfg).output.matrix
-        )
+        try:
+            combined = program.apply(mix, lin_cfg).output.matrix
+            parts = (
+                alpha * program.apply(rho, lin_cfg).output.matrix
+                + beta * program.apply(rho2, lin_cfg).output.matrix
+            )
+        except _RUN_FAULTS:
+            linear.record(False, 1.0, trial_seed)
+            continue
         lin_dev = linalg.max_norm(combined - parts)
         linear.record(lin_dev <= 1e-8, lin_dev, trial_seed)
     return SuiteReport(

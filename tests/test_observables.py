@@ -359,6 +359,17 @@ class TestE0:
         assert sum(-lam * w for lam, w in floor) > linalg.E0_CROSS_TOL
         assert e0(r, f) == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_cross_check_scales_with_the_observable(self, dim):
+        # at |A| about 1e9 the two sums part by rounding alone, about 1e-14
+        # |A| (6e-14 |A| at these seeds): more than a fixed E0_CROSS_TOL,
+        # far within E0_CROSS_TOL |A|
+        a = 1e9 * sampling.random_observable(dim, np.random.default_rng(0)).operator
+        f = sampling.random_pdo(dim, np.random.default_rng(1))
+        assert 1e-14 * linalg.max_norm(a) > linalg.E0_CROSS_TOL
+        value = e0(BoundedObservable(a), f)
+        assert abs(value - float(np.trace(a @ f.matrix).real)) <= 1e-12 * linalg.max_norm(a)
+
     def test_corrupted_spectral_cache_raises(self):
         r = BoundedObservable(PAULI_Z)
         r._operator = np.diag([5.0, -1.0]).astype(complex)  # desync operator from cache

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from qpartial import sampling, verify
+from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError
 from qpartial.qlang import interpreter
@@ -98,6 +101,45 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
         run_suite("qlang", [2], 5, 42)
     # each random program's gates once, and the fair coin's two
     assert len(gates) == sum(gate_count(p.body) for p in programs) + 2
+
+
+def drop_c_conjugate(monkeypatch, only_without_check: bool = False) -> None:
+    """Make a block loop's exit increment ``C s C^T`` in place of ``C s C+``:
+    not Hermitian where C is complex, so its run raises ``NotHermitianError``
+    when the output is certified. With ``only_without_check`` the fault
+    acts only on runs without ``monotonicity_check``, the linearity runs
+    of ``qlang_suite``."""
+    original = interpreter._Loop.step
+
+    def faulty_step(loop, s, cfg, loops):
+        if loop.m is None or (only_without_check and cfg.monotonicity_check):
+            return original(loop, s, cfg, loops)
+        return loop.m @ s @ loop.m.conj().T, loop.c @ s @ loop.c.T
+
+    monkeypatch.setattr(interpreter._Loop, "step", faulty_step)
+
+
+@pytest.mark.parametrize(
+    "only_without_check, failing",
+    [(False, "approximant_chain_increasing"), (True, "denotation_linear")],
+)
+def test_a_fault_inside_a_qlang_trial_is_recorded_with_its_seed(monkeypatch, only_without_check, failing):
+    drop_c_conjugate(monkeypatch, only_without_check)
+    report = run_suite("qlang", [2], 30, 42)
+    checks = {c.name: c for c in report.checks}
+    assert not report.all_passed
+    seeds = checks[failing].failure_seeds
+    assert seeds and all(seed[0] == 42 and seed[1] == 0 for seed in seeds)
+    assert checks[failing].passes + checks[failing].failures <= 30
+    # every trial was attempted: the fault ended its own trial only
+    assert checks["approximant_chain_increasing"].passes + checks["approximant_chain_increasing"].failures == 30
+
+
+def test_a_fault_inside_a_qlang_trial_exits_2(monkeypatch, capsys):
+    drop_c_conjugate(monkeypatch)
+    assert main(["verify", "qlang", "--trials", "30"]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["approximant_chain_increasing"]["failure_seeds"]
 
 
 CHAIN_CONFIGS = [
