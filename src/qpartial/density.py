@@ -44,7 +44,7 @@ class PartialDensityOperator:
 
     def __init__(self, matrix):
         m = linalg.require_positive_semidefinite(matrix)
-        tr = float(np.trace(m).real)
+        tr = float(m.trace().real)
         if tr > 1.0 + linalg.PSD_TOL:
             raise InvalidOperatorError(f"trace {tr:.12g} exceeds 1 (tol {linalg.PSD_TOL:.1e})")
         if tr < -linalg.PSD_TOL:
@@ -151,7 +151,7 @@ def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"scale factor must lie in [0, 1], got {r}")
     m = r * f.matrix
-    return _certified(m, float(np.trace(m).real))
+    return _certified(m, float(m.trace().real))
 
 
 def _certified(m: np.ndarray, trace: float) -> PartialDensityOperator:
@@ -235,9 +235,9 @@ def chain_supremum(
         current = next(it)
     except StopIteration:
         raise ValueError("supremum of an empty chain is undefined") from None
-    traces = [float(np.trace(current).real)]
+    traces = [float(current.trace().real)]
     for current in itertools.islice(it, cfg.max_iterations - 1):
-        traces.append(float(np.trace(current).real))
+        traces.append(float(current.trace().real))
         if traces[-1] - traces[-2] < cfg.trace_tol:
             converged = True
             break

@@ -15,6 +15,8 @@ at the time the check runs (max norm unless stated otherwise).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, NotPositiveError
@@ -35,7 +37,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    # a complex entry is finite only when both of its parts are
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -43,7 +46,25 @@ def as_matrix(a) -> np.ndarray:
 def max_norm(a) -> float:
     """Largest entry magnitude (the max norm used by all tolerance checks)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def gram_defect(v: np.ndarray) -> np.ndarray:
+    """V+V - I for the columns V, as a new array: the identity is taken off
+    the Gram matrix's diagonal in place, which rounds exactly as
+    subtracting ``np.eye`` does."""
+    g = v.conj().T @ v
+    g.flat[:: g.shape[0] + 1] -= 1.0
+    return g
+
+
+def euclidean_norm(x: np.ndarray) -> float:
+    """The 2-norm of a complex vector, or the Frobenius norm of a complex
+    matrix, by the formula ``np.linalg.norm`` applies to complex input,
+    so the result is the same to the bit, without its dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def require_same_dim(m: int, n: int) -> None:
@@ -78,7 +99,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         raise CrossCheckError(f"eigensolver failed to converge: {exc}") from exc
     vals = vals.astype(float)
     recon_err = max_norm((vecs * vals) @ vecs.conj().T - a)
-    ortho_err = max_norm(vecs.conj().T @ vecs - np.eye(a.shape[0]))
+    ortho_err = max_norm(gram_defect(vecs))
     recon_tol = EIG_TOL * max(1.0, max_norm(a))
     if recon_err > recon_tol or ortho_err > EIG_TOL:
         raise CrossCheckError(
@@ -108,7 +129,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
         for _ in range(2):
             for u in basis:
                 w = w - u * np.vdot(u, w)
-        norm = float(np.linalg.norm(w))
+        norm = euclidean_norm(w)
         if norm >= RANK_TOL:
             basis.append(w / norm)
     return basis

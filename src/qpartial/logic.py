@@ -123,8 +123,7 @@ def _span(b: np.ndarray) -> ClosedSubspace:
     computed B B+ is Hermitian up to rounding of about 2 r eps_mach
     (below 1.5e-14 at d = 64), far inside ``linalg.HERMITIAN_TOL``.
     """
-    r = b.shape[1]
-    _require_orthonormal(float(np.linalg.norm(b.conj().T @ b - np.eye(r))))
+    _require_orthonormal(linalg.euclidean_norm(linalg.gram_defect(b)))
     return _certified(b @ b.conj().T, b)
 
 

@@ -61,21 +61,26 @@ class BoundedObservable:
     __slots__ = ("_operator", "_vecs", "_starts", "_eigenvalues")
 
     def __init__(self, operator):
-        a = linalg.as_matrix(operator)
-        vals, vecs = linalg.hermitian_eig(a)
-        # a group starts where the gap to the previous eigenvalue exceeds
-        # the tolerance; the first eigenvalue's gap is infinite
-        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > linalg.EIG_GROUP_TOL)
-        defect = np.abs(vecs.conj().T @ vecs - np.eye(len(vals))) ** 2
+        # hermitian_eig coerces and validates the operator
+        vals, vecs = linalg.hermitian_eig(operator)
+        # a group starts at the first eigenvalue and wherever the gap to the
+        # previous one exceeds the tolerance; it ends where the next starts
+        is_start = np.empty(len(vals), dtype=bool)
+        is_start[:1] = True
+        is_start[1:] = vals[1:] - vals[:-1] > linalg.EIG_GROUP_TOL
+        starts = np.flatnonzero(is_start)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1:] = len(vals)
+        defect = np.abs(linalg.gram_defect(vecs)) ** 2
         block_sums = np.add.reduceat(np.add.reduceat(defect, starts, axis=0), starts, axis=1)
         _require_orthonormal(float(np.sqrt(np.max(np.diagonal(block_sums), initial=0.0))))
-        counts = np.diff(starts, append=len(vals))
-        a = np.array(a, dtype=complex)
+        a = np.array(operator, dtype=complex)
         a.setflags(write=False)
         self._operator = a
         self._vecs = vecs
         self._starts = starts
-        self._eigenvalues = tuple((np.add.reduceat(vals, starts) / counts).tolist())
+        self._eigenvalues = tuple((np.add.reduceat(vals, starts) / (ends - starts)).tolist())
 
     @property
     def operator(self) -> np.ndarray:
@@ -98,10 +103,34 @@ class BoundedObservable:
 
     def _eigenspaces(self):
         """Pairs (eigenvalue, the group's columns as a view of V), eigenvalues ascending."""
-        return zip(self._eigenvalues, np.split(self._vecs, self._starts[1:], axis=1))
+        v = self._vecs
+        bounds = self._starts.tolist() + [v.shape[1]]
+        return zip(self._eigenvalues, (v[:, i:j] for i, j in zip(bounds, bounds[1:])))
 
     def __repr__(self):
         return f"BoundedObservable(dim={self.dim}, spectrum={self.eigenvalues})"
+
+
+def _shifted(r: BoundedObservable, t: float) -> BoundedObservable:
+    """The observable A + t I, built from A's certified columns, with no
+    eigensolve.
+
+    It needs no certificate of its own. A + t I = V diag(w + t) V+ has A's
+    eigenvectors, so it keeps r's columns V and their groups, whose Gram
+    certificate depends on V alone; and a shift leaves every gap between
+    eigenvalues, and so the grouping, as it is. Each group's eigenvalue
+    moves by t, with one rounding. The stored operator is A + t I itself,
+    so every ``e0`` on the result still cross-checks its spectral sum
+    against that operator's trace form.
+    """
+    shifted = object.__new__(BoundedObservable)
+    a = r.operator + t * np.eye(r.dim)
+    a.setflags(write=False)
+    shifted._operator = a
+    shifted._vecs = r._vecs
+    shifted._starts = r._starts
+    shifted._eigenvalues = tuple(lam + t for lam in r._eigenvalues)
+    return shifted
 
 
 def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
@@ -165,18 +194,25 @@ def e0(r: BoundedObservable, f: PartialDensityOperator) -> float:
 def _expectations(r: BoundedObservable, stack: np.ndarray) -> list[float]:
     """``e0`` of each matrix of an n x d x d stack: the weights of all of
     them from ``_weights``, their trace forms from one product over the
-    stack, then each matrix's spectral sum and cross-check in turn."""
-    trace_forms = np.einsum("ij,nji->n", r.operator, stack).real.tolist()
+    stack, and every spectral sum and cross-check in one pass.
+
+    Each spectral sum adds eigenvalue * weight from the lowest eigenvalue
+    up, one term at a time (``np.cumsum`` does not pair terms), and the
+    final ``+ 0.0`` turns a sum of -0.0 into 0.0, as Python's ``sum``
+    does from its start value 0. The first matrix whose sums diverge
+    raises."""
+    trace_forms = np.einsum("ij,nji->n", r.operator, stack).real
     tol = linalg.E0_CROSS_TOL * max(1.0, linalg.max_norm(r.operator))
-    values = []
-    for weights, trace_form in zip(_weights(r, stack).tolist(), trace_forms):
-        spectral_sum = sum(lam * w for lam, w in zip(r._eigenvalues, weights))
-        if abs(spectral_sum - trace_form) > tol:
-            raise CrossCheckError(
-                f"spectral expectation {spectral_sum!r} and trace form {trace_form!r} diverge"
-            )
-        values.append(spectral_sum)
-    return values
+    terms = _weights(r, stack) * np.array(r._eigenvalues)
+    spectral_sums = np.cumsum(terms, axis=1)[:, -1] + 0.0
+    diverged = np.abs(spectral_sums - trace_forms) > tol
+    if diverged.any():
+        i = int(diverged.argmax())
+        raise CrossCheckError(
+            f"spectral expectation {float(spectral_sums[i])!r} and trace form "
+            f"{float(trace_forms[i])!r} diverge"
+        )
+    return spectral_sums.tolist()
 
 
 def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, hi: float) -> CompactInterval:

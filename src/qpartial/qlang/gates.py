@@ -91,7 +91,7 @@ def _require_unitary(u: np.ndarray, tol: float, what: str) -> None:
     """Raise ``NonUnitaryError`` unless ``max_norm(u+u - I) <= tol``. A tall
     ``u`` is certified as an isometry: for ``u = [M; C]`` that is the
     Kraus split ``M+M + C+C = I``."""
-    dev = linalg.max_norm(u.conj().T @ u - np.eye(u.shape[1]))
+    dev = linalg.max_norm(linalg.gram_defect(u))
     if dev > tol:
         raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
 

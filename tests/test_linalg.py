@@ -123,3 +123,55 @@ class TestPositiveSemidefinite:
         bigger = f + np.outer(v, v.conj())
         ok, _ = linalg.is_positive_semidefinite(bigger - f)
         assert ok
+
+
+class TestKernelsMatchTheirNumpyForms:
+    """The small-d kernels against the numpy expressions they replace, bit
+    for bit, on seeded inputs."""
+
+    SHAPES = [(1,), (5,), (2, 2), (3, 3), (4, 4), (16, 16), (64, 64), (64, 32)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_max_norm(self, shape):
+        rng = rng_for(12)
+        real = rng.standard_normal(shape)
+        for a in (real, real + 1j * rng.standard_normal(shape), -np.abs(real)):
+            assert linalg.max_norm(a) == float(np.max(np.abs(a)))
+        assert linalg.max_norm(np.zeros((0, 0))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_as_matrix_rejects_one_non_finite_part(self, bad, imaginary):
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 2] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+        assert np.isfinite(m.real).all() == imaginary and np.isfinite(m.imag).all() != imaginary
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_matrix(m)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_euclidean_norm(self, shape):
+        x = rng_for(13).standard_normal(shape) + 1j * rng_for(14).standard_normal(shape)
+        assert linalg.euclidean_norm(x) == float(np.linalg.norm(x))
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 3), (16, 16), (64, 32)])
+    def test_gram_defect(self, rows, cols):
+        v = np.linalg.qr(random_complex_matrix(rows, rng_for(15))[:, :cols])[0]
+        expected = v.conj().T @ v - np.eye(cols)
+        assert np.array_equal(linalg.gram_defect(v), expected)
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_orthonormalize_divides_by_numpys_norm(self, dim):
+        rng = rng_for(16)
+        vecs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(dim + 2)]
+        expected = []
+        for v in vecs:
+            w = v
+            for _ in range(2):
+                for u in expected:
+                    w = w - u * np.vdot(u, w)
+            norm = float(np.linalg.norm(w))
+            if norm >= linalg.RANK_TOL:
+                expected.append(w / norm)
+        out = linalg.orthonormalize(vecs)
+        assert len(out) == len(expected) == dim
+        assert all(np.array_equal(a, b) for a, b in zip(out, expected))

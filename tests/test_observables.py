@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from qpartial.intervals import (
 from qpartial.logic import ClosedSubspace, join
 from qpartial.observables import (
     BoundedObservable,
+    _expectations,
+    _shifted,
+    _weights,
     distribution,
     e0,
     expected_interval,
@@ -370,6 +375,34 @@ class TestE0:
         value = e0(BoundedObservable(a), f)
         assert abs(value - float(np.trace(a @ f.matrix).real)) <= 1e-12 * linalg.max_norm(a)
 
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_spectral_sums_add_left_to_right(self, dim):
+        # the reference adds one term at a time, from the lowest eigenvalue
+        # up; Python's sum compensates from 3.12 on, so it is not used
+        rng = rng_for(25)
+        r = sampling.random_observable(dim, rng)
+        stack = np.stack([sampling.random_pdo(dim, rng).matrix for _ in range(5)])
+        expected = []
+        for weights in _weights(r, stack).tolist():
+            total = 0.0
+            for lam, w in zip(r.eigenvalues, weights):
+                total += lam * w
+            expected.append(total)
+        assert _expectations(r, stack) == expected
+
+    def test_zero_state_under_a_negative_spectrum_is_positive_zero(self):
+        # every term is -0.0, and a sum from the start value 0 is 0.0
+        r = BoundedObservable(np.diag([-2.0, -1.0]))
+        value = e0(r, PartialDensityOperator.zero(2))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_cross_check_names_the_first_diverging_matrix(self):
+        r = BoundedObservable(PAULI_Z)
+        r._operator = np.diag([5.0, -1.0]).astype(complex)
+        stack = np.stack([np.zeros((2, 2)), np.diag([0.5, 0.0]), np.diag([0.25, 0.0])]).astype(complex)
+        with pytest.raises(CrossCheckError, match=r"^spectral expectation 0\.5 and trace form 2\.5 diverge$"):
+            _expectations(r, stack)
+
     def test_corrupted_spectral_cache_raises(self):
         r = BoundedObservable(PAULI_Z)
         r._operator = np.diag([5.0, -1.0]).astype(complex)  # desync operator from cache
@@ -461,6 +494,36 @@ class TestMonotonicityAndContinuity:
             assert ok and g.trace == pytest.approx(1.0, abs=1e-9)
             value = float(np.trace(r.operator @ g.matrix).real)
             assert expected_interval(r, f).contains(value, slack=1e-9)
+
+
+class TestShifted:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
+    def test_matches_the_shifted_operators_own_observable(self, dim, t):
+        rng = rng_for(26)
+        r = sampling.random_observable(dim, rng)
+        fresh = BoundedObservable(r.operator + t * np.eye(dim))
+        shifted = _shifted(r, t)
+        assert np.array_equal(shifted.operator, r.operator + t * np.eye(dim))
+        assert np.allclose(shifted.eigenvalues, fresh.eigenvalues, rtol=0.0, atol=1e-12)
+        for _ in range(5):
+            f = sampling.random_pdo(dim, rng)
+            assert e0(shifted, f) == pytest.approx(e0(fresh, f), abs=1e-12)
+
+    def test_runs_no_eigensolve(self, count_eigensolves):
+        r = sampling.random_observable(4, rng_for(27))
+        f = sampling.random_pdo(4, rng_for(28))
+        with count_eigensolves() as sizes:
+            shifted = _shifted(r, 1.5)
+            e0(shifted, f)
+        assert sizes == []
+        assert shifted.eigenvalues == [lam + 1.5 for lam in r.eigenvalues]
+
+    def test_cross_check_reads_the_shifted_operator(self):
+        r = _shifted(BoundedObservable(PAULI_Z), 1.0)
+        r._operator = np.diag([5.0, 0.0]).astype(complex)
+        with pytest.raises(CrossCheckError, match="diverge"):
+            e0(r, PartialDensityOperator.maximally_mixed(2))
 
 
 class TestLinearity:

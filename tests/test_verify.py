@@ -7,6 +7,7 @@ from qpartial import sampling, verify
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError
+from qpartial.logic import _measure_value
 from qpartial.qlang import interpreter
 from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, While
 from qpartial.verify import (
@@ -142,6 +143,55 @@ def test_a_fault_inside_a_qlang_trial_exits_2(monkeypatch, capsys):
     assert checks["approximant_chain_increasing"]["failure_seeds"]
 
 
+def test_a_fault_inside_an_interval_trial_is_recorded_with_its_seed(monkeypatch):
+    # a missing-mass interval that ignores hi: its chain intervals are
+    # points that are not nested, and directed_intersection raises
+    original = verify.missing_mass_interval
+    monkeypatch.setattr(verify, "missing_mass_interval", lambda center, f, lo, hi: original(center, f, lo, lo))
+    report = run_suite("interval", [2, 3], 10, 42)
+    checks = {c.name: c for c in report.checks}
+    failing = checks["expected_interval_scott_continuity"]
+    assert not report.all_passed and [c.name for c in report.checks if not c.passed] == [failing.name]
+    assert failing.failures > 0 and failing.worst_deviation == 1.0
+    assert all(seed[0] == 42 and seed[1] in (2, 3) and 0 <= seed[2] < 10 for seed in failing.failure_seeds)
+    # every trial was attempted: the fault ended its own trial only
+    assert checks["interval_arithmetic"].passes == 20
+
+
+def test_a_fault_inside_an_interval_trial_exits_2(monkeypatch, capsys):
+    original = verify.missing_mass_interval
+    monkeypatch.setattr(verify, "missing_mass_interval", lambda center, f, lo, hi: original(center, f, lo, lo))
+    assert main(["verify", "interval", "--trials", "5"]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["expected_interval_scott_continuity"]["failure_seeds"]
+
+
+TRACES = [
+    0.5,
+    -2e-9,
+    -0.5e-9,
+    0.0,
+    1.0 + 0.5e-9,
+    1.0 + 2e-9,
+    0.3 + 0.5e-9j,
+    0.2 - 0.9e-9j,
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_largest_measure_is_the_largest_value_rule_output(seed):
+    rng = np.random.default_rng(seed)
+    traces = np.array(rng.choice(TRACES, size=int(rng.integers(1, 6))), dtype=complex)
+    assert verify._largest_measure(traces) == max(map(_measure_value, traces.tolist()))
+
+
+@pytest.mark.parametrize("bad", [2e-9j, -2e-9j])
+def test_largest_measure_raises_when_any_value_would(bad):
+    traces = np.array([0.9, 0.1 + bad, 0.5], dtype=complex)
+    with pytest.raises(CrossCheckError, match="imaginary part"):
+        verify._largest_measure(traces)
+
+
 CHAIN_CONFIGS = [
     FixpointConfig(),
     FixpointConfig(max_iterations=1),
@@ -213,4 +263,8 @@ def test_expected_interval_scott_continuity_cross_checks_every_element(monkeypat
     assert scott_check(run_suite("interval", [3], 4, 42)).passed
     monkeypatch.setattr(np, "einsum", corrupted)
     with pytest.raises(CrossCheckError, match="trace form"):
-        run_suite("interval", [3], 4, 42)
+        verify._expectations(sampling.random_observable(3, np.random.default_rng(0)), np.zeros((12, 3, 3)))
+    # inside the suite the cross-check's error is recorded against the
+    # check, with deviation 1.0, in every trial
+    check = scott_check(run_suite("interval", [3], 4, 42))
+    assert check.failures == 4 and check.worst_deviation == 1.0
