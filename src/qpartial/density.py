@@ -14,7 +14,9 @@ certified result without running the validating constructor:
 - ``logic.orthocomplement(k)``: I - P has exactly P's Hermitian deviation
   and, mathematically, P's idempotency defect;
 - an event spanned by known orthonormal columns B is certified from the
-  Gram matrix B+B instead (``logic._span``).
+  Gram matrix B+B instead (``linalg.require_orthonormal``); an
+  observable's eigenprojections and events inherit the one certificate
+  of its eigenvector columns.
 
 The only slack in the first two is rounding, about d * eps * |f| (below
 1.5e-14 at d = 64), which is below the error of the eigensolver the

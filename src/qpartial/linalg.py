@@ -4,10 +4,12 @@ test, and the library's validation tolerances.
 All functions operate on square ``complex128`` numpy arrays and treat them
 as immutable values: nothing here mutates its arguments. The eigensolver
 delegates to LAPACK through ``numpy.linalg`` and then checks the
-reconstruction and orthonormality residuals, so a returned decomposition
-is always certified against its tolerance. ``hermitian_eig`` is the one
-certified eigendecomposition: observables group its eigenvector columns
-instead of certifying a spectrum of their own.
+reconstruction residual, and its eigenvector columns with
+``require_orthonormal``, so a returned decomposition is always certified
+against its tolerances. ``hermitian_eig`` is the one certified
+eigendecomposition: observables group its eigenvector columns instead of
+certifying a spectrum of their own, and every subset of those columns
+inherits the orthonormality certificate (see ``require_orthonormal``).
 
 The tolerances below are the single table every validation check reads,
 at the time the check runs (max norm unless stated otherwise).
@@ -21,12 +23,12 @@ import numpy as np
 
 from .errors import CrossCheckError, DimensionMismatchError, NotHermitianError, NotPositiveError
 
-HERMITIAN_TOL = 1e-10  # deviation from Hermitian
+HERMITIAN_TOL = 1e-10  # deviation from Hermitian, times max(1, |A|)
 UNITARY_TOL = 1e-10  # deviation of U+U from the identity
-EIG_TOL = 1e-9  # orthonormality of an (ungrouped) eigendecomposition; its reconstruction, times max(1, |A|)
+EIG_TOL = 1e-9  # reconstruction of an eigendecomposition, times max(1, |A|)
 PSD_TOL = 1e-9  # eigenvalue floor of the PSD test; trace slack of partial density operators
 RANK_TOL = 1e-8  # residual norm below which Gram-Schmidt drops a vector
-PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections
+PROJ_TOL = 1e-8  # idempotency, orthogonality and inclusion of projections; orthonormal columns
 EIG_GROUP_TOL = 1e-8  # gap below which eigenvalues share an eigenprojection
 IMAG_TOL = 1e-9  # imaginary part of a measure value
 E0_CROSS_TOL = 1e-7  # spectral sum versus trace form of an expectation, times max(1, |A|)
@@ -74,11 +76,38 @@ def require_same_dim(m: int, n: int) -> None:
 
 
 def require_hermitian(a) -> np.ndarray:
+    """Coerce, and raise ``NotHermitianError`` unless |A - A+| <=
+    ``HERMITIAN_TOL * max(1, |A|)``. The bound scales with A because the
+    rounding of a matrix built in floating point, such as U D U+, does;
+    at |A| <= 1, the case of every state and projection, it is
+    ``HERMITIAN_TOL``."""
     a = as_matrix(a)
     dev = max_norm(a - a.conj().T)
+    # max(1, |A|) >= 1, so within the unscaled bound |A| need not be read
     if dev > HERMITIAN_TOL:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e} (tol {HERMITIAN_TOL:.1e})")
+        tol = HERMITIAN_TOL * max(1.0, max_norm(a))
+        if dev > tol:
+            raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
     return a
+
+
+def require_orthonormal(b: np.ndarray) -> None:
+    """The one orthonormality certificate for d x r columns B: with
+    eps = |B+B - I|_F, raise ``CrossCheckError`` unless eps (1 + eps) <=
+    ``PROJ_TOL``.
+
+    It certifies B B+ as a projection: P^2 - P = B E B+ with E = B+B - I,
+    so P's idempotency defect in max norm is at most |B|_2^2 |E|_2 <=
+    (1 + eps) eps, since the max norm never exceeds the spectral norm,
+    |E|_2 <= |E|_F, and |B|_2^2 = |B+B|_2 <= 1 + eps. Every subset of the
+    columns inherits it: the subset's Gram defect is a principal
+    submatrix of E, whose Frobenius norm is no larger.
+    """
+    eps = euclidean_norm(gram_defect(b))
+    if eps * (1.0 + eps) > PROJ_TOL:
+        raise CrossCheckError(
+            f"span columns are not orthonormal: |B+B - I|_F = {eps:.3e} (tol {PROJ_TOL:.1e})"
+        )
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -88,8 +117,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     and orthonormal eigenvector columns, both read-only. Raises
     ``NotHermitianError`` for non-Hermitian input and ``CrossCheckError``
     if, in max norm, the reconstruction ``V diag(w) V+`` misses A by more
-    than ``EIG_TOL * max(1, |A|)`` or ``V+V`` misses the identity by more
-    than ``EIG_TOL``. The reconstruction bound scales with A because its
+    than ``EIG_TOL * max(1, |A|)``, or if V fails ``require_orthonormal``,
+    which then certifies every subset of V's columns as spanning a
+    projection. The reconstruction bound scales with A because its
     rounding does, about d * eps * |A|; at |A| <= 1 it is ``EIG_TOL``.
     """
     a = require_hermitian(a)
@@ -99,13 +129,13 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         raise CrossCheckError(f"eigensolver failed to converge: {exc}") from exc
     vals = vals.astype(float)
     recon_err = max_norm((vecs * vals) @ vecs.conj().T - a)
-    ortho_err = max_norm(gram_defect(vecs))
     recon_tol = EIG_TOL * max(1.0, max_norm(a))
-    if recon_err > recon_tol or ortho_err > EIG_TOL:
+    if recon_err > recon_tol:
         raise CrossCheckError(
-            f"spectral decomposition failed certification: reconstruction {recon_err:.3e} "
-            f"(tol {recon_tol:.1e}), orthonormality {ortho_err:.3e} (tol {EIG_TOL:.1e})"
+            f"spectral decomposition failed certification: "
+            f"reconstruction {recon_err:.3e} (tol {recon_tol:.1e})"
         )
+    require_orthonormal(vecs)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return vals, vecs

@@ -2,15 +2,16 @@
 
 A closed subspace of the finite Hilbert space is stored canonically as
 its orthogonal projection matrix. An event spanned by known orthonormal
-columns B (``subspace_from_vectors``, and so ``join`` and ``meet``; an
-observable's eigenprojections) is certified from the r x r Gram matrix
-of B and keeps B as its basis, so neither its validation nor its rank
-runs an eigensolve. The measure view of a partial density operator f
-assigns tr(P_K f) to every event K; this is a sub-probability measure,
-and the map f -> measure is an order isomorphism between the Loewner
-order and the pointwise order on measures (dim > 2 is needed only for
-surjectivity, which plays no computational role here: every measure is
-evaluated as ``gleason_measure(f, K)`` from its operator).
+columns B (``subspace_from_vectors``, and so ``join`` and ``meet``) is
+certified from the r x r Gram matrix of B and keeps B as its basis, so
+neither its validation nor its rank runs an eigensolve; an observable's
+eigenprojections and events keep their columns too, certified with the
+observable's eigenvector matrix. The measure view of a partial density
+operator f assigns tr(P_K f) to every event K; this is a sub-probability
+measure, and the map f -> measure is an order isomorphism between the
+Loewner order and the pointwise order on measures (dim > 2 is needed only
+for surjectivity, which plays no computational role here: every measure
+is evaluated as ``gleason_measure(f, K)`` from its operator).
 """
 
 from __future__ import annotations
@@ -114,27 +115,15 @@ def _certified(
 def _span(b: np.ndarray) -> ClosedSubspace:
     """The event spanned by the d x r columns B, certified from B+B alone.
 
-    With E = B+B - I and eps = |E|_F, it requires eps (1 + eps) <=
-    ``linalg.PROJ_TOL`` and raises ``CrossCheckError`` otherwise; it then
-    returns P = B B+ with basis B, without validating P again.
-    P^2 - P = B E B+, so P's idempotency defect in max norm is at most
-    |B|_2^2 |E|_2 <= (1 + eps) eps: the max norm never exceeds the
-    spectral norm, |E|_2 <= |E|_F, and |B|_2^2 = |B+B|_2 <= 1 + eps. The
-    computed B B+ is Hermitian up to rounding of about 2 r eps_mach
-    (below 1.5e-14 at d = 64), far inside ``linalg.HERMITIAN_TOL``.
+    B must pass ``linalg.require_orthonormal``, which raises
+    ``CrossCheckError`` otherwise and bounds P = B B+'s idempotency defect
+    within ``linalg.PROJ_TOL``; P is returned with basis B, without
+    validating it again. The computed B B+ is Hermitian up to rounding of
+    about 2 r eps_mach (below 1.5e-14 at d = 64), far inside
+    ``linalg.HERMITIAN_TOL``.
     """
-    _require_orthonormal(linalg.euclidean_norm(linalg.gram_defect(b)))
+    linalg.require_orthonormal(b)
     return _certified(b @ b.conj().T, b)
-
-
-def _require_orthonormal(eps: float) -> None:
-    """Raise ``CrossCheckError`` unless eps (1 + eps) <= ``linalg.PROJ_TOL``,
-    eps being |B+B - I|_F of columns B; see ``_span`` for why that bound
-    certifies B B+ as a projection."""
-    if eps * (1.0 + eps) > linalg.PROJ_TOL:
-        raise CrossCheckError(
-            f"span columns are not orthonormal: |B+B - I|_F = {eps:.3e} (tol {linalg.PROJ_TOL:.1e})"
-        )
 
 
 def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:

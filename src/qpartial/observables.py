@@ -3,8 +3,8 @@ expected values.
 
 An observable is a Hermitian matrix stored as its certified eigenvector
 columns, grouped by eigenvalue: one certified eigensolve gives the
-columns, and one Gram product certifies every group's columns as
-orthonormal at construction. The expected value needs only the
+columns, and its one orthonormality certificate covers every subset of
+them, so every group and every event. The expected value needs only the
 spectrum's ends and one weight tr(P_k f) per eigenvalue, and each weight
 is read off the group's columns, so no eigenprojection is formed for it.
 Eigenprojections, and every event of the projection-valued measure, are
@@ -32,8 +32,8 @@ import numpy as np
 from . import linalg
 from .density import PartialDensityOperator, nontermination_probability
 from .errors import CrossCheckError
-from .intervals import CompactInterval, scale_interval, translate
-from .logic import ClosedSubspace, _certified, _require_orthonormal, _span
+from .intervals import CompactInterval
+from .logic import ClosedSubspace, _certified
 
 
 class BoundedObservable:
@@ -42,18 +42,13 @@ class BoundedObservable:
     group.
 
     The eigendecomposition comes from ``linalg.hermitian_eig``, certified
-    there: its eigenvector columns are orthonormal within
-    ``linalg.EIG_TOL`` and reconstruct the operator within
-    ``EIG_TOL * max(1, |A|)``. Eigenvalues whose
-    consecutive gaps stay within ``linalg.EIG_GROUP_TOL`` form one group,
-    with the group's mean as eigenvalue, so grouping moves an eigenvalue
-    by at most its group's spread. Construction certifies every group at
-    once from the one Gram product V+V - I: with eps the Frobenius norm of
-    a group's own diagonal block, each group needs eps (1 + eps) <=
-    ``linalg.PROJ_TOL``, the bound ``logic._span`` applies to one group's
-    columns, so each group spans an eigenprojection. The blocks between
-    groups are bounded only by ``hermitian_eig``'s certificate; an event
-    spanning several groups is certified again when ``pvm_map`` builds it.
+    there: its eigenvector columns pass ``linalg.require_orthonormal`` and
+    reconstruct the operator within ``linalg.EIG_TOL * max(1, |A|)``.
+    Eigenvalues whose consecutive gaps stay within ``linalg.EIG_GROUP_TOL``
+    form one group, with the group's mean as eigenvalue, so grouping moves
+    an eigenvalue by at most its group's spread. Every group, and every
+    event ``pvm_map`` builds, is a subset of V's columns and inherits V's
+    certificate, so it spans a projection with no check of its own.
     Eigenprojections are built from the columns each time ``spectral`` is
     read, and not kept.
     """
@@ -72,9 +67,6 @@ class BoundedObservable:
         ends = np.empty_like(starts)
         ends[:-1] = starts[1:]
         ends[-1:] = len(vals)
-        defect = np.abs(linalg.gram_defect(vecs)) ** 2
-        block_sums = np.add.reduceat(np.add.reduceat(defect, starts, axis=0), starts, axis=1)
-        _require_orthonormal(float(np.sqrt(np.max(np.diagonal(block_sums), initial=0.0))))
         a = np.array(operator, dtype=complex)
         a.setflags(write=False)
         self._operator = a
@@ -116,10 +108,10 @@ def _shifted(r: BoundedObservable, t: float) -> BoundedObservable:
     eigensolve.
 
     It needs no certificate of its own. A + t I = V diag(w + t) V+ has A's
-    eigenvectors, so it keeps r's columns V and their groups, whose Gram
-    certificate depends on V alone; and a shift leaves every gap between
-    eigenvalues, and so the grouping, as it is. Each group's eigenvalue
-    moves by t, with one rounding. The stored operator is A + t I itself,
+    eigenvectors, so it keeps r's columns V and their groups, whose
+    orthonormality certificate depends on V alone; and a shift leaves
+    every gap between eigenvalues, and so the grouping, as it is. Each
+    group's eigenvalue moves by t, with one rounding. The stored operator is A + t I itself,
     so every ``e0`` on the result still cross-checks its spectral sum
     against that operator's trace form.
     """
@@ -139,13 +131,14 @@ def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
     only its values at the eigenvalues are read.
 
     The join of the eigenprojections with eigenvalue in u: being mutually
-    orthogonal, it is the span of their columns taken together. An empty
-    selection is the zero event.
+    orthogonal, it is the span of their columns taken together, a subset
+    of V's columns certified with V. An empty selection is the zero event.
     """
     columns = [b for lam, b in r._eigenspaces() if u(lam)]
     if not columns:
         return ClosedSubspace.zero(r.dim)
-    return _span(np.hstack(columns))
+    b = np.hstack(columns)
+    return _certified(b @ b.conj().T, b)
 
 
 def spectrum_bounds(r: BoundedObservable) -> tuple[float, float]:
@@ -217,8 +210,11 @@ def _expectations(r: BoundedObservable, stack: np.ndarray) -> list[float]:
 
 def missing_mass_interval(center: float, f: PartialDensityOperator, lo: float, hi: float) -> CompactInterval:
     """center + (1 - tr f) * [lo, hi]: an observed expectation plus the
-    missing mass, which may sit anywhere in [lo, hi]."""
-    return translate(center, scale_interval(nontermination_probability(f), CompactInterval(lo, hi)))
+    missing mass, which may sit anywhere in [lo, hi]. Requires lo <= hi;
+    the missing mass is never negative, so the endpoints keep their
+    order."""
+    p = nontermination_probability(f)
+    return CompactInterval(center + p * lo, center + p * hi)
 
 
 def expected_interval(r: BoundedObservable, f: PartialDensityOperator) -> CompactInterval:

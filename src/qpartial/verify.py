@@ -5,6 +5,11 @@ pass/fail counts, the worst deviation observed, and the seeds of failing
 trials (as ``[seed, dim, trial]`` triples that reproduce the failing rng
 stream). Reports are plain data, serialized by the command line front
 end.
+
+In the gleason, dcpo and interval suites, a ``ValueError`` or
+``ArithmeticError`` raised inside a trial fails the check being computed,
+with deviation 1.0 and the trial's seed, and the suite goes on to the
+next trial.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ SUITES = ("gleason", "dcpo", "interval", "qlang")
 _MEASURE_LEQ_TOL = 1e-9
 _WITNESS_SEPARATION = 1e-9
 ADDITIVITY_TOL = 1e-8  # additivity of a measure over orthogonal families
+
+# what a trial of the gleason, dcpo or interval suite records as a failure
+_TRIAL_FAULTS = (ValueError, ArithmeticError)
 
 
 @dataclass
@@ -182,20 +190,25 @@ def order_isomorphism_checks(dims, trials: int, seed: int) -> list[CheckResult]:
         for t in range(trials):
             trial_seed = (seed, dim, t)
             rng = np.random.default_rng(list(trial_seed))
-            if t % 3 == 0:
-                f, g = sampling.loewner_pair(dim, rng)
-            else:
-                f, g = sampling.independent_pair(dim, rng)
-            lines = rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))
-            lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-            ok, witness = state_leq(f, g)
-            violation = measure_violation(f, g, pool, lines)
-            if ok:
-                agree.record(violation <= _MEASURE_LEQ_TOL, max(0.0, violation), trial_seed)
-            else:
-                separation = gleason_measure(f, witness) - gleason_measure(g, witness)
-                witness_check.record(separation > _WITNESS_SEPARATION, 0.0, trial_seed)
-                agree.record(True, 0.0, trial_seed)
+            check = agree
+            try:
+                if t % 3 == 0:
+                    f, g = sampling.loewner_pair(dim, rng)
+                else:
+                    f, g = sampling.independent_pair(dim, rng)
+                lines = rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))
+                lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+                ok, witness = state_leq(f, g)
+                violation = measure_violation(f, g, pool, lines)
+                if ok:
+                    agree.record(violation <= _MEASURE_LEQ_TOL, max(0.0, violation), trial_seed)
+                else:
+                    check = witness_check
+                    separation = gleason_measure(f, witness) - gleason_measure(g, witness)
+                    witness_check.record(separation > _WITNESS_SEPARATION, 0.0, trial_seed)
+                    agree.record(True, 0.0, trial_seed)
+            except _TRIAL_FAULTS:
+                check.record(False, 1.0, trial_seed)
     return [agree, witness_check]
 
 
@@ -210,40 +223,49 @@ def gleason_suite(dims, trials: int, seed: int) -> SuiteReport:
         for t in range(trials):
             trial_seed = (seed, dim, t)
             rng = np.random.default_rng(list(trial_seed))
-            f = sampling.random_pdo(dim, rng)
+            check = additivity
+            try:
+                f = sampling.random_pdo(dim, rng)
 
-            u = sampling.random_unitary(dim, rng)
-            split = int(rng.integers(1, dim))
-            k1 = subspace_from_vectors([u[:, i] for i in range(split)], dim=dim)
-            k2 = subspace_from_vectors([u[:, i] for i in range(split, dim)], dim=dim)
-            dev = abs(gleason_measure(f, join(k1, k2)) - gleason_measure(f, k1) - gleason_measure(f, k2))
-            additivity.record(dev <= _MEASURE_LEQ_TOL, dev, trial_seed)
+                u = sampling.random_unitary(dim, rng)
+                split = int(rng.integers(1, dim))
+                k1 = subspace_from_vectors([u[:, i] for i in range(split)], dim=dim)
+                k2 = subspace_from_vectors([u[:, i] for i in range(split, dim)], dim=dim)
+                joined = gleason_measure(f, join(k1, k2))
+                dev = abs(joined - gleason_measure(f, k1) - gleason_measure(f, k2))
+                additivity.record(dev <= _MEASURE_LEQ_TOL, dev, trial_seed)
 
-            sub = subspace_from_vectors([u[:, i] for i in range(max(1, split // 2))], dim=dim)
-            gap = gleason_measure(f, sub) - gleason_measure(f, k1)
-            monotone.record(
-                subspace_leq(sub, k1) and gap <= _MEASURE_LEQ_TOL, max(0.0, gap), trial_seed
-            )
+                check = monotone
+                sub = subspace_from_vectors([u[:, i] for i in range(max(1, split // 2))], dim=dim)
+                gap = gleason_measure(f, sub) - gleason_measure(f, k1)
+                monotone.record(
+                    subspace_leq(sub, k1) and gap <= _MEASURE_LEQ_TOL, max(0.0, gap), trial_seed
+                )
 
-            ka = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
-            kb = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
-            lattice_dev = max(
-                linalg.max_norm(join(ka, kb).projection - join(kb, ka).projection),
-                linalg.max_norm(meet(ka, kb).projection - meet(kb, ka).projection),
-                linalg.max_norm(join(ka, ka).projection - ka.projection),
-                linalg.max_norm(orthocomplement(orthocomplement(ka)).projection - ka.projection),
-                linalg.max_norm(
-                    orthocomplement(meet(ka, kb)).projection
-                    - join(orthocomplement(ka), orthocomplement(kb)).projection
-                ),
-            )
-            lattice.record(lattice_dev <= linalg.PROJ_TOL, lattice_dev, trial_seed)
+                check = lattice
+                ka = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
+                kb = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
+                lattice_dev = max(
+                    linalg.max_norm(join(ka, kb).projection - join(kb, ka).projection),
+                    linalg.max_norm(meet(ka, kb).projection - meet(kb, ka).projection),
+                    linalg.max_norm(join(ka, ka).projection - ka.projection),
+                    linalg.max_norm(orthocomplement(orthocomplement(ka)).projection - ka.projection),
+                    linalg.max_norm(
+                        orthocomplement(meet(ka, kb)).projection
+                        - join(orthocomplement(ka), orthocomplement(kb)).projection
+                    ),
+                )
+                lattice.record(lattice_dev <= linalg.PROJ_TOL, lattice_dev, trial_seed)
 
-            r = float(rng.uniform(0.0, 1.0))
-            lin_dev = abs(gleason_measure(scale(f, r), ka) - r * gleason_measure(f, ka))
-            linearity.record(lin_dev <= 1e-10, lin_dev, trial_seed)
+                check = linearity
+                r = float(rng.uniform(0.0, 1.0))
+                lin_dev = abs(gleason_measure(scale(f, r), ka) - r * gleason_measure(f, ka))
+                linearity.record(lin_dev <= 1e-10, lin_dev, trial_seed)
 
-            axioms.record(*subprobability_axioms(f, seed + t), trial_seed)
+                check = axioms
+                axioms.record(*subprobability_axioms(f, seed + t), trial_seed)
+            except _TRIAL_FAULTS:
+                check.record(False, 1.0, trial_seed)
     return SuiteReport(
         "gleason", seed, list(dims), trials, checks + [additivity, monotone, lattice, linearity, axioms]
     )
@@ -330,56 +352,64 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
         for t in range(trials):
             trial_seed = (seed, dim, t)
             rng = np.random.default_rng(list(trial_seed))
-            f = sampling.random_pdo(dim, rng)
+            check = order_laws
+            try:
+                f = sampling.random_pdo(dim, rng)
 
-            refl, _ = loewner_leq(f, f)
-            fa, ga = sampling.loewner_pair(dim, rng)
-            trans_mid = PartialDensityOperator(0.5 * (fa.matrix + ga.matrix))
-            t1, _ = loewner_leq(fa, trans_mid)
-            t2, _ = loewner_leq(trans_mid, ga)
-            t3, _ = loewner_leq(fa, ga)
-            perturbation = sampling.random_hermitian(dim, rng)
-            spectral_norm = float(np.max(np.abs(np.linalg.eigvalsh(perturbation))))
-            perturbation *= 0.4 * linalg.PSD_TOL / max(spectral_norm, 1e-300)
-            close = PartialDensityOperator(f.matrix + perturbation)
-            both = loewner_leq(f, close)[0] and loewner_leq(close, f)[0]
-            anti = linalg.max_norm(close.matrix - f.matrix) <= 10 * linalg.PSD_TOL
-            order_laws.record(refl and t1 and t2 and t3 and (not both or anti), 0.0, trial_seed)
+                refl, _ = loewner_leq(f, f)
+                fa, ga = sampling.loewner_pair(dim, rng)
+                trans_mid = PartialDensityOperator(0.5 * (fa.matrix + ga.matrix))
+                t1, _ = loewner_leq(fa, trans_mid)
+                t2, _ = loewner_leq(trans_mid, ga)
+                t3, _ = loewner_leq(fa, ga)
+                perturbation = sampling.random_hermitian(dim, rng)
+                spectral_norm = float(np.max(np.abs(np.linalg.eigvalsh(perturbation))))
+                perturbation *= 0.4 * linalg.PSD_TOL / max(spectral_norm, 1e-300)
+                close = PartialDensityOperator(f.matrix + perturbation)
+                both = loewner_leq(f, close)[0] and loewner_leq(close, f)[0]
+                anti = linalg.max_norm(close.matrix - f.matrix) <= 10 * linalg.PSD_TOL
+                order_laws.record(refl and t1 and t2 and t3 and (not both or anti), 0.0, trial_seed)
 
-            eigs = np.linalg.eigvalsh(f.matrix)
-            dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
-            norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
+                check = norm_bound
+                eigs = np.linalg.eigvalsh(f.matrix)
+                dev = max(float(eigs[-1]) - f.trace, f.trace - 1.0)
+                norm_bound.record(dev <= linalg.PSD_TOL, max(0.0, dev), trial_seed)
 
-            chain, sup, converged = _geometric_supremum(f, cfg)
-            err = linalg.max_norm(sup.matrix - f.matrix)
-            below, _ = linalg.is_positive_semidefinite(
-                f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix
-            )
-            chain_check.record(converged and err <= 1e-8 and below, err, trial_seed)
-
-            worst = 0.0
-            for _ in range(10):
-                k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
-                target = gleason_measure(f, k)
-                at_sup = gleason_measure(sup, k)
-                # every element's trace, from one product over the stack
-                traces = np.einsum("ij,nji->n", k.projection, chain)
-                sup_measure = _largest_measure(traces)
-                worst = max(worst, abs(at_sup - sup_measure), abs(at_sup - target))
-            scott.record(worst <= 1e-6, worst, trial_seed)
-
-            bits = [int(b) for b in rng.integers(0, 2, size=dim)]
-            state = dyadic_diagonal_state(bits, dim)
-            expected = sum(b / 2.0 ** (i + 1) for i, b in enumerate(bits))
-            axis_dev = max(
-                abs(
-                    gleason_measure(state, subspace_from_vectors([np.eye(dim)[i]], dim=dim))
-                    - bits[i] / 2.0 ** (i + 1)
+                check = chain_check
+                chain, sup, converged = _geometric_supremum(f, cfg)
+                err = linalg.max_norm(sup.matrix - f.matrix)
+                below, _ = linalg.is_positive_semidefinite(
+                    f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix
                 )
-                for i in range(dim)
-            )
-            ddev = max(abs(state.trace - expected), axis_dev)
-            dyadic.record(ddev <= 1e-12, ddev, trial_seed)
+                chain_check.record(converged and err <= 1e-8 and below, err, trial_seed)
+
+                check = scott
+                worst = 0.0
+                for _ in range(10):
+                    k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
+                    target = gleason_measure(f, k)
+                    at_sup = gleason_measure(sup, k)
+                    # every element's trace, from one product over the stack
+                    traces = np.einsum("ij,nji->n", k.projection, chain)
+                    sup_measure = _largest_measure(traces)
+                    worst = max(worst, abs(at_sup - sup_measure), abs(at_sup - target))
+                scott.record(worst <= 1e-6, worst, trial_seed)
+
+                check = dyadic
+                bits = [int(b) for b in rng.integers(0, 2, size=dim)]
+                state = dyadic_diagonal_state(bits, dim)
+                expected = sum(b / 2.0 ** (i + 1) for i, b in enumerate(bits))
+                axis_dev = max(
+                    abs(
+                        gleason_measure(state, subspace_from_vectors([np.eye(dim)[i]], dim=dim))
+                        - bits[i] / 2.0 ** (i + 1)
+                    )
+                    for i in range(dim)
+                )
+                ddev = max(abs(state.trace - expected), axis_dev)
+                dyadic.record(ddev <= 1e-12, ddev, trial_seed)
+            except _TRIAL_FAULTS:
+                check.record(False, 1.0, trial_seed)
     return SuiteReport(
         "dcpo", seed, list(dims), trials, [order_laws, norm_bound, chain_check, scott, dyadic]
     )
@@ -390,12 +420,7 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
 
 def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
     """Interval arithmetic, the projection-valued measure, and the laws of
-    the interval expected value.
-
-    A ``ValueError`` or ``ArithmeticError`` raised inside a trial fails
-    the check being computed, with deviation 1.0 and the trial's seed, and
-    the suite goes on to the next trial.
-    """
+    the interval expected value."""
     arithmetic = CheckResult("interval_arithmetic")
     monotone_ops = CheckResult("reverse_inclusion_monotone_ops")
     intersect = CheckResult("directed_intersection_contained")
@@ -500,7 +525,7 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
                 right = expected_interval_op(h @ h, fq)
                 sq_dev = max(abs(left.lo - right.lo), abs(left.hi - right.hi))
                 square.record(sq_dev <= 1e-9, sq_dev, trial_seed)
-            except (ValueError, ArithmeticError):
+            except _TRIAL_FAULTS:
                 check.record(False, 1.0, trial_seed)
     return SuiteReport(
         "interval",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpartial import cli
+from qpartial import cli, sampling
 from qpartial.cli import _json_text, main
 
 FAIR_COIN = "qubit q;\nh q;\nwhile q in |1> { h q; }\n"
@@ -137,6 +137,21 @@ class TestExpect:
         code, out, err = run_cli(capsys, "expect", tmp_path / "a.json", tmp_path / "f.json")
         assert code == 0, err
         assert json.loads(out)["e0"] == pytest.approx(1.9979999982, abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_large_norm_product_observable_accepted(self, capsys, tmp_path, dim):
+        # U D U+ multiplied out at norm 1e9: Hermitian within the bound
+        # HERMITIAN_TOL * max(1, |A|), not within HERMITIAN_TOL itself
+        u = sampling.random_unitary(dim, np.random.default_rng([7, dim]))
+        a = (u * (1e9 * np.linspace(-1.0, 1.0, dim))) @ u.conj().T
+        for name, m in (("a.json", a), ("f.json", np.diag(np.linspace(0.0, 2.0 / dim, dim)))):
+            payload = {"dim": dim, "re": m.real.tolist(), "im": m.imag.tolist()}
+            (tmp_path / name).write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "expect", tmp_path / "a.json", tmp_path / "f.json")
+        assert code == 0, err
+        data = json.loads(out)
+        lowest, highest = np.linalg.eigvalsh(a)[[0, -1]]
+        assert (data["m"], data["M"]) == pytest.approx((lowest, highest), rel=1e-12)
 
     def test_dimension_mismatch(self, workdir, capsys, tmp_path):
         (tmp_path / "w.json").write_text(

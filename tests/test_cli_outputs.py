@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpartial import observables
+from qpartial import linalg, observables
 from qpartial.cli import main
 from qpartial.logic import ClosedSubspace
 
@@ -140,16 +140,17 @@ def test_run_out_file_holds_the_printed_bytes(tmp_path, capsys):
 
 
 def test_expect_builds_no_eigenprojection(tmp_path, capsys, count_calls, count_inits):
-    # the weights of the 64 eigenvalues are read off the eigenvector columns
+    # the weights of the 64 eigenvalues are read off the eigenvector columns,
+    # whose Gram product is formed once, when the eigensolve is certified
     write_inputs(tmp_path)
     with (
-        count_calls(observables, "_span") as spans,
+        count_calls(linalg, "gram_defect") as defects,
         count_calls(observables, "_certified") as certified,
         count_inits(ClosedSubspace) as inits,
     ):
         assert main(argv_for("expect-d64", tmp_path)) == 0
     assert len(json.loads(capsys.readouterr().out)) == 6
-    assert (len(spans), len(certified), len(inits)) == (0, 0, 0)
+    assert (len(defects), len(certified), len(inits)) == (1, 0, 0)
 
 
 def test_every_case_has_a_reference(references):

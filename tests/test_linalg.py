@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpartial import linalg
+from qpartial import linalg, sampling
 from qpartial.errors import CrossCheckError, NotHermitianError
 
 
@@ -67,6 +67,31 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("norm", [0.5, 1.0, 1e9])
+    @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+    def test_bound_scales_with_the_operator_above_norm_one(self, norm, factor, accepted):
+        a = norm * np.diag([1.0, -0.5, 0.25]).astype(complex)
+        a[0, 1] += factor * linalg.HERMITIAN_TOL * max(1.0, norm)
+        if accepted:
+            assert linalg.require_hermitian(a) is not None
+        else:
+            tol = linalg.HERMITIAN_TOL * max(1.0, norm)
+            with pytest.raises(NotHermitianError, match=f"tol {tol:.1e}"):
+                linalg.require_hermitian(a)
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 1), (4, 3), (16, 16), (64, 5)])
+def test_require_orthonormal_reads_numpys_frobenius_norm_of_the_gram_defect(monkeypatch, dim, rank):
+    b = sampling.random_subspace(dim, rank, rng_for(40)).basis
+    b = b + 1e-12 * rng_for(41).standard_normal(b.shape)
+    norm = linalg.euclidean_norm
+    seen = []
+    monkeypatch.setattr(linalg, "euclidean_norm", lambda x: seen.append(norm(x)) or seen[-1])
+    linalg.require_orthonormal(b)
+    assert seen == [float(np.linalg.norm(b.conj().T @ b - np.eye(rank)))]
 
 
 class TestOrthonormalize:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpartial import linalg, logic, sampling
+from qpartial import linalg, sampling
 from qpartial.density import PartialDensityOperator, scale
 from qpartial.errors import CrossCheckError, DimensionMismatchError
 from qpartial.logic import (
@@ -372,13 +372,3 @@ class TestMeasureKernel:
         exact = np.trace(k.projection @ f.matrix)
         assert 1e-11 < abs(exact.imag) < linalg.IMAG_TOL
         assert abs(gleason_measure(f, k) - exact.real) <= 1e-14
-
-
-@pytest.mark.parametrize("dim, rank", [(2, 1), (4, 3), (16, 16), (64, 5)])
-def test_span_reads_numpys_frobenius_norm_of_the_gram_defect(monkeypatch, dim, rank):
-    b = sampling.random_subspace(dim, rank, rng_for(40)).basis
-    b = b + 1e-12 * rng_for(41).standard_normal(b.shape)
-    seen = []
-    monkeypatch.setattr(logic, "_require_orthonormal", seen.append)
-    logic._span(b)
-    assert seen == [float(np.linalg.norm(b.conj().T @ b - np.eye(rank)))]

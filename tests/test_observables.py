@@ -12,6 +12,7 @@ from qpartial.intervals import (
     directed_intersection,
     reverse_inclusion_leq,
     scale_interval,
+    translate,
 )
 from qpartial.logic import ClosedSubspace, join
 from qpartial.observables import (
@@ -30,6 +31,13 @@ from qpartial.observables import (
 )
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def large_norm_product(dim: int, norm: float = 1e9) -> np.ndarray:
+    """U D U+ for a random unitary U and D spread evenly over [-norm, norm],
+    multiplied out in numpy, so Hermitian only up to its rounding."""
+    u = sampling.random_unitary(dim, np.random.default_rng([7, dim]))
+    return (u * (norm * np.linspace(-1.0, 1.0, dim))) @ u.conj().T
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -121,6 +129,18 @@ class TestSpectralData:
         f = PartialDensityOperator.maximally_mixed(dim)
         assert e0(r, f) == pytest.approx(np.trace(a).real / dim, rel=1e-12)
 
+    # U D U+ built in floating point at norm 1e9 misses Hermitian by about
+    # 5e-8, past the unscaled HERMITIAN_TOL; the bound scales with |A|
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_large_norm_product_observable_accepted(self, dim):
+        a = large_norm_product(dim)
+        assert linalg.max_norm(a - a.conj().T) > linalg.HERMITIAN_TOL
+        r = BoundedObservable(a)
+        lowest, highest = np.linalg.eigvalsh(a)[[0, -1]]
+        assert spectrum_bounds(r) == pytest.approx((lowest, highest), rel=1e-12)
+        box = expected_interval(r, PartialDensityOperator(np.eye(dim) / (2 * dim)))
+        assert box.lo == pytest.approx(np.trace(a).real / (2 * dim) + 0.5 * lowest, rel=1e-12)
+
     def test_one_eigensolve_per_observable(self, count_eigensolves):
         a = sampling.random_hermitian(64, rng_for(21))
         with count_eigensolves() as sizes:
@@ -149,46 +169,63 @@ class TestEigenprojectionCertificate:
         assert inits == []
         assert [k.rank for _, k in r.spectral] == [2, 1]
 
+    @staticmethod
+    def fake_eigh(monkeypatch, values, vecs) -> np.ndarray:
+        """Make ``np.linalg.eigh`` return the given eigenvalues and columns,
+        and return the operator V diag(values) V+ they reconstruct, so that
+        only the columns' orthonormality is in question."""
+        values = np.array(values)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (values, vecs))
+        return (vecs * values) @ vecs.conj().T
+
     @pytest.mark.parametrize("margin, accepted", [(1 - 1e-6, True), (1 + 1e-6, False)])
     def test_group_orthonormality_bound(self, monkeypatch, margin, accepted):
         # eps (1 + eps) = PROJ_TOL at eps just below PROJ_TOL
         eps = margin * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
         s = eps / np.sqrt(2.0)
-        # the degenerate pair's columns have Gram matrix [[1, s], [s, 1 + s^2]]
+        # the degenerate pair's columns have Gram matrix [[1, s], [s, 1 + s^2]];
+        # s is past EIG_TOL, so this is the span rule, not a max-norm bound
         vecs = np.eye(3, dtype=complex)
         vecs[0, 1] = s
-        fake = (np.array([1.0, 1.0, 2.0]), vecs)
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda a: fake)
+        assert s > linalg.EIG_TOL
+        a = self.fake_eigh(monkeypatch, [1.0, 1.0, 2.0], vecs)
         if accepted:
-            r = BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+            r = BoundedObservable(a)
             assert np.array_equal(r.spectral[0][1].basis, vecs[:, :2])
         else:
             with pytest.raises(CrossCheckError, match="not orthonormal"):
-                BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+                BoundedObservable(a)
 
-    @staticmethod
-    def fake_eig_with_defect(monkeypatch, values, row, col):
-        """Make ``hermitian_eig`` return the given eigenvalues and identity
-        columns with entry (row, col) set, so that columns row and col have
-        Gram defect eps just past the bound, eps (1 + eps) > PROJ_TOL."""
+    def operator_with_defect(self, monkeypatch, values, row, col) -> np.ndarray:
+        """Identity columns with entry (row, col) set, so that columns row
+        and col have Gram defect eps just past the bound, eps (1 + eps) >
+        PROJ_TOL, returned by a faked eigensolver with the given values."""
         eps = (1 + 1e-6) * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
         vecs = np.eye(len(values), dtype=complex)
         vecs[row, col] = eps / np.sqrt(2.0)
-        fake = (np.array(values), vecs)
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda a: fake)
+        return self.fake_eigh(monkeypatch, values, vecs)
 
     def test_defect_inside_the_middle_group_is_rejected(self, monkeypatch):
-        self.fake_eig_with_defect(monkeypatch, [0.0, 1.0, 1.0, 2.0], 1, 2)
+        a = self.operator_with_defect(monkeypatch, [0.0, 1.0, 1.0, 2.0], 1, 2)
         with pytest.raises(CrossCheckError, match="not orthonormal"):
-            BoundedObservable(np.diag([0.0, 1.0, 1.0, 2.0]))
+            BoundedObservable(a)
 
-    def test_defect_between_groups_is_left_to_their_join(self, monkeypatch):
-        # construction reads each group's own Gram block only, and neither
-        # block sees the defect; the event spanned by both groups does
-        self.fake_eig_with_defect(monkeypatch, [1.0, 1.0, 2.0], 1, 2)
-        r = BoundedObservable(np.diag([1.0, 1.0, 2.0]))
+    def test_defect_between_groups_is_rejected_at_construction(self, monkeypatch):
+        # neither group's own columns see the defect, but V's certificate,
+        # which every group and event inherits, does
+        a = self.operator_with_defect(monkeypatch, [1.0, 1.0, 2.0], 1, 2)
         with pytest.raises(CrossCheckError, match="not orthonormal"):
-            pvm_map(r, lambda x: True)
+            BoundedObservable(a)
+
+    def test_columns_are_certified_once(self, count_calls):
+        a = sampling.random_hermitian(16, rng_for(24))
+        with count_calls(linalg, "gram_defect") as defects:
+            r = BoundedObservable(a)
+            assert len(defects) == 1
+            ranks = [pvm_map(r, lambda x: x > 0).rank, pvm_map(r, lambda x: True).rank]
+            assert [k.rank for _, k in r.spectral] == [1] * 16
+        assert len(defects) == 1
+        assert ranks == [sum(lam > 0 for lam in r.eigenvalues), 16]
 
     def test_pvm_events_are_spans_of_the_selected_columns(self, count_inits, count_eigensolves):
         r = sampling.random_observable(16, rng_for(23))
@@ -451,6 +488,23 @@ class TestExpectedInterval:
         fields = (box.lo, box.hi, e0(r, f), nontermination_probability(f), m, big_m)
         assert fields == pytest.approx((0.0, 0.5, 0.25, 0.25, -1.0, 1.0))
         assert box == expected_interval(r, f)
+
+
+class TestMissingMassInterval:
+    def test_matches_the_interval_arithmetic_it_replaces(self):
+        rng = rng_for(14)
+        states = [PartialDensityOperator.zero(3), PartialDensityOperator.maximally_mixed(3)]
+        states += [sampling.random_pdo(3, rng, trace=float(t)) for t in rng.uniform(0.0, 1.0, size=20)]
+        for f in states:
+            center = float(rng.uniform(-5, 5))
+            lo, hi = sorted(rng.uniform(-5, 5, size=2))
+            p = nontermination_probability(f)
+            expected = translate(center, scale_interval(p, CompactInterval(lo, hi)))
+            assert missing_mass_interval(center, f, lo, hi) == expected
+
+    def test_rejects_lo_above_hi_when_mass_is_missing(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            missing_mass_interval(0.0, PartialDensityOperator(np.diag([0.5, 0.25])), 1.0, -1.0)
 
 
 class TestMonotonicityAndContinuity:

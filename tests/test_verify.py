@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpartial import sampling, verify
+from qpartial import logic, sampling, verify
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError
@@ -166,6 +166,36 @@ def test_a_fault_inside_an_interval_trial_exits_2(monkeypatch, capsys):
     assert checks["expected_interval_scott_continuity"]["failure_seeds"]
 
 
+def raise_on_every_measure(monkeypatch):
+    def corrupted(trace):
+        raise CrossCheckError("measure has imaginary part 1.000e-06")
+
+    monkeypatch.setattr(logic, "_measure_value", corrupted)
+
+
+@pytest.mark.parametrize(
+    "suite, failing", [("gleason", "orthogonal_additivity"), ("dcpo", "gleason_scott_continuity")]
+)
+def test_a_fault_inside_a_gleason_or_dcpo_trial_is_recorded_with_its_seed(monkeypatch, suite, failing):
+    raise_on_every_measure(monkeypatch)
+    report = run_suite(suite, [2, 3], 5, 42)
+    checks = {c.name: c for c in report.checks}
+    # the first check of each trial to read a measure fails, in every trial
+    assert checks[failing].failures == 10 and checks[failing].worst_deviation == 1.0
+    assert sorted(checks[failing].failure_seeds) == [[42, d, t] for d in (2, 3) for t in range(5)]
+    assert not report.all_passed
+    for check in report.checks:
+        assert all(seed[0] == 42 and seed[1] in (2, 3) and 0 <= seed[2] < 5 for seed in check.failure_seeds)
+
+
+@pytest.mark.parametrize("suite", ["gleason", "dcpo"])
+def test_a_fault_inside_a_gleason_or_dcpo_trial_exits_2(monkeypatch, capsys, suite):
+    raise_on_every_measure(monkeypatch)
+    assert main(["verify", suite, "--trials", "3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert any(c["failure_seeds"] for c in report["checks"]) and not report["all_passed"]
+
+
 TRACES = [
     0.5,
     -2e-9,
@@ -243,9 +273,16 @@ def test_gleason_scott_continuity_reads_every_element(monkeypatch):
 
 
 def test_gleason_scott_continuity_checks_every_measure_value(monkeypatch):
-    corrupt_chains(monkeypatch, lambda m: m + 1e-6j * np.eye(len(m)))
+    traces = np.full(12, 0.5, dtype=complex)
+    traces[10] += 1e-6j
     with pytest.raises(CrossCheckError, match="imaginary part"):
-        run_suite("dcpo", [3], 4, 42)
+        verify._largest_measure(traces)
+    # inside the suite the value rule's error on the corrupted middle
+    # element is recorded against the check, with deviation 1.0, in every
+    # trial
+    corrupt_chains(monkeypatch, lambda m: m + 1e-6j * np.eye(len(m)))
+    check = scott_check(run_suite("dcpo", [3], 4, 42))
+    assert check.failures == 4 and check.worst_deviation == 1.0
 
 
 def test_expected_interval_scott_continuity_cross_checks_every_element(monkeypatch):
