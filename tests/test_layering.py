@@ -2,10 +2,13 @@
 
 The core modules hold the paper's objects and must not reach up into the
 random generators (``sampling``) or the randomized checks (``verify``).
-Imports inside functions count as much as module-level ones.
+Every module imports only the standard library, numpy and the package
+itself, the dependencies ``pyproject.toml`` declares. Imports inside
+functions count as much as module-level ones.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ CORE = ["linalg.py", "density.py", "logic.py", "observables.py", "intervals.py"]
     f"qlang/{p.name}" for p in (PACKAGE / "qlang").glob("*.py")
 )
 UPPER = ("qpartial.sampling", "qpartial.verify")
+MODULES = sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py"))
+ALLOWED_TOP_LEVEL = {"numpy", "qpartial"}
 
 
 def imported_modules(source: str, package: str) -> set[str]:
@@ -33,8 +38,22 @@ def imported_modules(source: str, package: str) -> set[str]:
     return names
 
 
+def module_imports(name: str) -> set[str]:
+    """``imported_modules`` of the package module at path ``name``."""
+    path = PACKAGE / name
+    package = ".".join(("qpartial",) + path.relative_to(PACKAGE).parent.parts)
+    return imported_modules(path.read_text(), package)
+
+
 def reaches_up(names: set[str]) -> list[str]:
     return sorted(n for n in names for up in UPPER if n == up or n.startswith(up + "."))
+
+
+def undeclared(names: set[str]) -> list[str]:
+    """Top-level packages among ``names`` that are neither in the standard
+    library nor numpy nor qpartial."""
+    tops = {n.split(".")[0] for n in names}
+    return sorted(tops - ALLOWED_TOP_LEVEL - set(sys.stdlib_module_names))
 
 
 def test_reader_sees_every_import_form():
@@ -47,6 +66,16 @@ def test_reader_sees_every_import_form():
 
 @pytest.mark.parametrize("name", CORE)
 def test_core_module_imports_neither_sampling_nor_verify(name):
-    path = PACKAGE / name
-    package = ".".join(("qpartial",) + path.relative_to(PACKAGE).parent.parts)
-    assert reaches_up(imported_modules(path.read_text(), package)) == []
+    assert reaches_up(module_imports(name)) == []
+
+
+def test_undeclared_reader_sees_every_import_form():
+    assert undeclared(imported_modules("def f():\n    import scipy.linalg\n", "qpartial")) == ["scipy"]
+    assert undeclared(imported_modules("from scipy.linalg import eigh\n", "qpartial")) == ["scipy"]
+    assert not undeclared(imported_modules("from __future__ import annotations\nimport numpy as np\n", "qpartial"))
+    assert not undeclared(imported_modules("from ..linalg import as_matrix\nimport itertools\n", "qpartial.qlang"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_only_stdlib_numpy_and_the_package(name):
+    assert undeclared(module_imports(name)) == []

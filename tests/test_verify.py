@@ -6,7 +6,7 @@ import pytest
 from qpartial import logic, sampling, verify
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
-from qpartial.errors import CrossCheckError
+from qpartial.errors import CrossCheckError, NonUnitaryError
 from qpartial.logic import _measure_value
 from qpartial.qlang import interpreter
 from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, While
@@ -44,6 +44,44 @@ def test_check_result_records_failures():
     report = SuiteReport("demo", 1, [2], 2, [check])
     assert not report.all_passed
     assert report.to_json()["checks"][0]["failures"] == 1
+
+
+def test_run_trials_charges_a_fault_to_the_next_check():
+    draws = {}
+
+    def trial(dim, t, rng):
+        draws[dim, t] = rng.integers(1 << 30)
+        if t == 3:
+            raise ValueError("fault before the first check")
+        yield True, 0.25
+        if t == 1:
+            raise CrossCheckError("fault in the second check")
+        if t == 2:
+            return
+        yield False, 0.5
+        yield True, 0.0
+
+    a, b, c = verify._run_trials([2, 3], 4, 7, ("a", "b", "c"), trial)
+    # every trial ran on its own stream, default_rng([seed, dim, t])
+    assert draws == {(d, t): np.random.default_rng([7, d, t]).integers(1 << 30) for d in (2, 3) for t in range(4)}
+    # the fault before any yield is charged to the first check
+    assert (a.passes, a.failures, a.worst_deviation) == (6, 2, 1.0)
+    assert a.failure_seeds == [[7, 2, 3], [7, 3, 3]]
+    # the fault after the first yield is charged to the second, with
+    # deviation 1.0; t = 0 fails it on its own verdict
+    assert (b.passes, b.failures, b.worst_deviation) == (0, 4, 1.0)
+    assert sorted(b.failure_seeds) == [[7, d, t] for d in (2, 3) for t in (0, 1)]
+    # the checks after a fault, and after an early return, go unrecorded
+    assert (c.passes, c.failures) == (2, 0)
+
+
+def test_run_trials_lets_other_errors_escape():
+    def trial(dim, t, rng):
+        yield True, 0.0
+        raise KeyError("not a fault of the check")
+
+    with pytest.raises(KeyError):
+        verify._run_trials([2], 1, 0, ("a", "b"), trial)
 
 
 def test_all_suites_pass_small():
@@ -143,6 +181,55 @@ def test_a_fault_inside_a_qlang_trial_exits_2(monkeypatch, capsys):
     assert checks["approximant_chain_increasing"]["failure_seeds"]
 
 
+def nan_exit_increment(monkeypatch) -> None:
+    """Make every loop step's exit increment NaN: the run's output then
+    fails ``linalg.as_matrix`` with a plain ``ValueError``."""
+    original = interpreter._Loop.step
+
+    def faulty_step(loop, s, cfg, loops):
+        s_next, increment = original(loop, s, cfg, loops)
+        return s_next, np.full_like(increment, np.nan)
+
+    monkeypatch.setattr(interpreter._Loop, "step", faulty_step)
+
+
+def test_a_value_error_inside_any_qlang_run_is_recorded_with_its_seed(monkeypatch):
+    nan_exit_increment(monkeypatch)
+    checks = {c.name: c for c in run_suite("qlang", [2], 5, 42).checks}
+    # the fixed programs are each one trial, recorded apart
+    assert checks["fair_coin_residuals"].failure_seeds == [[42, 2, 0]]
+    assert checks["diverging_loop"].failure_seeds == [[42, 2, 0]]
+    increasing = checks["approximant_chain_increasing"]
+    assert increasing.failures > 0 and increasing.worst_deviation == 1.0
+    assert all(seed[:2] == [42, 0] for seed in increasing.failure_seeds)
+    assert increasing.passes + increasing.failures == 5
+
+
+def test_a_value_error_inside_any_qlang_run_exits_2(monkeypatch, capsys):
+    nan_exit_increment(monkeypatch)
+    assert main(["verify", "qlang", "--trials", "5"]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["fair_coin_residuals"]["failure_seeds"] == [[42, 2, 0]]
+    assert checks["approximant_chain_increasing"]["failure_seeds"]
+
+
+def test_a_fault_inside_denote_is_recorded_with_its_seed(monkeypatch):
+    def non_unitary(gate, targets, total_qubits):
+        raise NonUnitaryError(f"{gate} is not unitary")
+
+    monkeypatch.setattr(interpreter, "denote_unitary", non_unitary)
+    checks = {c.name: c for c in run_suite("qlang", [2], 5, 42).checks}
+    # the fair coin holds gates; the diverging loop, only skip, still runs
+    assert checks["fair_coin_residuals"].failure_seeds == [[42, 2, 0]]
+    assert checks["diverging_loop"].passed and checks["diverging_loop"].passes == 1
+    increasing = checks["approximant_chain_increasing"]
+    assert increasing.failures > 0 and increasing.worst_deviation == 1.0
+    assert all(seed[:2] == [42, 0] for seed in increasing.failure_seeds)
+    # a trial that fails in denote records nothing more
+    recorded = checks["trace_nonincreasing"].passes + checks["trace_nonincreasing"].failures
+    assert recorded == increasing.passes == 5 - increasing.failures
+
+
 def test_a_fault_inside_an_interval_trial_is_recorded_with_its_seed(monkeypatch):
     # a missing-mass interval that ignores hi: its chain intervals are
     # points that are not nested, and directed_intersection raises
@@ -236,10 +323,14 @@ CHAIN_CONFIGS = [
 @pytest.mark.parametrize("trace", [0.0, 1.0])
 def test_stacked_geometric_chain_equals_the_lazy_one(cfg, trace):
     f = sampling.random_pdo(3, np.random.default_rng(8), trace=trace)
-    chain, sup, converged = _geometric_supremum(f, cfg)
-    lazy_sup, iterations, lazy_converged, _ = chain_supremum((fn.matrix for fn in geometric_chain(f)), cfg)
+    chain, sup, converged, traces = _geometric_supremum(f, cfg)
+    lazy_sup, iterations, lazy_converged, lazy_traces = chain_supremum(
+        (fn.matrix for fn in geometric_chain(f)), cfg
+    )
     assert len(chain) == iterations + 1
     assert converged == lazy_converged
+    # the traces chain_supremum read, bit for bit those of the stack's elements
+    assert traces == lazy_traces == np.trace(chain, axis1=1, axis2=2).real.tolist()
     assert np.array_equal(sup.matrix, lazy_sup) and np.array_equal(sup.matrix, chain[-1])
     assert sup.trace == float(np.trace(lazy_sup).real)
     assert all(np.array_equal(fn_stacked, fn.matrix) for fn_stacked, fn in zip(chain, geometric_chain(f)))
@@ -253,11 +344,11 @@ def corrupt_chains(monkeypatch, change):
     original = verify._geometric_supremum
 
     def corrupted(f, cfg):
-        chain, sup, converged = original(f, cfg)
+        chain, sup, converged, traces = original(f, cfg)
         if len(chain) > 11:
             chain = chain.copy()
             chain[10] = change(chain[10])
-        return chain, sup, converged
+        return chain, sup, converged, traces
 
     monkeypatch.setattr(verify, "_geometric_supremum", corrupted)
 
