@@ -4,7 +4,7 @@ Every report is the text of ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, so identical inputs and seeds produce byte-identical
 reports. Exit codes: 0 success (``run``: loop converged; ``verify``: all
 checks passed), 2 for a nonconverged run or failed checks, 1 for any
-error.
+error, a program nested too deep for Python's recursion limit included.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

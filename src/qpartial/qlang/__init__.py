@@ -1,6 +1,6 @@
 """A minimal quantum while-language over partial density operators."""
 
-from .ast import ApplyUnitary, Branch, Program, Seq, Skip, While
+from .ast import ApplyUnitary, Branch, Program, While
 from .gates import GATES, denote_unitary
 from .interpreter import Denotation, RunReport, denote, interpret
 from .parser import parse
@@ -12,8 +12,6 @@ __all__ = [
     "GATES",
     "Program",
     "RunReport",
-    "Seq",
-    "Skip",
     "While",
     "denote",
     "denote_unitary",

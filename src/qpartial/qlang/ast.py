@@ -2,29 +2,21 @@
 
 Guards are resolved to full-dimension closed subspaces at parse time, so
 the interpreter never needs the register table. Statement nodes are
-immutable; a Program is a declaration list plus one body statement.
+immutable. A block is the tuple of statements it runs, in order: ``skip``
+is the identity and sequencing is associative, so neither has a node of
+its own, and an empty block is ``skip``. A Program is its register names,
+one qubit each, plus its top-level block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from ..logic import ClosedSubspace
 
 MAX_QUBITS = 6
-
-
-@dataclass(frozen=True)
-class Skip:
-    pass
-
-
-@dataclass(frozen=True)
-class Seq:
-    statements: tuple["Statement", ...]
 
 
 @dataclass(frozen=True)
@@ -38,42 +30,34 @@ class ApplyUnitary:
 @dataclass(frozen=True)
 class Branch:
     guard: ClosedSubspace
-    then_body: "Statement"
-    else_body: "Statement"
+    then_body: "Block"
+    else_body: "Block"
 
 
 @dataclass(frozen=True)
 class While:
     guard: ClosedSubspace
-    body: "Statement"
+    body: "Block"
 
 
-Statement = Union[Skip, Seq, ApplyUnitary, Branch, While]
-
-
-def to_body(statements: Sequence[Statement]) -> Statement:
-    """The one block constructor: ``Skip`` for no statements, a lone
-    statement as it is, else their ``Seq``."""
-    if not statements:
-        return Skip()
-    return statements[0] if len(statements) == 1 else Seq(tuple(statements))
+Statement = ApplyUnitary | Branch | While
+Block = tuple[Statement, ...]
 
 
 @dataclass(frozen=True)
 class Program:
-    declarations: tuple[tuple[str, int], ...]
-    body: Statement
+    declarations: tuple[str, ...]
+    body: Block
 
     def __post_init__(self):
-        names = [name for name, _ in self.declarations]
-        if len(set(names)) != len(names):
+        if len(set(self.declarations)) != len(self.declarations):
             raise ValueError("duplicate register names")
         if self.total_qubits > MAX_QUBITS:
             raise ValueError(f"{self.total_qubits} qubits exceed the cap of {MAX_QUBITS}")
 
     @property
     def total_qubits(self) -> int:
-        return sum(size for _, size in self.declarations)
+        return len(self.declarations)
 
     @property
     def dim(self) -> int:

@@ -29,15 +29,15 @@ Every gate run is certified and every guard's maps are built by
 ``denote``, so a program is accepted or rejected whatever path a run
 takes and however long its loops run.
 
-Sequences are denoted in one normal form, ``_sequence``: nested ``Seq``
-flattened and ``skip``, the identity, dropped. Gates are fused: each
-maximal run ``U_1; ...; U_k`` of consecutive gates in it is one
-``_Gates`` node with ``U = U_k ... U_1``, formed once per ``denote``; a
-lone gate is applied as it is. The product is certified like a gate,
-``max_norm(U+U - I)``, within ``k * UNITARY_TOL``: to first order, the
-sum of the k factors' certified defects. ``skip`` is dropped first; runs
-never cross ``if`` or ``while``. A sequence of one part is that part.
-Fusion changes results only by rounding.
+A block comes from the parser in normal form, the tuple of statements it
+runs with ``skip``, the identity, already dropped; anything in it that is
+not a statement raises ``TypeError``. Gates are fused: each maximal run
+``U_1; ...; U_k`` of consecutive gates in a block is one ``_Gates`` node
+with ``U = U_k ... U_1``, formed once per ``denote``; a lone gate is
+applied as it is. The product is certified like a gate, ``max_norm(U+U -
+I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
+factors' certified defects. Runs never cross ``if`` or ``while``. A block
+of one part is that part. Fusion changes results only by rounding.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
@@ -58,7 +58,7 @@ from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
 from ..errors import ChainMonotonicityError
 from ..logic import ClosedSubspace
-from .ast import ApplyUnitary, Branch, Program, Seq, Skip, Statement, While
+from .ast import ApplyUnitary, Block, Branch, Program, Statement, While
 from .gates import _require_unitary, denote_unitary
 
 
@@ -128,7 +128,7 @@ class _GuardMaps:
         return x
 
 
-def _product(run: list[ApplyUnitary], total_qubits: int) -> np.ndarray:
+def _product(run: Block, total_qubits: int) -> np.ndarray:
     """``U_k ... U_1``; a lone gate's unitary is returned as it is, and an
     empty run is the identity."""
     factors = [denote_unitary(g.gate, g.targets, total_qubits) for g in run]
@@ -224,8 +224,8 @@ class _Loop:
     """``while guard { body }``, the supremum of its chain of exit blocks
     (see the module docstring). A step has two kernels.
 
-    If the body's normal form is a gate run with product U (U = I for a
-    body of only ``skip``), ``body`` is ``_Gates(U)`` and ``denote``
+    If the body is a gate run with product U (U = I for an empty body,
+    such as ``{ skip; }``), ``body`` is ``_Gates(U)`` and ``denote``
     compresses U once into ``m = B+ U B`` (r x r) and ``c = E+ U B`` ((d -
     r) x r): a step is ``s -> M s M+`` with exit increment ``C s C+``.
     ``denote`` certifies (M, C) as a Kraus split of the identity,
@@ -283,38 +283,35 @@ class _Loop:
 _Node = _Gates | _Seq | _If | _Loop
 
 
-def _denote(stmt: Statement, total_qubits: int) -> _Node:
-    """The node ``stmt`` denotes, with its gate runs and gate-run loops'
+def _denote(block: Block, total_qubits: int) -> _Node:
+    """The node ``block`` denotes, with its gate runs and gate-run loops'
     Kraus pairs (M, C) certified and its guards' maps built."""
-    if isinstance(stmt, Branch):
-        then, other = stmt.then_body, stmt.else_body
-        return _If(_GuardMaps(stmt.guard), _denote(then, total_qubits), _denote(other, total_qubits))
-    if isinstance(stmt, While):
-        guard, body = _GuardMaps(stmt.guard), _sequence(stmt.body)
-        if not all(isinstance(s, ApplyUnitary) for s in body):
-            return _Loop(guard, _denote(stmt.body, total_qubits))
-        u = _product(body, total_qubits)
-        m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
-        _require_unitary(
-            np.vstack((m, c)),
-            max(len(body), 1) * linalg.UNITARY_TOL,
-            f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
-        )
-        return _Loop(guard, _Gates(u), m, c)
     parts = []
-    for is_gate, group in itertools.groupby(_sequence(stmt), lambda s: isinstance(s, ApplyUnitary)):
+    for is_gate, group in itertools.groupby(block, lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
-            parts.append(_Gates(_product(list(group), total_qubits)))
+            parts.append(_Gates(_product(tuple(group), total_qubits)))
         else:
-            parts.extend(_denote(s, total_qubits) for s in group)
+            for stmt in group:
+                parts.append(_control(stmt, total_qubits))
     return parts[0] if len(parts) == 1 else _Seq(tuple(parts))
 
 
-def _sequence(stmt: Statement) -> list[Statement]:
-    """``stmt`` in normal form: the statements it runs in order, with nested
-    ``Seq`` flattened and ``Skip``, the identity, dropped."""
-    if isinstance(stmt, Seq):
-        return [s for inner in stmt.statements for s in _sequence(inner)]
-    if not isinstance(stmt, (Skip, ApplyUnitary, Branch, While)):
+def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
+    """The node of an ``if`` or a ``while``; anything else in a block is
+    not a statement."""
+    if isinstance(stmt, Branch):
+        then, other = stmt.then_body, stmt.else_body
+        return _If(_GuardMaps(stmt.guard), _denote(then, total_qubits), _denote(other, total_qubits))
+    if not isinstance(stmt, While):
         raise TypeError(f"unknown statement node {stmt!r}")
-    return [] if isinstance(stmt, Skip) else [stmt]
+    guard, body = _GuardMaps(stmt.guard), stmt.body
+    if not all(isinstance(s, ApplyUnitary) for s in body):
+        return _Loop(guard, _denote(body, total_qubits))
+    u = _product(body, total_qubits)
+    m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
+    _require_unitary(
+        np.vstack((m, c)),
+        max(len(body), 1) * linalg.UNITARY_TOL,
+        f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
+    )
+    return _Loop(guard, _Gates(u), m, c)

@@ -15,6 +15,10 @@ Grammar (whitespace-insensitive, ``#`` starts a comment):
 Matrix entries are complex literals such as ``1``, ``-0.5``, ``1i`` or
 ``0.5-0.5i``. Gate names are case-insensitive. Every register is one
 qubit; qubit indices follow declaration order.
+
+The parser emits the normal form: a program and each ``{ ... }`` are the
+tuple of the statements they run, and ``skip;``, the identity, parses to
+no statement, so ``{ skip; }`` is the empty block ``()``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from ..errors import ParseError
 from ..logic import ClosedSubspace
-from .ast import MAX_QUBITS, ApplyUnitary, Branch, Program, Skip, Statement, While, to_body
+from .ast import MAX_QUBITS, ApplyUnitary, Block, Branch, Program, Statement, While
 from .gates import GATES, KET_VECTORS, gate_arity, ket_guard_projection
 
 _KEYWORDS = {"qubit", "skip", "if", "else", "while", "in"}
@@ -122,32 +126,43 @@ class _Parser:
                 self.error(f"dimension overflow: more than {MAX_QUBITS} qubits", name_tok)
             self.registers[name_tok.text] = len(self.registers)
             self.expect(";", "';'")
-        statements = []
-        while self.peek().kind != "eof":
-            statements.append(self.statement())
-        return Program(
-            declarations=tuple((name, 1) for name in self.registers),
-            body=to_body(statements),
-        )
+        return Program(declarations=tuple(self.registers), body=self.block("eof"))
 
-    def statement(self) -> Statement:
+    def block(self, end: str) -> Block:
+        """The statements up to the ``end`` token, which is consumed, with
+        every ``skip`` dropped."""
+        statements = []
+        while self.peek().kind != end:
+            if self.peek().kind == "eof":
+                self.error("unterminated block")
+            stmt = self.statement()
+            if stmt is not None:
+                statements.append(stmt)
+        self.advance()
+        return tuple(statements)
+
+    def statement(self) -> Statement | None:
+        """One statement, or None for ``skip``."""
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "skip":
             self.advance()
             self.expect(";", "';'")
-            return Skip()
+            return None
         if tok.kind == "keyword" and tok.text == "if":
             self.advance()
             guard = self.guard()
-            then_body = self.block()
+            self.expect("{", "'{'")
+            then_body = self.block("}")
             if not self.accept_keyword("else"):
                 self.error("expected 'else'")
-            else_body = self.block()
+            self.expect("{", "'{'")
+            else_body = self.block("}")
             return Branch(guard, then_body, else_body)
         if tok.kind == "keyword" and tok.text == "while":
             self.advance()
             guard = self.guard()
-            return While(guard, self.block())
+            self.expect("{", "'{'")
+            return While(guard, self.block("}"))
         if tok.kind == "[":
             matrix, k = self.matrix_literal()
             targets = self.targets(expected=k, what="inline matrix")
@@ -162,16 +177,6 @@ class _Parser:
             self.expect(";", "';'")
             return ApplyUnitary(name, targets)
         self.error(f"expected a statement, got {tok.text!r}" if tok.text else "expected a statement")
-
-    def block(self) -> Statement:
-        self.expect("{", "'{'")
-        statements = []
-        while self.peek().kind != "}":
-            if self.peek().kind == "eof":
-                self.error("unterminated block")
-            statements.append(self.statement())
-        self.advance()
-        return to_body(statements)
 
     def guard(self) -> ClosedSubspace:
         reg_tok = self.expect("ident", "register name")

@@ -57,7 +57,7 @@ from .observables import (
     spectrum_bounds,
 )
 from .qlang import denote, parse
-from .qlang.ast import ApplyUnitary, Branch, Program, Skip, While, to_body
+from .qlang.ast import ApplyUnitary, Block, Branch, Program, While
 from .qlang.gates import GATES, gate_arity, ket_guard_projection
 
 _MEASURE_LEQ_TOL = 1e-9
@@ -585,22 +585,22 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
 
 def random_program(qubits: int, rng: np.random.Generator) -> Program:
     """A random program on ``qubits`` qubits whose blocks nest at most three deep."""
-    names = [f"q{i}" for i in range(qubits)]
-    body = _random_block(qubits, rng, 3)
-    return Program(declarations=tuple((n, 1) for n in names), body=body)
+    return Program(declarations=tuple(f"q{i}" for i in range(qubits)), body=_random_block(qubits, rng, 3))
 
 
-def _random_block(qubits: int, rng: np.random.Generator, depth: int):
-    return to_body([_random_statement(qubits, rng, depth) for _ in range(int(rng.integers(1, 4)))])
+def _random_block(qubits: int, rng: np.random.Generator, depth: int) -> Block:
+    statements = [_random_statement(qubits, rng, depth) for _ in range(int(rng.integers(1, 4)))]
+    return tuple(s for s in statements if s is not None)
 
 
 def _random_statement(qubits: int, rng: np.random.Generator, depth: int):
+    """A random statement, or None for ``skip``, which a block drops."""
     choices = ["gate", "gate", "skip"]
     if depth > 1:
         choices += ["if", "while"]
     kind = choices[int(rng.integers(0, len(choices)))]
     if kind == "skip":
-        return Skip()
+        return None
     if kind == "gate":
         single = [g for g in GATES if gate_arity(g) == 1]
         if qubits >= 2 and rng.uniform() < 0.3:

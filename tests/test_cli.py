@@ -5,6 +5,8 @@ import pytest
 
 from qpartial import cli, sampling
 from qpartial.cli import _json_text, main
+from qpartial.density import PartialDensityOperator
+from qpartial.qlang import denote, parse
 
 FAIR_COIN = "qubit q;\nh q;\nwhile q in |1> { h q; }\n"
 
@@ -86,6 +88,26 @@ class TestRun:
         (tmp_path / "big.qp").write_text("qubit q; while q in |1> { [[2, 0], [0, 2]] q; }")
         code, out, err = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", max_iter)
         assert code == 1 and out == "" and "unitary" in err
+
+    @staticmethod
+    def nested_loops(depth: int) -> str:
+        return "qubit q; " + "while q in |1> { " * depth + "x q;" + " }" * depth
+
+    def test_nesting_depths_overflow_where_stated(self):
+        # 300 nested loops parse and denote, and overflow Python's stack
+        # only when applied; 1,000 overflow it in the parser
+        denotation = denote(parse(self.nested_loops(300)))
+        with pytest.raises(RecursionError):
+            denotation.apply(PartialDensityOperator.ground_state(2))
+        with pytest.raises(RecursionError):
+            parse(self.nested_loops(1000))
+
+    @pytest.mark.parametrize("depth", [300, 1000])
+    def test_too_deep_a_program_is_a_one_line_error(self, tmp_path, capsys, depth):
+        (tmp_path / "deep.qp").write_text(self.nested_loops(depth))
+        code, out, err = run_cli(capsys, "run", tmp_path / "deep.qp")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_unwritable_out_prints_nothing(self, workdir, capsys):
         target = workdir / "missing" / "report.json"

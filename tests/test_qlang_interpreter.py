@@ -19,7 +19,7 @@ from qpartial.errors import (
 )
 from qpartial.logic import ClosedSubspace
 from qpartial.qlang import denote, denote_unitary, interpret, interpreter, parse
-from qpartial.qlang.ast import ApplyUnitary, Branch, Program, Seq, Skip, While
+from qpartial.qlang.ast import ApplyUnitary, Branch, Program, While
 from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
 from qpartial.verify import random_program
 
@@ -208,7 +208,7 @@ class TestDivergingLoop:
         assert report.iterations_per_loop == [1]
 
     def test_full_space_guard_has_empty_exit_block(self):
-        prog = Program((("q", 1),), While(ClosedSubspace.full(2), Skip()))
+        prog = Program(("q",), (While(ClosedSubspace.full(2), ()),))
         report = interpret(prog, GROUND)
         assert report.residual == 1.0
         assert report.iterations_per_loop == [1]
@@ -400,6 +400,38 @@ ROADMAP_6Q = (
 BODY_STEP_H = "if a in |1> { } else { } h a;"
 
 
+class TestBlockContract:
+    """A block is a flat tuple of statements. A hand-built AST is outside
+    input: anything else inside a block, a nested tuple included, is
+    rejected at ``denote``."""
+
+    X = ApplyUnitary("X", (0,))
+    GUARD = ClosedSubspace(np.diag([0.0, 1.0]).astype(complex))
+
+    def block_with(self, where: str, bad) -> tuple:
+        return {
+            "top_level": (self.X, bad),
+            "loop_body": (While(self.GUARD, (bad,)),),
+            "gate_run_loop_body": (While(self.GUARD, (self.X, bad)),),
+            "else_arm": (Branch(self.GUARD, (), (bad,)),),
+        }[where]
+
+    @pytest.mark.parametrize("where", ["top_level", "loop_body", "gate_run_loop_body", "else_arm"])
+    @pytest.mark.parametrize("bad", ["skip", None, (X,)], ids=["str", "none", "nested_tuple"])
+    def test_non_statement_in_a_block_raises_type_error(self, where, bad):
+        with pytest.raises(TypeError, match="unknown statement node"):
+            denote(Program(("q",), self.block_with(where, bad)))
+
+    def test_empty_blocks_denote_the_identity(self):
+        prog = Program(("q",), (Branch(self.GUARD, (), ()),))
+        f = sampling.random_pdo(2, rng_for(26))
+        out = interpret(prog, f).output.matrix
+        p = self.GUARD.projection
+        q = np.eye(2) - p
+        assert linalg.max_norm(out - (p @ f.matrix @ p + q @ f.matrix @ q)) <= 1e-15
+        assert interpret(Program(("q",), ()), f).output.matrix.tobytes() == f.matrix.tobytes()
+
+
 class TestDenotationTree:
     """``denote`` builds a tree of frozen nodes; the kernel a loop runs is
     read off its node: ``m is None`` for body steps, else the Kraus pair
@@ -468,19 +500,19 @@ class TestBoundaryValidation:
         # it runs body steps. On the loop's own guard the `if` is the
         # identity, so the body still denotes `h a`
         prog = parse(f"qubit a; qubit b; h a; h b; while a in |1> {{ {BODY_STEP_H} }}")
-        loop = prog.body.statements[-1]
+        loop = prog.body[-1]
         assert isinstance(loop, While)
         calls = []
         original = interpreter._denote
 
-        def faulty_denote(stmt, *args, **kwargs):
-            body = original(stmt, *args, **kwargs)
-            if stmt is not loop.body:
+        def faulty_denote(block, *args, **kwargs):
+            body = original(block, *args, **kwargs)
+            if block is not loop.body:
                 return body
 
             def faulty_body(rho, *args):
                 out = body(rho, *args)
-                calls.append(stmt)
+                calls.append(block)
                 return -self.DENT if len(calls) == 2 else out
 
             return faulty_body
@@ -496,7 +528,7 @@ class TestBoundaryValidation:
         # identity, and `denote` rejects it, naming the loop and its defect
         # (1 + 1e-6)^2 - 1, before any input is touched
         prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
-        body = interpreter._sequence(prog.body.statements[-1].body)
+        body = prog.body[-1].body
         original = interpreter._product
 
         def faulty_product(run, total_qubits):
@@ -519,9 +551,9 @@ class TestBoundaryValidation:
         prog = parse(f"qubit a; qubit b; while a in |1> {{ {BODY_STEP_H} }}")
         original = interpreter._denote
 
-        def faulty_denote(stmt, *args, **kwargs):
-            body = original(stmt, *args, **kwargs)
-            if stmt is not prog.body.body:
+        def faulty_denote(block, *args, **kwargs):
+            body = original(block, *args, **kwargs)
+            if block is not prog.body[0].body:
                 return body
             return lambda rho, *args: body(rho, *args) - self.DENT
 
@@ -557,13 +589,11 @@ class TestBoundaryValidation:
 
 
 def unfused(stmt, rho: np.ndarray, n: int, loop_steps) -> np.ndarray:
-    """Reference semantics that applies every gate on its own, as a dense
-    ``embed_operator`` conjugation, and runs each loop (in evaluation order,
-    no nesting) for the next count of ``loop_steps``."""
-    if isinstance(stmt, Skip):
-        return rho
-    if isinstance(stmt, Seq):
-        for inner in stmt.statements:
+    """Reference semantics of a statement or a block that applies every gate
+    on its own, as a dense ``embed_operator`` conjugation, and runs each loop
+    (in evaluation order, no nesting) for the next count of ``loop_steps``."""
+    if isinstance(stmt, tuple):
+        for inner in stmt:
             rho = unfused(inner, rho, n, loop_steps)
         return rho
     if isinstance(stmt, ApplyUnitary):
@@ -646,23 +676,21 @@ class TestGateFusion:
         reference = unfused(prog.body, ground.matrix, 6, iter([29]))
         assert linalg.max_norm(report.output.matrix - reference) <= 1e-14
 
-    def test_runs_are_fused_across_skip_and_nested_seqs(self, count_calls):
-        # `skip` is the identity and a nested `Seq` runs its statements in
-        # order, so neither ends a run: each program is one product of three
-        # factors, one `_Gates` node, with the same bytes out
+    def test_runs_are_fused_across_skip(self, count_calls):
+        # `skip` is the identity and parses to no statement, so it never
+        # ends a run: each program is one product of three factors, one
+        # `_Gates` node, with the same bytes out
         flat = parse("qubit a; qubit b; h a; cnot a b; t b;")
-        h, cnot, t = flat.body.statements
-        nested = Program(flat.declarations, Seq((h, Skip(), Seq((cnot, t)))))
-        skipped = parse("qubit a; qubit b; h a; cnot a b; skip; t b;")
+        skipped = parse("qubit a; qubit b; skip; h a; skip; cnot a b; skip; t b; skip;")
         f = sampling.random_pdo(4, rng_for(25))
         with count_calls(interpreter, "_product") as products:
-            denotations = [denote(prog) for prog in (flat, nested, skipped)]
-        assert [len(run) for run, _ in products] == [3, 3, 3]
+            denotations = [denote(prog) for prog in (flat, skipped)]
+        assert [len(run) for run, _ in products] == [3, 3]
         u = gate_product((("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))), 2)
         roots = [d._root for d in denotations]
         assert all(isinstance(r, interpreter._Gates) and np.array_equal(r.u, u) for r in roots)
         outputs = [d.apply(f).output.matrix.tobytes() for d in denotations]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize(
         "breaker",
@@ -718,7 +746,7 @@ class TestGateFusion:
 
     def test_run_of_near_unitaries_within_k_tolerances_is_accepted(self):
         prog = parse(f"qubit a; qubit b; {NEAR_RUN}")
-        defects = [linalg.max_norm(s.gate.conj().T @ s.gate - np.eye(2)) for s in prog.body.statements]
+        defects = [linalg.max_norm(s.gate.conj().T @ s.gate - np.eye(2)) for s in prog.body]
         assert all(0.85 * linalg.UNITARY_TOL < d < 0.95 * linalg.UNITARY_TOL for d in defects)
         report = interpret(prog, PartialDensityOperator.ground_state(4))
         assert report.output.trace == pytest.approx(NEAR_SCALE**10, abs=1e-15)
@@ -804,13 +832,13 @@ class TestBlockPath:
     equal, the identity on the loop's inputs, the same body runs body steps
     on the same blocks."""
 
-    DECLARATIONS = (("a", 1), ("b", 1))
+    DECLARATIONS = ("a", "b")
     BODY = (ApplyUnitary("H", (0,)), ApplyUnitary("CNOT", (0, 1)))
 
     def both_paths(self, guard: ClosedSubspace, f: PartialDensityOperator, cfg: FixpointConfig):
-        blocks = interpret(Program(self.DECLARATIONS, While(guard, Seq(self.BODY))), f, cfg)
-        same = Branch(guard, Skip(), Skip())
-        full = interpret(Program(self.DECLARATIONS, While(guard, Seq((same,) + self.BODY))), f, cfg)
+        blocks = interpret(Program(self.DECLARATIONS, (While(guard, self.BODY),)), f, cfg)
+        same = Branch(guard, (), ())
+        full = interpret(Program(self.DECLARATIONS, (While(guard, (same,) + self.BODY),)), f, cfg)
         return blocks, full
 
     @pytest.mark.parametrize("edge", ["full", "zero"])
@@ -841,7 +869,7 @@ class TestBlockPath:
         prog = parse("qubit a; qubit b; h b; while a in |+> { t a; h a; cnot a b; }")
         f = sampling.random_pdo(4, rng_for(30))
         first = denote(prog).apply(f)
-        prog.body.statements[-1].guard.basis
+        prog.body[-1].guard.basis
         second = denote(prog).apply(f)
         assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
         assert first.chain_trace_log == second.chain_trace_log
@@ -855,7 +883,7 @@ class TestKrausCertificate:
 
     def test_defect_beyond_tolerance_is_rejected_at_denote(self, monkeypatch, tmp_path, capsys):
         source = "qubit a; qubit b; h a; while a in |1> { h a; cnot a b; }"
-        body = interpreter._sequence(parse(source).body.statements[-1].body)
+        body = parse(source).body[-1].body
         original = interpreter._product
 
         def faulty_product(run, total_qubits):
@@ -925,7 +953,7 @@ class TestKrausCertificate:
         f = sampling.random_pdo(2**n, np.random.default_rng([17, 32, data.draw(st.integers(0, 2**16))]))
         for ket in KET_VECTORS:
             guard = ClosedSubspace(ket_guard_projection(ket, qubit, n))
-            prog = Program(tuple((f"q{i}", 1) for i in range(n)), While(guard, Seq(tuple(run))))
+            prog = Program(tuple(f"q{i}" for i in range(n)), (While(guard, tuple(run)),))
             loop = denote(prog)._root
             m, c, maps = loop.m, loop.c, loop.guard
             assert linalg.max_norm(m.conj().T @ m + c.conj().T @ c - np.eye(m.shape[1])) < 1e-14, ket

@@ -3,37 +3,38 @@ import pytest
 
 from qpartial.errors import ParseError
 from qpartial.qlang import parse
-from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, Skip, While
+from qpartial.qlang.ast import ApplyUnitary, Branch, Program, While
 
 
 def test_single_gate_program():
     prog = parse("qubit q; x q;")
-    assert prog.declarations == (("q", 1),)
-    assert prog.body == ApplyUnitary("X", (0,))
+    assert prog.declarations == ("q",)
+    assert prog.body == (ApplyUnitary("X", (0,)),)
 
 
 def test_while_with_guard():
     prog = parse("qubit q; while q in |1> { h q; }")
-    assert isinstance(prog.body, While)
-    assert np.allclose(prog.body.guard.projection, np.diag([0.0, 1.0]))
-    assert prog.body.body == ApplyUnitary("H", (0,))
+    [loop] = prog.body
+    assert isinstance(loop, While)
+    assert np.allclose(loop.guard.projection, np.diag([0.0, 1.0]))
+    assert loop.body == (ApplyUnitary("H", (0,)),)
 
 
 def test_if_else():
     prog = parse("qubit q; if q in |0> { x q; } else { skip; }")
-    body = prog.body
-    assert isinstance(body, Branch)
-    assert np.allclose(body.guard.projection, np.diag([1.0, 0.0]))
-    assert body.then_body == ApplyUnitary("X", (0,))
-    assert body.else_body == Skip()
+    [branch] = prog.body
+    assert isinstance(branch, Branch)
+    assert np.allclose(branch.guard.projection, np.diag([1.0, 0.0]))
+    assert branch.then_body == (ApplyUnitary("X", (0,)),)
+    assert branch.else_body == ()
 
 
 def test_plus_minus_guards():
     prog = parse("qubit q; while q in |+> { skip; }")
     half = np.full((2, 2), 0.5)
-    assert np.allclose(prog.body.guard.projection, half)
+    assert np.allclose(prog.body[0].guard.projection, half)
     prog = parse("qubit q; while q in |-> { skip; }")
-    assert np.allclose(prog.body.guard.projection, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    assert np.allclose(prog.body[0].guard.projection, np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
 
 def test_sequence_and_comments():
@@ -46,44 +47,71 @@ def test_sequence_and_comments():
         cnot a b;
         """
     )
-    assert prog.total_qubits == 2
-    assert isinstance(prog.body, Seq)
-    assert prog.body.statements == (ApplyUnitary("H", (0,)), ApplyUnitary("CNOT", (0, 1)))
+    assert (prog.declarations, prog.total_qubits, prog.dim) == (("a", "b"), 2, 4)
+    assert prog.body == (ApplyUnitary("H", (0,)), ApplyUnitary("CNOT", (0, 1)))
 
 
-def test_empty_program_is_skip():
-    assert parse("qubit q;").body == Skip()
+def test_empty_program_is_the_empty_block():
+    assert parse("qubit q;").body == ()
 
 
-def test_blocks_keep_skip_and_nesting_as_written():
-    # the parser does not normalise: an empty block is `Skip()`, and a
-    # `skip` in a block stays a statement of its `Seq`
+def test_blocks_are_flat_tuples_without_skip():
+    # `skip` parses to no statement, so a `skip`-only block and an empty
+    # block are both `()`; nesting appears only through `if` and `while`
     prog = parse("qubit q; while q in |0> { } if q in |0> { skip; x q; } else { skip; }")
-    loop, branch = prog.body.statements
-    assert loop.body == Skip()
-    assert branch.then_body == Seq((Skip(), ApplyUnitary("X", (0,))))
-    assert branch.else_body == Skip()
+    loop, branch = prog.body
+    assert loop.body == ()
+    assert branch.then_body == (ApplyUnitary("X", (0,)),)
+    assert branch.else_body == ()
+
+
+class TestSkipParsesAway:
+    """``skip`` is the identity: a source with it parses to the same Program
+    as the source without it."""
+
+    PAIRS = {
+        "top_level": ("qubit q; skip; h q; skip;", "qubit q; h q;"),
+        "inside_a_block": (
+            "qubit a; qubit b; h b; while a in |+> { skip; t a; h a; skip; cnot a b; }",
+            "qubit a; qubit b; h b; while a in |+> { t a; h a; cnot a b; }",
+        ),
+        "whole_block": (
+            "qubit q; if q in |0> { skip; } else { skip; skip; x q; }",
+            "qubit q; if q in |0> { } else { x q; }",
+        ),
+        "whole_program": ("qubit q; skip; skip;", "qubit q;"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PAIRS))
+    def test_same_program(self, case):
+        with_skip, without = self.PAIRS[case]
+        assert parse(with_skip) == parse(without)
+
+
+def test_program_rejects_duplicate_register_names():
+    with pytest.raises(ValueError, match="duplicate"):
+        Program(("q", "q"), ())
 
 
 def test_guard_lives_in_full_dimension():
     prog = parse("qubit a; qubit b; while b in |1> { x a; }")
-    guard = prog.body.guard
+    guard = prog.body[0].guard
     assert guard.dim == 4
     assert np.allclose(guard.projection, np.diag([0.0, 1.0, 0.0, 1.0]))
 
 
 def test_inline_matrix_statement():
     prog = parse("qubit q; [[0, 1], [1, 0]] q;")
-    stmt = prog.body
+    [stmt] = prog.body
     assert isinstance(stmt, ApplyUnitary)
     assert np.allclose(stmt.gate, np.array([[0, 1], [1, 0]]))
 
 
 def test_inline_matrix_complex_entries():
     prog = parse("qubit q; [[0, -1i], [1i, 0]] q;")
-    assert np.allclose(prog.body.gate, np.array([[0, -1j], [1j, 0]]))
+    assert np.allclose(prog.body[0].gate, np.array([[0, -1j], [1j, 0]]))
     prog = parse("qubit q; [[0.5+0.5i, 0.5-0.5i], [0.5-0.5i, 0.5+0.5i]] q;")
-    assert prog.body.gate[0, 0] == pytest.approx(0.5 + 0.5j)
+    assert prog.body[0].gate[0, 0] == pytest.approx(0.5 + 0.5j)
 
 
 class TestErrors:

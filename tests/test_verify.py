@@ -9,7 +9,7 @@ from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supre
 from qpartial.errors import CrossCheckError, NonUnitaryError
 from qpartial.logic import _measure_value
 from qpartial.qlang import interpreter
-from qpartial.qlang.ast import ApplyUnitary, Branch, Seq, While
+from qpartial.qlang.ast import ApplyUnitary, Branch, While
 from qpartial.verify import (
     CheckResult,
     SuiteReport,
@@ -119,10 +119,11 @@ def test_random_program_reproducible():
 
 
 def gate_count(stmt) -> int:
+    """The gates in a statement or a block."""
     if isinstance(stmt, ApplyUnitary):
         return 1
-    if isinstance(stmt, Seq):
-        return sum(gate_count(s) for s in stmt.statements)
+    if isinstance(stmt, tuple):
+        return sum(gate_count(s) for s in stmt)
     if isinstance(stmt, Branch):
         return gate_count(stmt.then_body) + gate_count(stmt.else_body)
     if isinstance(stmt, While):
