@@ -190,13 +190,10 @@ def dyadic_diagonal_state(bits, dim: int) -> PartialDensityOperator:
 
 @dataclass(frozen=True)
 class FixpointConfig:
-    """Stopping rules of ``chain_supremum``; ``monotonicity_check`` switches
-    the interpreter's check that its loop chains increase, run at every
-    iteration on every loop step that ``qlang.denote`` did not certify."""
+    """Stopping rules of ``chain_supremum``."""
 
     max_iterations: int = 10000
     trace_tol: float = 1e-9
-    monotonicity_check: bool = True
 
     def __post_init__(self):
         if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
@@ -226,10 +223,10 @@ def chain_supremum(
     chain, not its distance to the supremum, so a slowly rising chain or
     one that stalls for a step can be reported converged early.
 
-    The chain is not checked for monotonicity; its producer certifies that
-    it increases in the Loewner order (the interpreter certifies a gate-run
-    loop's step once, at ``denote``, and checks each increment of any other
-    loop, and ``scale`` makes ``(1 - 2^-n) f`` increase by construction).
+    The chain is not checked for monotonicity; it increases in the Loewner
+    order by construction (every interpreter loop adds a sum of
+    congruences of a PSD block at each step, and ``scale`` makes ``(1 -
+    2^-n) f`` increase), and the interpreter certifies only its output.
     """
     cfg = cfg or FixpointConfig()
     it = iter(chain)

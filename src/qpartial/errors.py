@@ -26,19 +26,6 @@ class InvalidOperatorError(ValueError):
     """Operator fails partial-density validation (trace bound, shape, ...)."""
 
 
-class ChainMonotonicityError(ValueError):
-    """A loop's Kleene approximant chain was not increasing.
-
-    ``index`` is the 1-based position of the first offending step and
-    ``witness`` a direction along which the chain decreases.
-    """
-
-    def __init__(self, message, index, witness=None):
-        super().__init__(message)
-        self.index = index
-        self.witness = witness
-
-
 class CrossCheckError(ArithmeticError):
     """Two redundant computations of the same quantity diverged."""
 

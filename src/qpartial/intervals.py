@@ -30,9 +30,6 @@ class CompactInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
 
 def point(x: float) -> CompactInterval:
     return CompactInterval(x, x)
@@ -58,13 +55,12 @@ def reverse_inclusion_leq(a: CompactInterval, b: CompactInterval) -> bool:
     return a.lo <= b.lo and b.hi <= a.hi
 
 
-def directed_intersection(chain, tol: float = 1e-9) -> CompactInterval:
-    """Limit of a nested (shrinking) sequence of intervals.
+def directed_intersection(chain) -> CompactInterval:
+    """Intersection of a finite nested (shrinking) sequence of intervals,
+    read to its end.
 
     Each element must be contained in its predecessor, up to a tiny
-    floating-point slack; violations raise ``ValueError``. Consumption
-    stops once both endpoints moved by less than ``tol``, or at the end
-    of the sequence, whichever comes first.
+    floating-point slack; violations raise ``ValueError``.
     """
     it = iter(chain)
     try:
@@ -75,11 +71,7 @@ def directed_intersection(chain, tol: float = 1e-9) -> CompactInterval:
     for idx, a in enumerate(it, start=1):
         if a.lo < lo - _NEST_SLACK or a.hi > hi + _NEST_SLACK:
             raise ValueError(f"chain element {idx} is not contained in its predecessor")
-        new_lo, new_hi = max(lo, a.lo), min(hi, a.hi)
-        moved = max(new_lo - lo, hi - new_hi)
-        lo, hi = new_lo, new_hi
-        if moved < tol:
-            break
+        lo, hi = max(lo, a.lo), min(hi, a.hi)
     if lo > hi:
         # only possible through accumulated slack on a degenerate limit
         lo = hi = 0.5 * (lo + hi)

@@ -43,8 +43,8 @@ Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
 input is touched. Every node maps partial density operators to partial
-density operators by construction, so nodes act on raw arrays and the
-output is certified once, by ``apply``; ``_Loop`` says how loops are.
+density operators by construction, so nodes act on raw arrays, no loop
+step is checked, and the output is certified once, by ``apply``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
-from ..errors import ChainMonotonicityError
 from ..logic import ClosedSubspace
 from .ast import ApplyUnitary, Block, Branch, Program, Statement, While
 from .gates import _require_unitary, denote_unitary
@@ -120,11 +119,11 @@ class _GuardMaps:
         return left.conj().T @ a @ right
 
     def lift(self, left: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """The full-dimension matrix ``L a L+``, or vector ``L a``."""
+        """The full-dimension matrix ``L a L+``."""
         if not self.masked:
-            return left @ a @ left.conj().T if a.ndim == 2 else left @ a
-        x = np.zeros((self.dim,) * a.ndim, dtype=complex)
-        x[(left[:, None], left) if a.ndim == 2 else left] = a
+            return left @ a @ left.conj().T
+        x = np.zeros((self.dim, self.dim), dtype=complex)
+        x[left[:, None], left] = a
         return x
 
 
@@ -157,9 +156,10 @@ class Denotation:
         """Run the program on an input partial density operator.
 
         Nonconvergence of a loop within ``cfg.max_iterations`` is reported
-        through ``converged=False``, not raised; a decreasing approximant
-        chain (an interpreter bug, impossible for well-formed semantics)
-        raises ``ChainMonotonicityError``.
+        through ``converged=False``, not raised. The output is certified
+        once, as a ``PartialDensityOperator``: a run that leaves it not
+        positive (an interpreter bug, impossible for well-formed semantics)
+        raises ``NotPositiveError``.
         """
         cfg = cfg or FixpointConfig()
         linalg.require_same_dim(input_state.dim, self.dim)
@@ -233,11 +233,13 @@ class _Loop:
     run of k gates, so each ``C s C+`` is PSD by construction and no step
     is checked.
 
-    A body that holds an ``if`` or a ``while`` leaves ``m`` and ``c`` None
-    and is not certified at ``denote``: a step is ``sigma = [[body]](B s
-    B+)``, then the looping block ``B+ sigma B`` and the exit increment
-    ``E+ sigma E``, the block that holds all of the full increment's
-    nonzero eigenvalues, tested for positivity under ``monotonicity_check``.
+    A body that holds an ``if`` or a ``while`` leaves ``m`` and ``c`` None:
+    a step is ``sigma = [[body]](B s B+)``, then the looping block ``B+
+    sigma B`` and the exit increment ``E+ sigma E``. The body's own gate
+    runs and loops are certified at ``denote``, and it is a sum of
+    congruences, so each increment is PSD by construction and no step is
+    checked; a faulty step that leaves the output not positive is caught
+    by the output certificate of ``apply``.
 
     For a ``|0>``/``|1>`` guard B and E are index sets, an exact gather
     and scatter, and both kernels leave out only exact zeros of the
@@ -264,18 +266,12 @@ class _Loop:
         return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
 
     def approximants(self, rho: np.ndarray, cfg: FixpointConfig, loops: list):
-        """The chain's exit blocks a_0, a_1, ... on input ``rho``, checked as above."""
+        """The chain's exit blocks a_0, a_1, ... on input ``rho``."""
         g = self.guard
-        check = cfg.monotonicity_check and self.m is None
         acc, s = g.compress(g.e, g.e, rho), g.compress(g.b, g.b, rho)
         yield acc
-        for n in itertools.count(1):
+        while True:
             s, increment = self.step(s, cfg, loops)
-            if check and increment.size:
-                ok, witness = linalg.is_positive_semidefinite(increment)
-                if not ok:
-                    message = f"chain decreases between elements {n} and {n + 1}"
-                    raise ChainMonotonicityError(message, index=n, witness=g.lift(g.e, witness))
             acc = acc + increment
             yield acc
 

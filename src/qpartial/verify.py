@@ -423,7 +423,7 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
         )
         yield mono_ok, 0.0
 
-        limit = directed_intersection(nested, tol=1e-9)
+        limit = directed_intersection(nested)
         contained = all(c.lo - 1e-9 <= limit.lo and limit.hi <= c.hi + 1e-9 for c in nested)
         yield contained and limit.width <= 0.1, limit.width
 
@@ -441,14 +441,12 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
         yield reverse_inclusion_leq(expected_interval(r, f), expected_interval(r, g)), 0.0
 
         chain, sup, _, traces = _geometric_supremum(f, cfg)
-        # each element (1 - 2^-n) f keeps f's certificate, as scale gives
-        # it; the intervals are built only as far as directed_intersection
-        # reads them
+        # each element (1 - 2^-n) f keeps f's certificate, as scale gives it
         chain_intervals = (
             missing_mass_interval(center, _certified(fn, trace), m, big_m)
             for center, fn, trace in zip(_expectations(r, chain), chain, traces)
         )
-        limit_interval = directed_intersection(chain_intervals, tol=1e-12)
+        limit_interval = directed_intersection(chain_intervals)
         target = expected_interval(r, f)
         e_dev = max(abs(limit_interval.lo - target.lo), abs(limit_interval.hi - target.hi))
         # the net of e0 values converges to e0 at the supremum; it is
@@ -531,8 +529,10 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
     diverging loop are one trial each, at ``[seed, 2, 0]``, run apart so
     that a fault in one cannot hide the other. A random trial's first run
     is its ``approximant_chain_increasing`` check: a fault in denoting or
-    sampling the program, or in the run itself, fails that check; one in
-    its linearity runs fails ``denotation_linear``.
+    sampling the program, or in the run itself, fails that check. A loop
+    chain that decreases fails it through the output certificate of
+    ``apply``, whenever it leaves the output not positive. A fault in its
+    linearity runs fails ``denotation_linear``.
     """
     ground = PartialDensityOperator.ground_state(2)
 
@@ -563,11 +563,7 @@ def qlang_suite(dims, trials: int, seed: int) -> SuiteReport:
         alpha = float(rng.uniform(0.0, 1.0))
         beta = float(rng.uniform(0.0, 1.0 - alpha))
         mix = PartialDensityOperator(alpha * rho.matrix + beta * rho2.matrix)
-        # monotonicity_check=False: whether this program's chains increase is
-        # asked of its first run, above; tested here too, a decreasing chain
-        # would be charged to denotation_linear. Turned on, it changes no
-        # output at CLI defaults and adds 1,142 positivity tests per op
-        lin_cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300, monotonicity_check=False)
+        lin_cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300)
         combined = program.apply(mix, lin_cfg).output.matrix
         parts = (
             alpha * program.apply(rho, lin_cfg).output.matrix

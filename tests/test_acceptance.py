@@ -149,7 +149,7 @@ def test_criterion_5_interval_monotonicity_and_continuity():
         r_pos = BoundedObservable(shifted)
         _, iters, _, _ = chain_supremum(fn.matrix for fn in geometric_chain(f))
         boxes = [expected_interval(r_pos, fn) for fn in islice(geometric_chain(f), iters + 1)]
-        limit = directed_intersection(boxes, tol=1e-13)
+        limit = directed_intersection(boxes)
         target = expected_interval(r_pos, f)
         worst_endpoint = max(
             worst_endpoint, abs(limit.lo - target.lo), abs(limit.hi - target.hi)

@@ -40,6 +40,12 @@ class TestValidation:
         f = PartialDensityOperator.pure(psi)
         assert f.trace == pytest.approx(1.0, abs=1e-12)
 
+    def test_pure_state_normalizes_its_vector(self):
+        f = PartialDensityOperator.pure([3, 4j])
+        assert f.trace == pytest.approx(1.0, abs=1e-15)
+        expected = np.array([[0.36, -0.48j], [0.48j, 0.64]])
+        assert linalg.max_norm(f.matrix - expected) <= 1e-15
+
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             PartialDensityOperator(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -44,6 +44,15 @@ def square_interval_from_extremes(a, f):
     return missing_mass_interval(center, f, k * k, big_k * big_k)
 
 
+_loop_step = interpreter._Loop.step
+
+
+def negated_body_step_exit(loop, s, cfg, loops):
+    """``_Loop.step`` that negates the exit increment of a body-step loop."""
+    s, increment = _loop_step(loop, s, cfg, loops)
+    return s, -increment if loop.m is None else increment
+
+
 def unclamped_measure_value(trace: complex) -> float:
     """``logic._measure_value`` without its clamp to [0, 1]."""
     if abs(trace.imag) > linalg.IMAG_TOL:
@@ -94,6 +103,13 @@ FAULTS = [
         "nontermination_probability_is_zero",
         [(interpreter, "nontermination_probability", lambda f: 0.0)],
         {"qlang": {"diverging_loop", "fair_coin_residuals"}},
+    ),
+    (
+        # no loop step is checked: the output certificate of the trial's
+        # first run rejects the output that the decreasing chain leaves
+        "body_step_exit_increment_negated",
+        [(interpreter._Loop, "step", negated_body_step_exit)],
+        {"qlang": {"approximant_chain_increasing"}},
     ),
     (
         "square_law_from_extreme_eigenvalues",

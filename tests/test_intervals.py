@@ -86,22 +86,12 @@ def test_directed_intersection_constant_chain():
 
 
 def test_directed_intersection_shrinking_chain():
-    # tol below every endpoint movement, so the whole chain is consumed
+    # the whole chain is read, so the limit is its last element
     chain = [CompactInterval(-1.0 / n, 1.0 / n) for n in range(1, 200)]
-    limit = directed_intersection(chain, tol=1e-9)
-    assert limit.lo == pytest.approx(0.0, abs=1e-2)
-    assert limit.hi == pytest.approx(0.0, abs=1e-2)
+    limit = directed_intersection(chain)
+    assert limit == chain[-1]
     for c in chain:
         assert c.lo <= limit.lo and limit.hi <= c.hi
-
-
-def test_directed_intersection_early_stop_stays_close():
-    tol = 1e-4
-    chain = [CompactInterval(-(2.0**-n), 2.0**-n) for n in range(60)]
-    limit = directed_intersection(chain, tol=tol)
-    # geometric shrinking: remaining movement after the stop is below tol
-    for c in chain:
-        assert c.lo - 2 * tol <= limit.lo and limit.hi <= c.hi + 2 * tol
 
 
 def test_directed_intersection_rejects_non_nested():

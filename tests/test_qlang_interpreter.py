@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from qpartial import linalg, sampling
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
-from qpartial.errors import (
-    ChainMonotonicityError,
-    DimensionMismatchError,
-    NonUnitaryError,
-    NotPositiveError,
-)
+from qpartial.errors import DimensionMismatchError, NonUnitaryError, NotPositiveError
 from qpartial.logic import ClosedSubspace
 from qpartial.qlang import denote, denote_unitary, interpret, interpreter, parse
 from qpartial.qlang.ast import ApplyUnitary, Branch, Program, While
@@ -341,7 +336,7 @@ class TestDenotationLinearity:
     def test_convex_combinations(self):
         rng = rng_for(5)
         prog = parse("qubit q; h q; if q in |0> { s q; } else { x q; } while q in |1> { h q; }")
-        cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300, monotonicity_check=False)
+        cfg = FixpointConfig(max_iterations=25, trace_tol=1e-300)
         for _ in range(5):
             f1 = sampling.random_pdo(2, rng)
             f2 = sampling.random_pdo(2, rng)
@@ -491,8 +486,7 @@ class TestBoundaryValidation:
         assert first.converged and first.iterations_per_loop == second.iterations_per_loop
         assert first.output.matrix.tobytes() == second.output.matrix.tobytes()
 
-    # |01> lies in the exit subspace of `a in |1>`; it is the second basis
-    # vector of that subspace, so index 1 of the exit block
+    # |01> lies in the exit subspace of `a in |1>`, spanned by |00> and |01>
     DENT = np.diag([0.0, 0.3, 0.0, 0.0]).astype(complex)
 
     def test_negative_body_result_raises_with_witness(self, monkeypatch):
@@ -518,9 +512,14 @@ class TestBoundaryValidation:
             return faulty_body
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
-        with pytest.raises(ChainMonotonicityError) as err:
+        with pytest.raises(NotPositiveError) as err:
             interpret(prog, PartialDensityOperator.ground_state(4))
-        self.assert_witness_at_01(err.value, index=2)
+        # no step is checked: the output certificate rejects the run, with
+        # a witness in the exit subspace
+        witness = err.value.witness
+        assert len(calls) == 2 and err.value.eigenvalue < -linalg.PSD_TOL
+        assert witness.shape == (4,) and np.linalg.norm(witness) == pytest.approx(1.0)
+        assert abs(witness[2]) <= 1e-12 and abs(witness[3]) <= 1e-12
 
     def test_negative_block_step_raises_with_witness(self, monkeypatch):
         # a gate-run body runs on the guard's blocks with the Kraus pair
@@ -540,14 +539,7 @@ class TestBoundaryValidation:
             denote(prog)
         assert "by 2.000e-06" in str(err.value)
 
-    @staticmethod
-    def assert_witness_at_01(err: ChainMonotonicityError, index: int) -> None:
-        assert err.index == index
-        assert err.witness.shape == (4,)
-        assert np.linalg.norm(err.witness) == pytest.approx(1.0)
-        assert abs(err.witness[1]) == pytest.approx(1.0)
-
-    def test_without_monotonicity_check_the_output_certificate_catches_it(self, monkeypatch):
+    def test_the_output_certificate_catches_a_negative_body_step(self, monkeypatch):
         prog = parse(f"qubit a; qubit b; while a in |1> {{ {BODY_STEP_H} }}")
         original = interpreter._denote
 
@@ -558,12 +550,12 @@ class TestBoundaryValidation:
             return lambda rho, *args: body(rho, *args) - self.DENT
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
-        self.assert_caught_with_and_without_the_check(prog)
+        with pytest.raises(NotPositiveError):
+            interpret(prog, PartialDensityOperator.ground_state(4))
 
-    def test_without_monotonicity_check_the_output_certificate_catches_a_block_step(self, monkeypatch):
-        # a certified block step runs no per-step check, with or without
-        # `monotonicity_check`: a faulty block step is caught by the
-        # output certificate alone
+    def test_the_output_certificate_catches_a_negative_block_step(self, monkeypatch):
+        # a certified block step runs no per-step check: a faulty block
+        # step is caught by the output certificate
         denotation = denote(parse("qubit a; qubit b; while a in |1> { h a; }"))
         assert denotation._root.m is not None
         original = interpreter._Loop.step
@@ -573,19 +565,8 @@ class TestBoundaryValidation:
             return s, t - self.DENT[:2, :2]
 
         monkeypatch.setattr(interpreter._Loop, "step", faulty_step)
-        ground = PartialDensityOperator.ground_state(4)
-        for cfg in (FixpointConfig(), FixpointConfig(monotonicity_check=False)):
-            with pytest.raises(NotPositiveError):
-                denotation.apply(ground, cfg)
-
-    @staticmethod
-    def assert_caught_with_and_without_the_check(prog: Program) -> None:
-        ground = PartialDensityOperator.ground_state(4)
-        with pytest.raises(ChainMonotonicityError) as err:
-            interpret(prog, ground)
-        assert err.value.index == 1
         with pytest.raises(NotPositiveError):
-            interpret(prog, ground, FixpointConfig(monotonicity_check=False))
+            denotation.apply(PartialDensityOperator.ground_state(4))
 
 
 def unfused(stmt, rho: np.ndarray, n: int, loop_steps) -> np.ndarray:
@@ -788,10 +769,10 @@ class TestGuardPaths:
                 assert linalg.max_norm(keep - p @ rho @ p) <= 1e-12
                 assert linalg.max_norm(exit - e @ rho @ e) <= 1e-12
                 w = rng_for(22).standard_normal(2 ** (self.N - 1)) + 0j
-                x = maps.lift(maps.e, w)
-                assert linalg.max_norm(e @ x - x) <= 1e-12
+                x = maps.lift(maps.e, np.outer(w, w.conj()))
+                assert linalg.max_norm(e @ x @ e - x) <= 1e-12
                 block = maps.compress(maps.e, maps.e, rho)
-                assert np.vdot(x, rho @ x) == pytest.approx(np.vdot(w, block @ w), abs=1e-12)
+                assert np.trace(x @ rho) == pytest.approx(np.vdot(w, block @ w), abs=1e-12)
 
     def test_programs_match_kron_reference(self):
         names = "abc"
@@ -927,17 +908,14 @@ class TestKrausCertificate:
         "body",
         ["h a; if b in |0> { x b; } else { skip; }", "while b in |1> { h b; } h a;"],
     )
-    def test_body_step_runs_one_eigensolve_a_step(self, body, count_eigensolves):
+    def test_body_step_runs_no_eigensolve_a_step(self, body, count_eigensolves):
         prog = parse(f"qubit a; qubit b; h a; h b; while a in |1> {{ {body} }}")
         ground = PartialDensityOperator.ground_state(4)
         with count_eigensolves() as sizes:
             report = interpret(prog, ground)
-        # the outer loop completes last; an inner gate-run loop is certified
-        # and runs no check. One 2 x 2 exit-block check per outer step, then
-        # the output's certificate
-        assert sizes == [2] * report.iterations_per_loop[-1] + [4]
-        with count_eigensolves() as sizes:
-            interpret(prog, ground, FixpointConfig(monotonicity_check=False))
+        # neither the outer body-step loop nor an inner gate-run loop checks
+        # a step; the output's certificate is the one eigensolve
+        assert report.iterations_per_loop[-1] > 1
         assert sizes == [4]
 
     @settings(max_examples=40, deadline=None)

@@ -143,16 +143,16 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
     assert len(gates) == sum(gate_count(p.body) for p in programs) + 2
 
 
-def drop_c_conjugate(monkeypatch, only_without_check: bool = False) -> None:
+def drop_c_conjugate(monkeypatch, only_linearity_runs: bool = False) -> None:
     """Make a block loop's exit increment ``C s C^T`` in place of ``C s C+``:
     not Hermitian where C is complex, so its run raises ``NotHermitianError``
-    when the output is certified. With ``only_without_check`` the fault
-    acts only on runs without ``monotonicity_check``, the linearity runs
-    of ``qlang_suite``."""
+    when the output is certified. With ``only_linearity_runs`` the fault
+    acts only on runs at ``max_iterations == 25``, the linearity runs of
+    ``qlang_suite``."""
     original = interpreter._Loop.step
 
     def faulty_step(loop, s, cfg, loops):
-        if loop.m is None or (only_without_check and cfg.monotonicity_check):
+        if loop.m is None or (only_linearity_runs and cfg.max_iterations != 25):
             return original(loop, s, cfg, loops)
         return loop.m @ s @ loop.m.conj().T, loop.c @ s @ loop.c.T
 
@@ -160,11 +160,11 @@ def drop_c_conjugate(monkeypatch, only_without_check: bool = False) -> None:
 
 
 @pytest.mark.parametrize(
-    "only_without_check, failing",
+    "only_linearity_runs, failing",
     [(False, "approximant_chain_increasing"), (True, "denotation_linear")],
 )
-def test_a_fault_inside_a_qlang_trial_is_recorded_with_its_seed(monkeypatch, only_without_check, failing):
-    drop_c_conjugate(monkeypatch, only_without_check)
+def test_a_fault_inside_a_qlang_trial_is_recorded_with_its_seed(monkeypatch, only_linearity_runs, failing):
+    drop_c_conjugate(monkeypatch, only_linearity_runs)
     report = run_suite("qlang", [2], 30, 42)
     checks = {c.name: c for c in report.checks}
     assert not report.all_passed
