@@ -121,21 +121,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
 _compact = json.JSONEncoder(sort_keys=True).encode
 
 
-def _numbers(items) -> bool:
-    """Whether every item is an int, float or bool: JSON text with no brackets or spaces."""
-    return all(issubclass(t, (int, float)) for t in set(map(type, items)))
-
-
 def _json_text(o, level: int = 0) -> str:
     """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte, at nesting ``level``.
 
     Dicts and generic lists are laid out as the stdlib's pure-Python
-    encoder lays them out. A list of numbers, or a list of such lists
-    (an operator's rows), is encoded in one call of the C encoder and then
-    re-indented: its compact text separates items with ``", "`` and rows
-    with ``"], ["``, which no number's text contains. Everything else,
-    strings included, is a scalar for the C encoder, which also raises the
-    stdlib's ``TypeError`` for what JSON cannot hold.
+    encoder lays them out. A list is first encoded in one call of the C
+    encoder, which also raises the stdlib's ``TypeError`` for what JSON
+    cannot hold. Its compact text, with no ``"`` or ``{``, holds no string
+    and no dict: every leaf is a number, boolean or null, whose text holds
+    no bracket and no ``", "``. One ``[`` is then a flat list, and
+    ``len(o) + 1`` of them, with every item a nonempty list, a list of
+    flat rows (an operator's). Either is laid out by re-indenting that
+    text, which separates items with ``", "`` and rows with ``"], ["``.
     """
     if not isinstance(o, (dict, list, tuple)):
         return _compact(o)
@@ -148,13 +145,16 @@ def _json_text(o, level: int = 0) -> str:
         # into its JSON string, or raises, as the stdlib does
         items = (f"{_compact({k: 0})[1:-4]}: {_json_text(v, level + 1)}" for k, v in sorted(o.items()))
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if _numbers(o):
-        return "[" + inner + _compact(o)[1:-1].replace(", ", "," + inner) + outer + "]"
-    if all(isinstance(row, (list, tuple)) and row and _numbers(row) for row in o):
-        row = inner + "  "
-        body = _compact(o)[2:-2].replace(", ", "," + row)
-        body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-        return "[" + inner + "[" + row + body + inner + "]" + outer + "]"
+    text = _compact(o)
+    if '"' not in text and "{" not in text:
+        brackets = text.count("[")
+        if brackets == 1:
+            return "[" + inner + text[1:-1].replace(", ", "," + inner) + outer + "]"
+        if brackets == len(o) + 1 and all(isinstance(row, (list, tuple)) and row for row in o):
+            row = inner + "  "
+            body = text[2:-2].replace(", ", "," + row)
+            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+            return "[" + inner + "[" + row + body + inner + "]" + outer + "]"
     return "[" + inner + ("," + inner).join(_json_text(x, level + 1) for x in o) + outer + "]"
 
 

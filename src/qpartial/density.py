@@ -6,9 +6,12 @@ that the computation producing f has not terminated. Increasing chains
 of such operators converge to a supremum, computed by ``chain_supremum``;
 its stopping rule is described there.
 
-Values are certified once, when constructed. Three operations return a
-certified result without running the validating constructor:
+Values are certified once, when constructed. These return a certified
+result without running the validating constructor:
 
+- the named states ``zero``, ``ground_state`` and ``maximally_mixed``
+  are diagonal with entries 0, 1 or 1/d: exactly Hermitian and PSD, of
+  trace 0, 1, or a rounded sum of d entries 1/d, within d * eps of 1;
 - ``scale(f, r)`` for r in [0, 1] multiplies every eigenvalue, the trace
   and the Hermitian deviation by r <= 1, so every bound f met still holds;
 - ``logic.orthocomplement(k)``: I - P has exactly P's Hermitian deviation
@@ -18,9 +21,9 @@ certified result without running the validating constructor:
   observable's eigenprojections and events inherit the one certificate
   of its eigenvector columns.
 
-The only slack in the first two is rounding, about d * eps * |f| (below
-1.5e-14 at d = 64), which is below the error of the eigensolver the
-original check used.
+The only slack in ``scale`` and ``orthocomplement`` is rounding, about
+d * eps * |f| (below 1.5e-14 at d = 64), which is below the error of the
+eigensolver the original check used.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ class PartialDensityOperator:
     """Validated Hermitian PSD matrix with trace in [0, 1].
 
     Construction validates, with eigenvalue floor and trace slack
-    ``linalg.PSD_TOL``; instances are immutable afterwards. ``scale`` keeps
-    that certificate without validating again.
+    ``linalg.PSD_TOL``; instances are immutable afterwards. The named
+    states are certified by construction, and ``scale`` keeps a state's
+    certificate, without validating again (see the module docstring).
     """
 
     __slots__ = ("_matrix", "_trace")
@@ -73,7 +77,7 @@ class PartialDensityOperator:
 
     @classmethod
     def zero(cls, dim: int) -> "PartialDensityOperator":
-        return cls(np.zeros((dim, dim), dtype=complex))
+        return _certified(np.zeros((dim, dim), dtype=complex), 0.0)
 
     @classmethod
     def pure(cls, vector) -> "PartialDensityOperator":
@@ -87,13 +91,14 @@ class PartialDensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "PartialDensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        m = np.eye(dim, dtype=complex) / dim
+        return _certified(m, float(m.trace().real))
 
     @classmethod
     def ground_state(cls, dim: int) -> "PartialDensityOperator":
         m = np.zeros((dim, dim), dtype=complex)
         m[0, 0] = 1.0
-        return cls(m)
+        return _certified(m, 1.0)
 
     def to_json(self) -> dict:
         return {

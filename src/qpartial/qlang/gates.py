@@ -3,7 +3,8 @@
 Qubit 0 is the leftmost tensor factor (most significant bit of a basis
 index). ``embed_operator`` places a 2^k x 2^k block on arbitrary,
 possibly non-adjacent target qubits; ``denote_unitary`` additionally
-certifies unitarity.
+certifies unitarity, and ``apply_unitary`` multiplies by that unitary
+on the target qubits' legs, with no d x d factor.
 """
 
 from __future__ import annotations
@@ -47,35 +48,47 @@ def embed_operator(block, targets, total_qubits: int) -> np.ndarray:
     Works for any matrix (projectors included), not only unitaries.
     """
     block = linalg.as_matrix(block)
-    k = len(targets)
-    if block.shape[0] != 2**k:
-        raise DimensionMismatchError(
-            f"operator of dimension {block.shape[0]} does not act on {k} qubit(s)"
-        )
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits: {targets}")
-    for q in targets:
-        if not 0 <= q < total_qubits:
-            raise ValueError(f"target qubit {q} out of range for {total_qubits} qubit(s)")
-    rest = [q for q in range(total_qubits) if q not in targets]
-    # Row/column index of (rest setting i, target setting j): disjoint bits.
-    idx = _bit_offsets(rest, total_qubits)[:, None] | _bit_offsets(targets, total_qubits)[None, :]
+    idx = _leg_index(block, targets, total_qubits)
     full = np.zeros((2**total_qubits, 2**total_qubits), dtype=complex)
     full[idx[:, :, None], idx[:, None, :]] = block
     return full
 
 
-def _bit_offsets(qubits, total_qubits: int) -> np.ndarray:
-    """Basis-index offset of every setting of ``qubits``, the first qubit
-    as the most significant bit of the setting."""
-    k = len(qubits)
-    weights = 1 << (total_qubits - 1 - np.asarray(qubits, dtype=np.int64))
-    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return bits @ weights
+def _leg_index(block: np.ndarray, targets, total_qubits: int) -> np.ndarray:
+    """Basis index of (rest setting i, target setting j) at [i, j], once
+    ``block`` is checked to act on len(targets) distinct register qubits."""
+    k = len(targets)
+    if block.shape[0] != 2**k:
+        raise DimensionMismatchError(f"operator of dimension {block.shape[0]} does not act on {k} qubit(s)")
+    if len(set(targets)) != k:
+        raise ValueError(f"duplicate target qubits: {targets}")
+    for q in targets:
+        if not 0 <= q < total_qubits:
+            raise ValueError(f"target qubit {q} out of range for {total_qubits} qubit(s)")
+    # one axis per qubit, qubit 0 (the most significant bit) first, put in order (rest, targets)
+    order = [q for q in range(total_qubits) if q not in targets] + list(targets)
+    return np.arange(2**total_qubits).reshape((2,) * total_qubits).transpose(order).reshape(-1, 2**k)
 
 
 def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
     """Full-dimension unitary for a gate name or inline matrix."""
+    return embed_operator(_gate_block(gate), tuple(targets), total_qubits)
+
+
+def apply_unitary(gate, targets, total_qubits: int, u: np.ndarray) -> np.ndarray:
+    """``denote_unitary(gate, targets, total_qubits) @ u`` on qubit legs, up
+    to rounding: the 2^k rows of u at each setting of the other qubits are
+    gathered, multiplied by the certified block and scattered back."""
+    block = _gate_block(gate)
+    idx = _leg_index(block, tuple(targets), total_qubits).T
+    legs = u[idx]
+    out = np.empty_like(u)
+    out[idx] = (block @ legs.reshape(len(block), -1)).reshape(legs.shape)
+    return out
+
+
+def _gate_block(gate) -> np.ndarray:
+    """A gate name's or inline matrix's block, certified unitary at its size."""
     if isinstance(gate, str):
         name = gate.upper()
         if name not in GATES:
@@ -84,7 +97,7 @@ def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
     else:
         block = linalg.as_matrix(gate)
     _require_unitary(block, linalg.UNITARY_TOL, "gate")
-    return embed_operator(block, tuple(targets), total_qubits)
+    return block
 
 
 def _require_unitary(u: np.ndarray, tol: float, what: str) -> None:

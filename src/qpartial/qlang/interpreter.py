@@ -23,7 +23,7 @@ input under any ``FixpointConfig``. Each node is a map ``(rho, cfg,
 loops) -> rho`` on raw matrices: ``_Gates(u)`` conjugates by u,
 ``_Seq(parts)`` runs its parts in order, ``_If(guard, then, other)``
 sends the guard's block to ``then`` and its complement's to ``other``,
-and ``_Loop(guard, body, m, c)`` runs the chain above, appending
+and ``_Loop(guard, body, m, c, ...)`` runs the chain above, appending
 ``(iterations, converged, traces)`` to ``loops`` when it completes.
 Every gate run is certified and every guard's maps are built by
 ``denote``, so a program is accepted or rejected whatever path a run
@@ -33,14 +33,15 @@ A block comes from the parser in normal form, the tuple of statements it
 runs with ``skip``, the identity, already dropped; anything in it that is
 not a statement raises ``TypeError``. Gates are fused: each maximal run
 ``U_1; ...; U_k`` of consecutive gates in a block is one ``_Gates`` node
-with ``U = U_k ... U_1``, formed once per ``denote``; a lone gate is
-applied as it is. The product is certified like a gate, ``max_norm(U+U -
-I)``, within ``k * UNITARY_TOL``: to first order, the sum of the k
-factors' certified defects. Runs never cross ``if`` or ``while``. A block
-of one part is that part. Fusion changes results only by rounding.
+with ``U = U_k ... U_1``, composed once per ``denote`` on qubit legs
+(``_product``); a lone gate is applied as it is. Each gate is certified
+at its own size, and the product like a gate, ``max_norm(U+U - I)``,
+within ``k * UNITARY_TOL``: to first order, the sum of the k factors'
+certified defects. Runs never cross ``if`` or ``while``. A block of one
+part is that part. Fusion changes results only by rounding.
 
 Validation happens at the boundary. The input is a validated
-``PartialDensityOperator``, unitaries are certified by ``denote_unitary``
+``PartialDensityOperator``, gates are certified in the gates module
 (gate runs as above) and guards by ``ClosedSubspace``, all before the
 input is touched. Every node maps partial density operators to partial
 density operators by construction, so nodes act on raw arrays, no loop
@@ -58,7 +59,7 @@ from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
 from ..logic import ClosedSubspace
 from .ast import ApplyUnitary, Block, Branch, Program, Statement, While
-from .gates import _require_unitary, denote_unitary
+from .gates import _require_unitary, apply_unitary, denote_unitary
 
 
 @dataclass
@@ -128,14 +129,16 @@ class _GuardMaps:
 
 
 def _product(run: Block, total_qubits: int) -> np.ndarray:
-    """``U_k ... U_1``; a lone gate's unitary is returned as it is, and an
-    empty run is the identity."""
-    factors = [denote_unitary(g.gate, g.targets, total_qubits) for g in run]
-    u = factors[0] if factors else np.eye(2**total_qubits, dtype=complex)
-    for factor in factors[1:]:
-        u = factor @ u
-    if len(factors) > 1:
-        _require_unitary(u, len(factors) * linalg.UNITARY_TOL, f"run of {len(factors)} gates")
+    """``U_k ... U_1``: U_1 embedded, then each later gate applied on its
+    qubit legs (``apply_unitary``), with no d x d factor; a lone gate's
+    unitary is returned as it is, and an empty run is the identity."""
+    if not run:
+        return np.eye(2**total_qubits, dtype=complex)
+    u = denote_unitary(run[0].gate, run[0].targets, total_qubits)
+    for g in run[1:]:
+        u = apply_unitary(g.gate, g.targets, total_qubits, u)
+    if len(run) > 1:
+        _require_unitary(u, len(run) * linalg.UNITARY_TOL, f"run of {len(run)} gates")
     return u
 
 
@@ -227,8 +230,9 @@ class _Loop:
     If the body is a gate run with product U (U = I for an empty body,
     such as ``{ skip; }``), ``body`` is ``_Gates(U)`` and ``denote``
     compresses U once into ``m = B+ U B`` (r x r) and ``c = E+ U B`` ((d -
-    r) x r): a step is ``s -> M s M+`` with exit increment ``C s C+``.
-    ``denote`` certifies (M, C) as a Kraus split of the identity,
+    r) x r), with their adjoints ``m_adj`` and ``c_adj`` formed there too:
+    a step is ``s -> M s M+`` with exit increment ``C s C+``. ``denote``
+    certifies (M, C) as a Kraus split of the identity,
     ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) * UNITARY_TOL`` for a
     run of k gates, so each ``C s C+`` is PSD by construction and no step
     is checked.
@@ -251,6 +255,8 @@ class _Loop:
     body: _Node
     m: np.ndarray | None = None
     c: np.ndarray | None = None
+    m_adj: np.ndarray | None = None
+    c_adj: np.ndarray | None = None
 
     def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
         acc, count, converged, traces = chain_supremum(self.approximants(rho, cfg, loops), cfg)
@@ -260,7 +266,7 @@ class _Loop:
     def step(self, s: np.ndarray, cfg: FixpointConfig, loops: list) -> tuple[np.ndarray, np.ndarray]:
         """One Kleene step on the looping block s: (next looping block, exit increment)."""
         if self.m is not None:
-            return self.m @ s @ self.m.conj().T, self.c @ s @ self.c.conj().T
+            return self.m @ s @ self.m_adj, self.c @ s @ self.c_adj
         g = self.guard
         sigma = self.body(g.lift(g.b, s), cfg, loops)
         return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
@@ -310,4 +316,4 @@ def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
         max(len(body), 1) * linalg.UNITARY_TOL,
         f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
     )
-    return _Loop(guard, _Gates(u), m, c)
+    return _Loop(guard, _Gates(u), m, c, m.conj().T, c.conj().T)

@@ -294,6 +294,45 @@ def test_json_text_matches_stdlib_indent(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["], [", "a"],
+        [["], [", 1.0], [2.0, 3.0]],
+        [[1.0, [2.0]], [3.0, 4.0]],
+        [[[1.0]], 2.0, [3.0]],
+        [[1.0, 2.0], [], [3.0]],
+        [[True, None], [float("nan"), -1e-300]],
+        [(1.0, -2.5e-17), (3.0, 4.0)],
+        ((0.5, 0.25),),
+        [[42, 0, 27], [42, 3, 1], [7, 16, 99]],
+        [[1.0], {"a": [2.0]}],
+        [[1.0], 2.0],
+        [None, True, float("inf")],
+    ],
+)
+def test_json_text_lays_out_adversarial_rows_as_stdlib(payload):
+    # each list here breaks one condition of the flat or row layout, or
+    # meets all of them with entries an operator's rows never hold
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert _json_text({"k": payload}, 0) == json.dumps({"k": payload}, indent=2, sort_keys=True)
+
+
+def test_run_performs_one_eigensolve(tmp_path, capsys, count_eigensolves):
+    # the ground state is built exactly and every gate and guard is
+    # certified without one: the output certificate is the run's only
+    # eigensolve
+    prog = tmp_path / "six.qp"
+    prog.write_text(
+        "qubit a; qubit b; qubit c; qubit d; qubit e; qubit f; h a; h b; cnot a c; h d;\n"
+        "while a in |1> { h a; cnot a b; t c; h e; cnot e f; }\n"
+    )
+    with count_eigensolves() as sizes:
+        code, out, _ = run_cli(capsys, "run", prog)
+    assert code == 0 and json.loads(out)["iterations_per_loop"] == [29]
+    assert sizes == [64]
+
+
 def test_json_text_rejects_what_json_cannot_hold():
     for payload in ({"a": {1, 2}}, [[1.0], [object()]], {(1,): 2}):
         with pytest.raises(TypeError):

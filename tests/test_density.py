@@ -63,6 +63,24 @@ class TestValidation:
             f.matrix[0, 0] = 9.0
 
 
+class TestNamedStates:
+    """The named states are certified by construction: the same matrix,
+    trace and read-only flag as the validating constructor gives, with no
+    eigensolve."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @pytest.mark.parametrize("name", ["ground_state", "zero", "maximally_mixed"])
+    def test_named_state_equals_validated_state(self, count_eigensolves, name, dim):
+        with count_eigensolves() as sizes:
+            f = getattr(PartialDensityOperator, name)(dim)
+        assert sizes == []
+        validated = PartialDensityOperator(f.matrix)
+        assert np.array_equal(f.matrix, validated.matrix)
+        assert f.matrix.dtype == validated.matrix.dtype == complex
+        assert f.trace == validated.trace
+        assert not f.matrix.flags.writeable
+
+
 class TestLoewnerOrder:
     def test_zero_below_everything(self):
         f = sampling.random_pdo(3, rng_for(2))

@@ -94,6 +94,15 @@ def test_directed_intersection_shrinking_chain():
         assert c.lo <= limit.lo and limit.hi <= c.hi
 
 
+def test_directed_intersection_crossed_within_slack_is_the_midpoint():
+    # the last element lies 2e-13 above the first's hi, within the nesting
+    # slack: the running bounds cross, and the limit is their midpoint
+    chain = [CompactInterval(0.5, 0.5 + 4e-13), CompactInterval(0.5 + 6e-13, 0.5 + 6e-13)]
+    limit = directed_intersection(chain)
+    assert limit.lo == limit.hi
+    assert abs(limit.lo - (0.5 + 5e-13)) <= 1e-15
+
+
 def test_directed_intersection_rejects_non_nested():
     with pytest.raises(ValueError, match="not contained"):
         directed_intersection([CompactInterval(0, 1), CompactInterval(0.5, 1.5)])

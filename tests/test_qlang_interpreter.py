@@ -13,9 +13,9 @@ from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import DimensionMismatchError, NonUnitaryError, NotPositiveError
 from qpartial.logic import ClosedSubspace
-from qpartial.qlang import denote, denote_unitary, interpret, interpreter, parse
+from qpartial.qlang import denote, denote_unitary, gates, interpret, interpreter, parse
 from qpartial.qlang.ast import ApplyUnitary, Branch, Program, While
-from qpartial.qlang.gates import GATES, KET_VECTORS, embed_operator, ket_guard_projection
+from qpartial.qlang.gates import GATES, KET_VECTORS, apply_unitary, embed_operator, gate_arity, ket_guard_projection
 from qpartial.verify import random_program
 
 GROUND = PartialDensityOperator.ground_state(2)
@@ -91,6 +91,16 @@ class TestDenoteUnitary:
         with pytest.raises(DimensionMismatchError):
             embed_operator(np.eye(4), (0,), 2)
 
+    def test_target_equal_to_register_size_is_out_of_range(self):
+        # the last qubit of a 2-qubit register is 1: target 2 is one past it
+        u = np.eye(4, dtype=complex)
+        for denote_x in (lambda t: denote_unitary("X", t, 2), lambda t: apply_unitary("X", t, 2, u)):
+            with pytest.raises(ValueError, match="out of range"):
+                denote_x((2,))
+            with pytest.raises(ValueError, match="out of range"):
+                denote_x((-1,))
+            assert denote_x((1,)).shape == (4, 4)
+
 
 def kron_permuted(block: np.ndarray, targets, n: int) -> np.ndarray:
     """block (x) I on the qubit order (targets, rest), axes permuted back."""
@@ -110,6 +120,32 @@ class TestEmbedOperator:
                     assert np.array_equal(
                         embed_operator(block, targets, n), kron_permuted(block, targets, n)
                     ), targets
+
+    @staticmethod
+    def random_matrix(rng, rows: int) -> np.ndarray:
+        return rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+
+    def test_gate_applied_on_qubit_legs_matches_embedded_product(self):
+        # every gate on every ordered target tuple of 1..4 qubits
+        rng = rng_for(28)
+        for n in range(1, 5):
+            for name in GATES:
+                for targets in permutations(range(n), gate_arity(name)):
+                    u = self.random_matrix(rng, 2**n)
+                    expected = embed_operator(GATES[name], targets, n) @ u
+                    assert linalg.max_norm(apply_unitary(name, targets, n, u) - expected) <= 1e-15, (name, targets)
+
+    @pytest.mark.parametrize(
+        "name, targets",
+        [("H", (0,)), ("T", (5,)), ("Y", (3,)), ("CNOT", (0, 5)), ("CNOT", (5, 0)), ("CNOT", (4, 1)), ("CNOT", (2, 3))],
+    )
+    def test_six_qubit_gate_on_qubit_legs_matches_embedded_product(self, name, targets):
+        # non-adjacent and reversed targets included
+        u = self.random_matrix(rng_for(29), 64)
+        before = u.copy()
+        expected = embed_operator(GATES[name], targets, 6) @ u
+        assert linalg.max_norm(apply_unitary(name, targets, 6, u) - expected) <= 1e-15
+        assert np.array_equal(u, before)  # u is read, not overwritten
 
 
 class TestBasicStatements:
@@ -281,7 +317,9 @@ class TestOneKleeneLoop:
     def test_program_is_denoted_once_per_run(self, count_calls, max_iterations):
         cfg = FixpointConfig() if max_iterations is None else FixpointConfig(max_iterations=max_iterations)
         inputs = [PartialDensityOperator.ground_state(4), sampling.random_pdo(4, rng_for(27))]
-        with count_calls(interpreter, "_GuardMaps") as guards, count_calls(interpreter, "denote_unitary") as gates:
+        # every gate is certified through gates._gate_block, whether a run
+        # embeds it or applies it on qubit legs
+        with count_calls(interpreter, "_GuardMaps") as guards, count_calls(gates, "_gate_block") as blocks:
             program = denote(parse(self.NESTED))
             for f in inputs:
                 report = program.apply(f, cfg)
@@ -289,7 +327,7 @@ class TestOneKleeneLoop:
                 # and the inner loop once per outer step
                 assert len(report.iterations_per_loop) == report.iterations_per_loop[-1] + 1
         assert len(guards) == 2
-        assert sorted(gate for gate, _, _ in gates) == ["H", "H", "H", "S", "T", "T"]  # one call per gate
+        assert sorted(gate for (gate,) in blocks) == ["H", "H", "H", "S", "T", "T"]  # one call per gate
 
     def test_one_denotation_applies_to_many_inputs_and_configs(self):
         program = denote(parse(self.NESTED))
@@ -733,14 +771,16 @@ class TestGateFusion:
         assert report.output.trace == pytest.approx(NEAR_SCALE**10, abs=1e-15)
 
     def test_run_beyond_k_tolerances_is_rejected(self, monkeypatch):
-        # factors with defect 1.2 UNITARY_TOL each, as no certified gate
-        # has: the 5-gate run's product is off by about 6 UNITARY_TOL
-        original = interpreter.denote_unitary
+        # factors with defect 1.2 UNITARY_TOL each, scaled after the
+        # per-gate certificate, as no certified gate is: the 5-gate run's
+        # product, embedded and leg-wise factors alike, is off by about
+        # 6 UNITARY_TOL
+        original = gates._gate_block
 
-        def loose(gate, targets, total_qubits):
-            return (1.0 + 0.6 * linalg.UNITARY_TOL) * original(gate, targets, total_qubits)
+        def loose(gate):
+            return (1.0 + 0.6 * linalg.UNITARY_TOL) * original(gate)
 
-        monkeypatch.setattr(interpreter, "denote_unitary", loose)
+        monkeypatch.setattr(gates, "_gate_block", loose)
         prog = parse("qubit a; qubit b; h a; cnot a b; t b; h b; s a;")
         with pytest.raises(NonUnitaryError, match="run of 5 gates"):
             interpret(prog, PartialDensityOperator.ground_state(4))

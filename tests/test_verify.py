@@ -8,7 +8,7 @@ from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError, NonUnitaryError
 from qpartial.logic import _measure_value
-from qpartial.qlang import interpreter
+from qpartial.qlang import gates, interpreter
 from qpartial.qlang.ast import ApplyUnitary, Branch, While
 from qpartial.verify import (
     CheckResult,
@@ -137,10 +137,10 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
     for t in range(5):
         rng = np.random.default_rng([42, 0, t])
         programs.append(random_program(int(rng.integers(1, 3)), rng))
-    with count_calls(interpreter, "denote_unitary") as gates:
+    with count_calls(gates, "_gate_block") as blocks:
         run_suite("qlang", [2], 5, 42)
     # each random program's gates once, and the fair coin's two
-    assert len(gates) == sum(gate_count(p.body) for p in programs) + 2
+    assert len(blocks) == sum(gate_count(p.body) for p in programs) + 2
 
 
 def drop_c_conjugate(monkeypatch, only_linearity_runs: bool = False) -> None:
@@ -215,10 +215,10 @@ def test_a_value_error_inside_any_qlang_run_exits_2(monkeypatch, capsys):
 
 
 def test_a_fault_inside_denote_is_recorded_with_its_seed(monkeypatch):
-    def non_unitary(gate, targets, total_qubits):
+    def non_unitary(gate):
         raise NonUnitaryError(f"{gate} is not unitary")
 
-    monkeypatch.setattr(interpreter, "denote_unitary", non_unitary)
+    monkeypatch.setattr(gates, "_gate_block", non_unitary)
     checks = {c.name: c for c in run_suite("qlang", [2], 5, 42).checks}
     # the fair coin holds gates; the diverging loop, only skip, still runs
     assert checks["fair_coin_residuals"].failure_seeds == [[42, 2, 0]]
