@@ -77,7 +77,7 @@ class PartialDensityOperator:
 
     @classmethod
     def zero(cls, dim: int) -> "PartialDensityOperator":
-        return _certified(np.zeros((dim, dim), dtype=complex), 0.0)
+        return _certified(_zeros(dim), 0.0)
 
     @classmethod
     def pure(cls, vector) -> "PartialDensityOperator":
@@ -91,12 +91,13 @@ class PartialDensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "PartialDensityOperator":
-        m = np.eye(dim, dtype=complex) / dim
+        m = _zeros(dim)
+        np.fill_diagonal(m, 1.0 / dim)
         return _certified(m, float(m.trace().real))
 
     @classmethod
     def ground_state(cls, dim: int) -> "PartialDensityOperator":
-        m = np.zeros((dim, dim), dtype=complex)
+        m = _zeros(dim)
         m[0, 0] = 1.0
         return _certified(m, 1.0)
 
@@ -159,6 +160,13 @@ def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:
         raise ValueError(f"scale factor must lie in [0, 1], got {r}")
     m = r * f.matrix
     return _certified(m, float(m.trace().real))
+
+
+def _zeros(dim: int) -> np.ndarray:
+    """The d x d zero matrix a named state is built on, for ``dim >= 1``."""
+    if dim < 1:
+        raise DimensionMismatchError(f"a state needs dimension at least 1, got {dim}")
+    return np.zeros((dim, dim), dtype=complex)
 
 
 def _certified(m: np.ndarray, trace: float) -> PartialDensityOperator:

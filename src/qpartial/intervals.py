@@ -31,10 +31,6 @@ class CompactInterval:
         return self.hi - self.lo
 
 
-def point(x: float) -> CompactInterval:
-    return CompactInterval(x, x)
-
-
 def translate(k: float, a: CompactInterval) -> CompactInterval:
     return CompactInterval(k + a.lo, k + a.hi)
 

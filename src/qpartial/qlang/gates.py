@@ -10,6 +10,7 @@ on the target qubits' legs, with no d x d factor.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,17 +19,30 @@ from ..errors import DimensionMismatchError, NonUnitaryError
 
 _SQRT2 = math.sqrt(2.0)
 
-GATES: dict[str, np.ndarray] = {
+
+def _require_unitary(u: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """``u``, once ``max_norm(u+u - I) <= tol``; else ``NonUnitaryError``. A
+    tall ``u`` is certified as an isometry: for ``u = [M; C]`` that is the
+    Kraus split ``M+M + C+C = I``."""
+    dev = linalg.max_norm(linalg.gram_defect(u))
+    if dev > tol:
+        raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
+    return u
+
+
+# a read-only table of read-only blocks, each certified unitary once, at import
+GATES = MappingProxyType({
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-}
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+})
+for _name, _block in GATES.items():
+    _require_unitary(_block, linalg.UNITARY_TOL, f"gate {_name}").setflags(write=False)
+del _name, _block
 
 KET_VECTORS: dict[str, np.ndarray] = {
     "0": np.array([1, 0], dtype=complex),
@@ -88,25 +102,12 @@ def apply_unitary(gate, targets, total_qubits: int, u: np.ndarray) -> np.ndarray
 
 
 def _gate_block(gate) -> np.ndarray:
-    """A gate name's or inline matrix's block, certified unitary at its size."""
-    if isinstance(gate, str):
-        name = gate.upper()
-        if name not in GATES:
-            raise ValueError(f"unknown gate {gate!r}")
-        block = GATES[name]
-    else:
-        block = linalg.as_matrix(gate)
-    _require_unitary(block, linalg.UNITARY_TOL, "gate")
-    return block
-
-
-def _require_unitary(u: np.ndarray, tol: float, what: str) -> None:
-    """Raise ``NonUnitaryError`` unless ``max_norm(u+u - I) <= tol``. A tall
-    ``u`` is certified as an isometry: for ``u = [M; C]`` that is the
-    Kraus split ``M+M + C+C = I``."""
-    dev = linalg.max_norm(linalg.gram_defect(u))
-    if dev > tol:
-        raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
+    """A gate name's block, certified at import, or an inline matrix's, certified here."""
+    if not isinstance(gate, str):
+        return _require_unitary(linalg.as_matrix(gate), linalg.UNITARY_TOL, "gate")
+    if gate.upper() not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    return GATES[gate.upper()]
 
 
 def ket_guard_projection(ket: str, qubit: int, total_qubits: int) -> np.ndarray:

@@ -18,11 +18,11 @@ one Kleene loop, consumes under its stopping rule. The traces of the a_n
 are those of their lifts, and the loop returns ``E a E+``.
 
 A program is denoted once, before any run: ``denote`` compiles the AST
-into a ``Denotation``, a tree of frozen nodes that ``apply`` runs on any
-input under any ``FixpointConfig``. Each node is a map ``(rho, cfg,
-loops) -> rho`` on raw matrices: ``_Gates(u)`` conjugates by u,
-``_Seq(parts)`` runs its parts in order, ``_If(guard, then, other)``
-sends the guard's block to ``then`` and its complement's to ``other``,
+into a ``Denotation`` that ``apply`` runs on any input under any
+``FixpointConfig``. A block denotes the tuple of its nodes, run in order.
+Each node is a map ``(rho, cfg, loops) -> rho`` on raw matrices:
+``_Gates(u)`` conjugates by u, ``_If(guard, then, other)`` sends the
+guard's block to the block ``then`` and its complement's to ``other``,
 and ``_Loop(guard, body, m, c, ...)`` runs the chain above, appending
 ``(iterations, converged, traces)`` to ``loops`` when it completes.
 Every gate run is certified and every guard's maps are built by
@@ -37,8 +37,8 @@ with ``U = U_k ... U_1``, composed once per ``denote`` on qubit legs
 (``_product``); a lone gate is applied as it is. Each gate is certified
 at its own size, and the product like a gate, ``max_norm(U+U - I)``,
 within ``k * UNITARY_TOL``: to first order, the sum of the k factors'
-certified defects. Runs never cross ``if`` or ``while``. A block of one
-part is that part. Fusion changes results only by rounding.
+certified defects. Runs never cross ``if`` or ``while``. Fusion changes
+results only by rounding.
 
 Validation happens at the boundary. The input is a validated
 ``PartialDensityOperator``, gates are certified in the gates module
@@ -150,10 +150,10 @@ def denote(prog: Program) -> Denotation:
 
 @dataclass(frozen=True)
 class Denotation:
-    """A program's tree of nodes, built once by ``denote`` and applied by ``apply``."""
+    """A program's block of nodes, built once by ``denote`` and applied by ``apply``."""
 
     dim: int
-    _root: _Node = field(repr=False)
+    _root: tuple[_Node, ...] = field(repr=False)
 
     def apply(self, input_state: PartialDensityOperator, cfg: FixpointConfig | None = None) -> RunReport:
         """Run the program on an input partial density operator.
@@ -167,7 +167,10 @@ class Denotation:
         cfg = cfg or FixpointConfig()
         linalg.require_same_dim(input_state.dim, self.dim)
         loops: list[tuple[int, bool, list[float]]] = []
-        output = PartialDensityOperator(self._root(input_state.matrix, cfg, loops))
+        rho = input_state.matrix
+        for node in self._root:
+            rho = node(rho, cfg, loops)
+        output = PartialDensityOperator(rho)
         return RunReport(
             output=output,
             iterations_per_loop=[count for count, _, _ in loops],
@@ -195,31 +198,23 @@ class _Gates:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class _Seq:
-    """Its parts, run in order; no parts is the identity."""
-
-    parts: tuple[_Node, ...]
-
-    def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-        for part in self.parts:
-            rho = part(rho, cfg, loops)
-        return rho
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class _If:
-    """The guard's block ``B B+ rho B B+`` to ``then``, its complement's
-    ``E E+ rho E E+`` to ``other``, and the sum of the two results."""
+    """The guard's block ``B B+ rho B B+`` through ``then``, its complement's
+    ``E E+ rho E E+`` through ``other``, and the sum of the two results."""
 
     guard: _GuardMaps
-    then: _Node
-    other: _Node
+    then: tuple[_Node, ...]
+    other: tuple[_Node, ...]
 
     def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
         g = self.guard
         kept = g.lift(g.b, g.compress(g.b, g.b, rho))
         exited = g.lift(g.e, g.compress(g.e, g.e, rho))
-        return self.then(kept, cfg, loops) + self.other(exited, cfg, loops)
+        for node in self.then:
+            kept = node(kept, cfg, loops)
+        for node in self.other:
+            exited = node(exited, cfg, loops)
+        return kept + exited
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -228,7 +223,7 @@ class _Loop:
     (see the module docstring). A step has two kernels.
 
     If the body is a gate run with product U (U = I for an empty body,
-    such as ``{ skip; }``), ``body`` is ``_Gates(U)`` and ``denote``
+    such as ``{ skip; }``), ``body`` is ``(_Gates(U),)`` and ``denote``
     compresses U once into ``m = B+ U B`` (r x r) and ``c = E+ U B`` ((d -
     r) x r), with their adjoints ``m_adj`` and ``c_adj`` formed there too:
     a step is ``s -> M s M+`` with exit increment ``C s C+``. ``denote``
@@ -252,7 +247,7 @@ class _Loop:
     """
 
     guard: _GuardMaps
-    body: _Node
+    body: tuple[_Node, ...]
     m: np.ndarray | None = None
     c: np.ndarray | None = None
     m_adj: np.ndarray | None = None
@@ -268,7 +263,9 @@ class _Loop:
         if self.m is not None:
             return self.m @ s @ self.m_adj, self.c @ s @ self.c_adj
         g = self.guard
-        sigma = self.body(g.lift(g.b, s), cfg, loops)
+        sigma = g.lift(g.b, s)
+        for node in self.body:
+            sigma = node(sigma, cfg, loops)
         return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
 
     def approximants(self, rho: np.ndarray, cfg: FixpointConfig, loops: list):
@@ -282,20 +279,20 @@ class _Loop:
             yield acc
 
 
-_Node = _Gates | _Seq | _If | _Loop
+_Node = _Gates | _If | _Loop
 
 
-def _denote(block: Block, total_qubits: int) -> _Node:
-    """The node ``block`` denotes, with its gate runs and gate-run loops'
-    Kraus pairs (M, C) certified and its guards' maps built."""
-    parts = []
+def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
+    """The nodes ``block`` denotes, in order, with its gate runs and
+    gate-run loops' Kraus pairs (M, C) certified and its guards' maps built."""
+    nodes = []
     for is_gate, group in itertools.groupby(block, lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
-            parts.append(_Gates(_product(tuple(group), total_qubits)))
+            nodes.append(_Gates(_product(tuple(group), total_qubits)))
         else:
             for stmt in group:
-                parts.append(_control(stmt, total_qubits))
-    return parts[0] if len(parts) == 1 else _Seq(tuple(parts))
+                nodes.append(_control(stmt, total_qubits))
+    return tuple(nodes)
 
 
 def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
@@ -316,4 +313,4 @@ def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
         max(len(body), 1) * linalg.UNITARY_TOL,
         f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
     )
-    return _Loop(guard, _Gates(u), m, c, m.conj().T, c.conj().T)
+    return _Loop(guard, (_Gates(u),), m, c, m.conj().T, c.conj().T)

@@ -66,10 +66,6 @@ def random_pdo(
     return PartialDensityOperator(0.5 * (w + w.conj().T))
 
 
-def random_density(dim: int, rng: np.random.Generator) -> PartialDensityOperator:
-    return random_pdo(dim, rng, trace=1.0)
-
-
 def random_observable(dim: int, rng: np.random.Generator) -> BoundedObservable:
     return BoundedObservable(random_hermitian(dim, rng))
 

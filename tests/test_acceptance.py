@@ -116,7 +116,7 @@ def test_criterion_4_interval_expectation_reproduction():
         m, big_m = spectrum_bounds(r)
         zero_box = expected_interval(r, PartialDensityOperator.zero(dim))
         ignorance = ignorance and zero_box.lo == m and zero_box.hi == big_m
-        g = sampling.random_density(dim, rng)
+        g = sampling.random_pdo(dim, rng, trace=1.0)
         total_box = expected_interval(r, g)
         target = float(np.trace(r.operator @ g.matrix).real)
         degenerate = max(degenerate, abs(total_box.lo - target), abs(total_box.hi - target))

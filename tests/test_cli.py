@@ -90,8 +90,20 @@ class TestRun:
         assert code == 1 and out == "" and "unitary" in err
 
     @staticmethod
-    def nested_loops(depth: int) -> str:
-        return "qubit q; " + "while q in |1> { " * depth + "x q;" + " }" * depth
+    def nested_loops(depth: int, head: str = "") -> str:
+        """``depth`` nested loops, each body ``head`` and then the next loop."""
+        return "qubit q; " + f"while q in |1> {{ {head}" * depth + "x q;" + " }" * depth
+
+    @pytest.mark.parametrize("head", ["", "x q; "])
+    def test_180_nested_loops_run(self, tmp_path, capsys, head):
+        # a block denotes the tuple of its nodes, so a loop body of two
+        # statements nests as deep as a body of one
+        source = self.nested_loops(180, head)
+        report = denote(parse(source)).apply(PartialDensityOperator.ground_state(2))
+        assert report.converged and len(report.iterations_per_loop) == 180
+        (tmp_path / "deep.qp").write_text(source)
+        code, out, err = run_cli(capsys, "run", tmp_path / "deep.qp")
+        assert (code, err) == (0, "") and json.loads(out)["converged"] is True
 
     def test_nesting_depths_overflow_where_stated(self):
         # 300 nested loops parse and denote, and overflow Python's stack

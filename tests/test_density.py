@@ -80,6 +80,12 @@ class TestNamedStates:
         assert f.trace == validated.trace
         assert not f.matrix.flags.writeable
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("name", ["ground_state", "zero", "maximally_mixed"])
+    def test_named_state_needs_dimension_at_least_one(self, name, dim):
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            getattr(PartialDensityOperator, name)(dim)
+
 
 class TestLoewnerOrder:
     def test_zero_below_everything(self):

@@ -53,6 +53,12 @@ def negated_body_step_exit(loop, s, cfg, loops):
     return s, -increment if loop.m is None else increment
 
 
+def vdot_gleason_measure(f, k):
+    """``gleason_measure`` with its kernel read as ``np.vdot(P, f)``."""
+    linalg.require_same_dim(f.dim, k.dim)
+    return logic._measure_value(complex(np.vdot(k.projection, f.matrix)))
+
+
 def unclamped_measure_value(trace: complex) -> float:
     """``logic._measure_value`` without its clamp to [0, 1]."""
     if abs(trace.imag) > linalg.IMAG_TOL:
@@ -123,6 +129,26 @@ FAULTS = [
         # seeds it moves no value at all)
         "measure_value_without_clamp",
         [(logic, "_measure_value", unclamped_measure_value), (verify, "_measure_value", unclamped_measure_value)],
+        {"gleason": set(), "dcpo": set()},
+    ),
+    (
+        # a survivor: every state a suite builds is PSD by construction up to
+        # rounding far below 1e-9, so no check meets an eigenvalue between the
+        # two floors, and `order_laws` scales its perturbation by PSD_TOL
+        # itself, so the bound it tests grows with the floor. The floor is
+        # pinned by tests/test_linalg.py::TestPositiveSemidefinite::
+        # test_the_floor_is_one_billionth, which rejects an eigenvalue of -2e-9
+        "psd_floor_raised_to_one_millionth",
+        [(linalg, "PSD_TOL", 1e-6)],
+        {"gleason": set(), "dcpo": set(), "interval": set(), "qlang": set()},
+    ),
+    (
+        # a survivor, and a harmless one: vdot(P, f) is tr(P+ f), which for
+        # a Hermitian f is the complex conjugate of tr(P f); only the sign of
+        # the imaginary part changes, so the value and the IMAG_TOL check
+        # come out the same
+        "gleason_measure_kernel_as_vdot",
+        [(logic, "gleason_measure", vdot_gleason_measure), (verify, "gleason_measure", vdot_gleason_measure)],
         {"gleason": set(), "dcpo": set()},
     ),
 ]

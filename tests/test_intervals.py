@@ -8,7 +8,6 @@ from qpartial.intervals import (
     CompactInterval,
     add_intervals,
     directed_intersection,
-    point,
     reverse_inclusion_leq,
     scale_interval,
     translate,
@@ -43,7 +42,7 @@ def test_scale_examples():
 
 
 def test_add_examples():
-    assert add_intervals(point(0.0), CompactInterval(2, 3)) == CompactInterval(2, 3)
+    assert add_intervals(CompactInterval(0.0, 0.0), CompactInterval(2, 3)) == CompactInterval(2, 3)
     assert add_intervals(CompactInterval(-1, 1), CompactInterval(-1, 1)) == CompactInterval(-2, 2)
     assert add_intervals(CompactInterval(0, 0.5), CompactInterval(0.25, 0.75)) == CompactInterval(0.25, 1.25)
 

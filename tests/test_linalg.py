@@ -140,6 +140,12 @@ class TestPositiveSemidefinite:
                 form = float((witness.conj() @ a @ witness).real)
                 assert form < linalg.PSD_TOL
 
+    @pytest.mark.parametrize("lowest, ok", [(-2e-9, False), (-0.5e-9, True)])
+    def test_the_floor_is_one_billionth(self, lowest, ok):
+        # written out, not read from PSD_TOL: a looser floor, say 1e-6,
+        # passes every verify suite and is caught here
+        assert linalg.is_positive_semidefinite(np.diag([0.5, lowest]))[0] is ok
+
     def test_psd_by_construction(self):
         rng = rng_for(11)
         g = random_complex_matrix(4, rng)

@@ -173,7 +173,7 @@ class TestGleasonMeasure:
         assert gleason_measure(f, ClosedSubspace.zero(3)) == 0.0
 
     def test_full_space_for_state_is_one(self):
-        f = sampling.random_density(3, rng_for(9))
+        f = sampling.random_pdo(3, rng_for(9), trace=1.0)
         assert gleason_measure(f, ClosedSubspace.full(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_example(self):

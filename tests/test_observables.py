@@ -318,7 +318,7 @@ class TestDistribution:
     def test_state_gives_probability_distribution(self):
         rng = rng_for(5)
         r = sampling.random_observable(3, rng)
-        f = sampling.random_density(3, rng)
+        f = sampling.random_pdo(3, rng, trace=1.0)
         assert total_weight(distribution(r, f)) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_two_group_at_the_psd_floor_keeps_its_negative_weight(self):
@@ -458,7 +458,7 @@ class TestExpectedInterval:
     def test_classical_case_degenerates(self):
         rng = rng_for(9)
         r = sampling.random_observable(3, rng)
-        f = sampling.random_density(3, rng)
+        f = sampling.random_pdo(3, rng, trace=1.0)
         box = expected_interval(r, f)
         assert box.width <= 1e-10
         assert box.lo == pytest.approx(float(np.trace(r.operator @ f.matrix).real), abs=1e-10)

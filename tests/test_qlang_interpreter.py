@@ -28,25 +28,20 @@ def rng_for(test_id: int) -> np.random.Generator:
     return np.random.default_rng([17, test_id])
 
 
-def tree_nodes(node):
-    """Every node of a denotation's tree, each before its children, in
-    program order."""
-    yield node
-    if isinstance(node, interpreter._Seq):
-        children = node.parts
-    elif isinstance(node, interpreter._If):
-        children = (node.then, node.other)
-    elif isinstance(node, interpreter._Loop):
-        children = (node.body,)
-    else:
-        children = ()
-    for child in children:
-        yield from tree_nodes(child)
+def tree_nodes(block):
+    """Every node of a denoted block, each before the nodes of its own
+    blocks, in program order."""
+    for node in block:
+        yield node
+        if isinstance(node, interpreter._If):
+            yield from tree_nodes(node.then + node.other)
+        elif isinstance(node, interpreter._Loop):
+            yield from tree_nodes(node.body)
 
 
-def tree_loops(node) -> list:
-    """Every ``_Loop`` of a denotation's tree, outer before inner."""
-    return [n for n in tree_nodes(node) if isinstance(n, interpreter._Loop)]
+def tree_loops(block) -> list:
+    """Every ``_Loop`` of a denoted block, outer before inner."""
+    return [n for n in tree_nodes(block) if isinstance(n, interpreter._Loop)]
 
 
 class TestDenoteUnitary:
@@ -100,6 +95,31 @@ class TestDenoteUnitary:
             with pytest.raises(ValueError, match="out of range"):
                 denote_x((-1,))
             assert denote_x((1,)).shape == (4, 4)
+
+
+class TestGateTable:
+    """The named gates are certified once, at import, in a read-only table;
+    ``denote`` certifies only inline matrices, gate runs and Kraus pairs."""
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            GATES["X"] = GATES["Z"]
+        with pytest.raises(ValueError):
+            GATES["H"][0, 0] = 0.0
+
+    def test_six_qubit_program_forms_three_gram_defects(self, count_calls):
+        # the runs "h a; h b; cnot a c; h d" and the 5-gate body, and the
+        # loop's Kraus pair [M; C]; no named gate is certified again
+        prog = parse(ROADMAP_6Q)
+        with count_calls(linalg, "gram_defect") as defects:
+            denote(prog)
+        assert [d.shape for (d,) in defects] == [(64, 64), (64, 64), (64, 32)]
+
+    @pytest.mark.parametrize("body", ["[[1, 1], [0, 1]] q;", "h q; [[1, 1], [0, 1]] q;"])
+    def test_non_unitary_inline_matrix_is_rejected_at_denote(self, body):
+        prog = parse(f"qubit q; while q in |1> {{ {body} }}")
+        with pytest.raises(NonUnitaryError, match="gate deviates from unitary"):
+            denote(prog)
 
 
 def kron_permuted(block: np.ndarray, targets, n: int) -> np.ndarray:
@@ -255,9 +275,10 @@ class TestDivergingLoop:
         # `skip` is the identity, so the body is the empty gate run: U = I,
         # M = I_r and C = 0, and no step lifts the state to full dimension
         denotation = denote(parse(f"qubit q; while q in |0> {{ {body} }}"))
-        loop = denotation._root
-        assert isinstance(loop, interpreter._Loop) and isinstance(loop.body, interpreter._Gates)
-        assert np.array_equal(loop.body.u, np.eye(2))
+        [loop] = denotation._root
+        [gates] = loop.body
+        assert isinstance(loop, interpreter._Loop) and isinstance(gates, interpreter._Gates)
+        assert np.array_equal(gates.u, np.eye(2))
         assert np.array_equal(loop.m, np.eye(1)) and np.array_equal(loop.c, np.zeros((1, 1)))
         report = denotation.apply(GROUND)
         assert report.residual == 1.0
@@ -466,31 +487,33 @@ class TestBlockContract:
 
 
 class TestDenotationTree:
-    """``denote`` builds a tree of frozen nodes; the kernel a loop runs is
-    read off its node: ``m is None`` for body steps, else the Kraus pair
-    (m, c) of its gate-run body ``_Gates(U)``."""
+    """``denote`` builds a tree of frozen nodes in the AST's shape, each
+    block the tuple of its nodes; the kernel a loop runs is read off its
+    node: ``m is None`` for body steps, else the Kraus pair (m, c) of its
+    gate-run body ``(_Gates(U),)``."""
 
     NESTED = "qubit a; qubit b; h b; while a in |+> { t a; h a; while b in |-> { t b; h b; } s b; }"
 
     def test_six_qubit_program_is_a_prefix_run_then_a_block_loop(self):
         root = denote(parse(ROADMAP_6Q))._root
-        assert isinstance(root, interpreter._Seq)
-        assert [type(part) for part in root.parts] == [interpreter._Gates, interpreter._Loop]
-        loop = root.parts[1]
-        assert isinstance(loop.body, interpreter._Gates) and loop.body.u.shape == (64, 64)
+        assert [type(node) for node in root] == [interpreter._Gates, interpreter._Loop]
+        loop = root[1]
+        [gates] = loop.body
+        assert isinstance(gates, interpreter._Gates) and gates.u.shape == (64, 64)
         assert loop.m.shape == (32, 32) and loop.c.shape == (32, 32)
 
     def test_nested_program_has_a_body_step_loop_around_a_block_loop(self):
         root = denote(parse(self.NESTED))._root
-        outer = root.parts[-1]
+        outer = root[-1]
         assert isinstance(outer, interpreter._Loop) and outer.m is None and outer.c is None
-        assert [type(part) for part in outer.body.parts] == [
+        assert [type(node) for node in outer.body] == [
             interpreter._Gates,
             interpreter._Loop,
             interpreter._Gates,
         ]
-        inner = outer.body.parts[1]
-        assert isinstance(inner.body, interpreter._Gates) and inner.m.shape == (2, 2)
+        inner = outer.body[1]
+        [gates] = inner.body
+        assert isinstance(gates, interpreter._Gates) and inner.m.shape == (2, 2)
         assert tree_loops(root) == [outer, inner]
 
     def test_nodes_are_frozen(self):
@@ -542,12 +565,11 @@ class TestBoundaryValidation:
             if block is not loop.body:
                 return body
 
-            def faulty_body(rho, *args):
-                out = body(rho, *args)
+            def fault(rho, *args):
                 calls.append(block)
-                return -self.DENT if len(calls) == 2 else out
+                return -self.DENT if len(calls) == 2 else rho
 
-            return faulty_body
+            return body + (fault,)
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         with pytest.raises(NotPositiveError) as err:
@@ -585,7 +607,7 @@ class TestBoundaryValidation:
             body = original(block, *args, **kwargs)
             if block is not prog.body[0].body:
                 return body
-            return lambda rho, *args: body(rho, *args) - self.DENT
+            return body + (lambda rho, *args: rho - self.DENT,)
 
         monkeypatch.setattr(interpreter, "_denote", faulty_denote)
         with pytest.raises(NotPositiveError):
@@ -595,7 +617,8 @@ class TestBoundaryValidation:
         # a certified block step runs no per-step check: a faulty block
         # step is caught by the output certificate
         denotation = denote(parse("qubit a; qubit b; while a in |1> { h a; }"))
-        assert denotation._root.m is not None
+        [loop] = denotation._root
+        assert loop.m is not None
         original = interpreter._Loop.step
 
         def faulty_step(loop, *args):
@@ -660,11 +683,11 @@ class TestGateFusion:
         # of the lifted 64 x 64 state per Kleene step
         prog = parse(ROADMAP_6Q.replace("{ h a;", "{ if a in |1> { } else { } h a;"))
         denotation = denote(prog)
-        prefix, loop = denotation._root.parts
+        prefix, loop = denotation._root
         assert linalg.max_norm(prefix.u - gate_product(self.PREFIX, 6)) <= 1e-15
         assert loop.m is None
-        gates = [n for n in tree_nodes(loop) if isinstance(n, interpreter._Gates)]
-        assert len(gates) == 1 and gates[0] is loop.body.parts[-1]
+        gates = [n for n in tree_nodes(loop.body) if isinstance(n, interpreter._Gates)]
+        assert len(gates) == 1 and gates[0] is loop.body[-1]
         assert linalg.max_norm(gates[0].u - gate_product(self.BODY, 6)) <= 1e-15
 
         ground = PartialDensityOperator.ground_state(64)
@@ -681,10 +704,11 @@ class TestGateFusion:
         # once and compressed onto `a in |1>` (indices 32..63) and its
         # complement (0..31), and each Kleene step runs on 32 x 32 blocks
         assert len(products) == 2
-        prefix, loop = denotation._root.parts
+        prefix, loop = denotation._root
         assert linalg.max_norm(prefix.u - gate_product(self.PREFIX, 6)) <= 1e-15
         u = gate_product(self.BODY, 6)
-        assert linalg.max_norm(loop.body.u - u) <= 1e-15
+        [gates] = loop.body
+        assert linalg.max_norm(gates.u - u) <= 1e-15
         assert loop.m.shape == (32, 32) and loop.c.shape == (32, 32)
         assert linalg.max_norm(loop.m - u[32:, 32:]) <= 1e-15
         assert linalg.max_norm(loop.c - u[:32, 32:]) <= 1e-15
@@ -707,7 +731,8 @@ class TestGateFusion:
         assert [len(run) for run, _ in products] == [3, 3]
         u = gate_product((("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))), 2)
         roots = [d._root for d in denotations]
-        assert all(isinstance(r, interpreter._Gates) and np.array_equal(r.u, u) for r in roots)
+        assert [len(r) for r in roots] == [1, 1]
+        assert all(isinstance(r[0], interpreter._Gates) and np.array_equal(r[0].u, u) for r in roots)
         outputs = [d.apply(f).output.matrix.tobytes() for d in denotations]
         assert outputs[1] == outputs[0]
 
@@ -718,12 +743,12 @@ class TestGateFusion:
     def test_runs_are_not_fused_across_if_or_while(self, breaker):
         prog = parse(f"qubit a; qubit b; h a; cnot a b; {breaker} t b; h a;")
         denotation = denote(prog)
-        before, middle, after = denotation._root.parts
+        before, middle, after = denotation._root
         assert np.array_equal(before.u, gate_product((("H", (0,)), ("CNOT", (0, 1))), 2))
         assert np.array_equal(after.u, gate_product((("T", (1,)), ("H", (0,))), 2))
         # whatever the breaker holds sits between the two runs, gate by gate
         assert isinstance(middle, (interpreter._If, interpreter._Loop))
-        for node in tree_nodes(middle):
+        for node in tree_nodes((middle,)):
             if isinstance(node, interpreter._Gates):
                 assert any(np.array_equal(node.u, denote_unitary(g, t, 2)) for g, t in (("X", (0,)), ("H", (1,))))
         f = sampling.random_pdo(4, rng_for(25))
@@ -972,7 +997,7 @@ class TestKrausCertificate:
         for ket in KET_VECTORS:
             guard = ClosedSubspace(ket_guard_projection(ket, qubit, n))
             prog = Program(tuple(f"q{i}" for i in range(n)), (While(guard, tuple(run)),))
-            loop = denote(prog)._root
+            [loop] = denote(prog)._root
             m, c, maps = loop.m, loop.c, loop.guard
             assert linalg.max_norm(m.conj().T @ m + c.conj().T @ c - np.eye(m.shape[1])) < 1e-14, ket
             s = maps.compress(maps.b, maps.b, f.matrix)
@@ -1002,7 +1027,7 @@ class TestBodyStep:
     def test_masked_guards_match_the_full_matrix_reference_exactly(self, source):
         prog = parse(f"qubit a; qubit b; {source}")
         denotation = denote(prog)
-        assert denotation._root.parts[-1].m is None
+        assert denotation._root[-1].m is None
         for seed in range(20):
             f = sampling.random_pdo(4, np.random.default_rng([17, 31, seed]))
             report = denotation.apply(f)
