@@ -144,7 +144,10 @@ def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[b
     <x|(g-f)x> < -linalg.PSD_TOL, i.e. f assigns strictly more mass than g.
     """
     linalg.require_same_dim(f.dim, g.dim)
-    return linalg.is_positive_semidefinite(g.matrix - f.matrix)
+    d = g.matrix - f.matrix
+    # each state met HERMITIAN_TOL, so g - f may miss it by twice that; its
+    # Hermitian part is d itself, bit for bit, when f and g are Hermitian
+    return linalg.is_positive_semidefinite(0.5 * (d + d.conj().T))
 
 
 def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:

@@ -89,11 +89,18 @@ class ClosedSubspace:
 
     @classmethod
     def zero(cls, dim: int) -> "ClosedSubspace":
-        return _span(np.zeros((dim, 0), dtype=complex))
+        return _span(_identity(dim)[:, :0])
 
     @classmethod
     def full(cls, dim: int) -> "ClosedSubspace":
-        return _span(np.eye(dim, dtype=complex))
+        return _span(_identity(dim))
+
+
+def _identity(dim: int) -> np.ndarray:
+    """The d x d identity whose columns span the named events, for ``dim >= 1``."""
+    if dim < 1:
+        raise DimensionMismatchError(f"an event needs dimension at least 1, got {dim}")
+    return np.eye(dim, dtype=complex)
 
 
 def _certified(

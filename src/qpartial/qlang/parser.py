@@ -19,12 +19,16 @@ qubit; qubit indices follow declaration order.
 The parser emits the normal form: a program and each ``{ ... }`` are the
 tuple of the statements they run, and ``skip;``, the identity, parses to
 no statement, so ``{ skip; }`` is the empty block ``()``.
+
+Tokens carry their offset into the source. A ``ParseError`` reports the
+1-based line and column of its offset: a line starts after each ``\\n``,
+and every other character, a tab or a ``\\r`` too, is one column.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,55 +41,46 @@ _KEYWORDS = {"qubit", "skip", "if", "else", "while", "in"}
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
   | (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?i?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<ket>\|[^>\n]*>)
   | (?P<sym>[;{}\[\],+-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "ident" and lexeme in _KEYWORDS:
-                kind = "keyword"
-            elif kind == "sym":
-                kind = lexeme
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", *_position(text, m.start()))
+        if kind == "sym" or (kind == "ident" and lexeme in _KEYWORDS):
+            kind = lexeme
+        tokens.append(Token(kind, lexeme, m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.registers: dict[str, int] = {}
@@ -100,7 +95,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *_position(self.text, tok.offset))
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
@@ -108,9 +103,9 @@ class _Parser:
             self.error(f"expected {what}, got {tok.text!r}" if tok.text else f"expected {what}")
         return self.advance()
 
-    def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == word:
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.peek().kind == kind:
             self.advance()
             return True
         return False
@@ -118,7 +113,7 @@ class _Parser:
     # ---- grammar ----
 
     def program(self) -> Program:
-        while self.accept_keyword("qubit"):
+        while self.accept("qubit"):
             name_tok = self.expect("ident", "register name")
             if name_tok.text in self.registers:
                 self.error(f"duplicate register {name_tok.text!r}", name_tok)
@@ -143,26 +138,23 @@ class _Parser:
 
     def statement(self) -> Statement | None:
         """One statement, or None for ``skip``."""
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "skip":
-            self.advance()
+        if self.accept("skip"):
             self.expect(";", "';'")
             return None
-        if tok.kind == "keyword" and tok.text == "if":
-            self.advance()
+        if self.accept("if"):
             guard = self.guard()
             self.expect("{", "'{'")
             then_body = self.block("}")
-            if not self.accept_keyword("else"):
+            if not self.accept("else"):
                 self.error("expected 'else'")
             self.expect("{", "'{'")
             else_body = self.block("}")
             return Branch(guard, then_body, else_body)
-        if tok.kind == "keyword" and tok.text == "while":
-            self.advance()
+        if self.accept("while"):
             guard = self.guard()
             self.expect("{", "'{'")
             return While(guard, self.block("}"))
+        tok = self.peek()
         if tok.kind == "[":
             matrix, k = self.matrix_literal()
             targets = self.targets(expected=k, what="inline matrix")
@@ -181,7 +173,7 @@ class _Parser:
     def guard(self) -> ClosedSubspace:
         reg_tok = self.expect("ident", "register name")
         qubit = self.register_index(reg_tok)
-        if not self.accept_keyword("in"):
+        if not self.accept("in"):
             self.error("expected 'in'")
         ket_tok = self.expect("ket", "a ket such as |0>")
         label = ket_tok.text[1:-1]
@@ -207,12 +199,8 @@ class _Parser:
         return self.registers[tok.text]
 
     def matrix_literal(self) -> tuple[np.ndarray, int]:
-        open_tok = self.expect("[", "'['")
-        rows = [self.matrix_row()]
-        while self.peek().kind == ",":
-            self.advance()
-            rows.append(self.matrix_row())
-        self.expect("]", "']'")
+        open_tok = self.peek()
+        rows = self.bracketed(lambda: self.bracketed(self.complex_literal))
         n = len(rows)
         if any(len(row) != n for row in rows):
             self.error(f"matrix must be square, got {n} row(s)", open_tok)
@@ -221,21 +209,20 @@ class _Parser:
             self.error(f"matrix dimension {n} is not a power of two >= 2", open_tok)
         return np.array(rows, dtype=complex), k
 
-    def matrix_row(self) -> list[complex]:
+    def bracketed(self, item: Callable[[], object]) -> list:
+        """``"[" item ("," item)* "]"``, as the list of its items."""
         self.expect("[", "'['")
-        entries = [self.complex_literal()]
-        while self.peek().kind == ",":
-            self.advance()
-            entries.append(self.complex_literal())
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
         self.expect("]", "']'")
-        return entries
+        return items
 
     def complex_literal(self) -> complex:
+        """A sum of signed terms; the first term's sign is optional."""
         value = self.signed_term()
         while self.peek().kind in ("+", "-"):
-            sign = -1.0 if self.advance().kind == "-" else 1.0
-            tok = self.expect("number", "a number")
-            value += sign * _number_value(tok)
+            value += self.signed_term()
         return value
 
     def signed_term(self) -> complex:

@@ -3,6 +3,8 @@ import contextlib
 import numpy as np
 import pytest
 
+from qpartial.density import PartialDensityOperator
+
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
@@ -55,3 +57,12 @@ def count_inits(count_calls):
     ``calls`` gets one entry per run of ``cls.__init__``, the validating
     constructor."""
     return lambda cls: count_calls(cls, "__init__")
+
+
+@pytest.fixture
+def hermitian_bound_pair():
+    """States f <= g that each miss Hermitian by 0.9 ``HERMITIAN_TOL``, so
+    that g - f misses it by 1.8 ``HERMITIAN_TOL``."""
+    f = PartialDensityOperator(np.array([[0.3, 0.1], [0.1 + 0.9e-10, 0.2]]))
+    g = PartialDensityOperator(np.array([[0.45, 0.1 + 0.9e-10], [0.1, 0.3]]))
+    return f, g

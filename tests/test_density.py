@@ -134,6 +134,11 @@ class TestLoewnerOrder:
         with pytest.raises(DimensionMismatchError):
             loewner_leq(PartialDensityOperator.zero(2), PartialDensityOperator.zero(3))
 
+    def test_states_at_the_hermitian_bound(self, hermitian_bound_pair):
+        f, g = hermitian_bound_pair
+        assert loewner_leq(f, g) == (True, None)
+        assert not loewner_leq(g, f)[0]
+
 
 class TestScale:
     def test_identity_and_zero(self):

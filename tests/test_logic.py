@@ -66,6 +66,12 @@ class TestClosedSubspace:
         assert rank == 2
         assert np.array_equal(basis, vecs[:, vals > 0.5])
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("name", ["zero", "full"])
+    def test_named_event_needs_dimension_at_least_one(self, name, dim):
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            getattr(ClosedSubspace, name)(dim)
+
 
 class TestLattice:
     def test_join_with_bottom(self):
@@ -295,6 +301,10 @@ class TestStateOrder:
                 found += 1
                 assert gleason_measure(f, witness) - gleason_measure(g, witness) > 1e-9
         assert found > 0
+
+    def test_states_at_the_hermitian_bound(self, hermitian_bound_pair):
+        f, g = hermitian_bound_pair
+        assert state_leq(f, g) == (True, None)
 
 
 def near_orthonormal_columns(eps: float, dim: int = 3) -> np.ndarray:

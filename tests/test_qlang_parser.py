@@ -168,3 +168,19 @@ class TestErrors:
 
     def test_unterminated_block(self):
         self.check("qubit q; while q in |0> { skip;", "unterminated block")
+
+    # positions are 1-based; a line starts after "\n", and a tab or "\r" is one column
+    POSITIONS = [
+        ("qubit q;\r\n\tx q;\n\tfoo q;\n", "3:2: unknown gate 'foo'"),
+        ("qubit q; # note\n  x q;\n  while q in |1> { x q; @ }", "3:25: unexpected character '@'"),
+        ("qubit q;\nx q", "2:4: expected ';'"),
+        ("qubit q;\n\twhile q in |2> { }", "2:13: unknown ket '|2>'"),
+        ("qubit a;\r\ncnot a;", "2:7: gate CNOT expects 2 target(s), got 1"),
+    ]
+
+    @pytest.mark.parametrize("source, message", POSITIONS)
+    def test_error_position(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == message
+        assert message.startswith(f"{err.value.line}:{err.value.column}: ")
