@@ -146,8 +146,8 @@ def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[b
     linalg.require_same_dim(f.dim, g.dim)
     d = g.matrix - f.matrix
     # each state met HERMITIAN_TOL, so g - f may miss it by twice that; its
-    # Hermitian part is d itself, bit for bit, when f and g are Hermitian
-    return linalg.is_positive_semidefinite(0.5 * (d + d.conj().T))
+    # Hermitian part, d itself when f and g are Hermitian, is not checked
+    return linalg.is_psd_hermitian(0.5 * (d + d.conj().T))
 
 
 def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:

@@ -172,23 +172,32 @@ def require_positive_semidefinite(a) -> np.ndarray:
     most negative eigenvalue and its unit eigenvector x, so that
     <x|ax> < -PSD_TOL.
     """
-    a = require_hermitian(a)
-    lowest = float(np.linalg.eigvalsh(a)[0])
+    return require_psd_hermitian(require_hermitian(a))
+
+
+def require_psd_hermitian(h: np.ndarray) -> np.ndarray:
+    """The PSD test's eigenvalue step, for a complex h already Hermitian."""
+    lowest = float(np.linalg.eigvalsh(h)[0])
     if lowest < -PSD_TOL:
-        _, vecs = np.linalg.eigh(a)
+        _, vecs = np.linalg.eigh(h)
         witness = vecs[:, 0].copy()
         witness.setflags(write=False)
         raise NotPositiveError(
             f"operator has eigenvalue {lowest:.3e} < -{PSD_TOL:.1e}", witness=witness, eigenvalue=lowest
         )
-    return a
+    return h
 
 
 def is_positive_semidefinite(a) -> tuple[bool, np.ndarray | None]:
     """``require_positive_semidefinite`` as a verdict: ``(True, None)`` or
     ``(False, x)`` with x the witness."""
+    return is_psd_hermitian(require_hermitian(a))
+
+
+def is_psd_hermitian(h: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """``require_psd_hermitian`` as a verdict, for a complex h already Hermitian."""
     try:
-        require_positive_semidefinite(a)
+        require_psd_hermitian(h)
     except NotPositiveError as exc:
         return False, exc.witness
     return True, None

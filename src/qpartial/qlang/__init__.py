@@ -1,6 +1,6 @@
 """A minimal quantum while-language over partial density operators."""
 
-from .ast import ApplyUnitary, Branch, Program, While
+from .ast import ApplyUnitary, Branch, Guard, Program, While
 from .gates import GATES, denote_unitary
 from .interpreter import Denotation, RunReport, denote, interpret
 from .parser import parse
@@ -10,6 +10,7 @@ __all__ = [
     "Branch",
     "Denotation",
     "GATES",
+    "Guard",
     "Program",
     "RunReport",
     "While",

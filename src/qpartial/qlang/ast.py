@@ -1,7 +1,6 @@
 """Abstract syntax of the while-language.
 
-Guards are resolved to full-dimension closed subspaces at parse time, so
-the interpreter never needs the register table. Statement nodes are
+A guard is stored as written, ``Guard(qubit, ket)``. Statement nodes are
 immutable. A block is the tuple of statements it runs, in order: ``skip``
 is the identity and sequencing is associative, so neither has a node of
 its own, and an empty block is ``skip``. A Program is its register names,
@@ -14,9 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..logic import ClosedSubspace
+from .gates import KET_VECTORS
 
 MAX_QUBITS = 6
+
+
+@dataclass(frozen=True)
+class Guard:
+    """The event ``qubit in |ket>``, for a ket 0, 1, + or -."""
+
+    qubit: int
+    ket: str
+
+    def __post_init__(self):
+        if self.ket not in KET_VECTORS:
+            raise ValueError(f"unknown ket {self.ket!r}; choose from {', '.join(KET_VECTORS)}")
 
 
 @dataclass(frozen=True)
@@ -29,14 +40,14 @@ class ApplyUnitary:
 
 @dataclass(frozen=True)
 class Branch:
-    guard: ClosedSubspace
+    guard: Guard
     then_body: "Block"
     else_body: "Block"
 
 
 @dataclass(frozen=True)
 class While:
-    guard: ClosedSubspace
+    guard: Guard
     body: "Block"
 
 

@@ -3,49 +3,37 @@
 Statements denote positive linear trace-nonincreasing maps. Measurement
 branching projects without renormalizing, which is exactly what makes
 intermediate states sub-normalized: lost trace is mass parked on paths
-that have not terminated. Every guard is used through orthonormal bases
-B (r columns) of its range and E (d - r columns) of its complement's: an
-``if`` sends ``B B+ rho B B+`` to its then-arm and ``E E+ rho E E+`` to
-its else-arm. A while loop is evaluated as the supremum of its Kleene
-approximants. The looping mass lies in the guard's range and the exited
-mass in its complement's, so the chain runs on the two blocks
+that have not terminated. A ``|+>``/``|->`` guard is denoted as the
+``|0>``/``|1>`` guard under H on its qubit (``_in_z_basis``), so every
+guard is used through index arrays, B of the basis states in its range
+and E of those in its complement's: an ``if`` sends ``B B+ rho B B+`` to
+its then-arm and ``E E+ rho E E+`` to its else-arm. A while loop is the
+supremum of its Kleene approximants. The looping mass lies in the
+guard's range and the exited mass in its complement's, so the chain runs
+on the two blocks
 
     a_0 = E+ rho E,   s_0 = B+ rho B
     (s_{n+1}, e_n) = step(s_n),   a_{n+1} = a_n + e_n
 
 an increasing chain of exit blocks that ``density.chain_supremum``, the
-one Kleene loop, consumes under its stopping rule. The traces of the a_n
-are those of their lifts, and the loop returns ``E a E+``.
+one Kleene loop, consumes under its stopping rule; the loop returns
+``E a E+`` and appends ``(iterations, converged, traces)`` to ``loops``.
 
-A program is denoted once, before any run: ``denote`` compiles the AST
-into a ``Denotation`` that ``apply`` runs on any input under any
-``FixpointConfig``. A block denotes the tuple of its nodes, run in order.
-Each node is a map ``(rho, cfg, loops) -> rho`` on raw matrices:
-``_Gates(u)`` conjugates by u, ``_If(guard, then, other)`` sends the
-guard's block to the block ``then`` and its complement's to ``other``,
-and ``_Loop(guard, body, m, c, ...)`` runs the chain above, appending
-``(iterations, converged, traces)`` to ``loops`` when it completes.
-Every gate run is certified and every guard's maps are built by
-``denote``, so a program is accepted or rejected whatever path a run
-takes and however long its loops run.
+``denote`` compiles a program once into a ``Denotation`` that ``apply``
+runs on any input under any ``FixpointConfig``. A block, in the parser's
+normal form with ``skip`` dropped, denotes the tuple of its nodes, maps
+``(rho, cfg, loops) -> rho`` on raw matrices run in order; anything in a
+block that is not a statement raises ``TypeError``. Each maximal run
+``U_1; ...; U_k`` of consecutive gates is one ``_Gates`` node with ``U =
+U_k ... U_1``, composed on qubit legs (``_product``) and certified like a
+gate, ``max_norm(U+U - I)`` within ``k * UNITARY_TOL``, the first-order
+sum of its factors' certified defects. Runs never cross ``if`` or
+``while``, and fusion changes results only by rounding.
 
-A block comes from the parser in normal form, the tuple of statements it
-runs with ``skip``, the identity, already dropped; anything in it that is
-not a statement raises ``TypeError``. Gates are fused: each maximal run
-``U_1; ...; U_k`` of consecutive gates in a block is one ``_Gates`` node
-with ``U = U_k ... U_1``, composed once per ``denote`` on qubit legs
-(``_product``); a lone gate is applied as it is. Each gate is certified
-at its own size, and the product like a gate, ``max_norm(U+U - I)``,
-within ``k * UNITARY_TOL``: to first order, the sum of the k factors'
-certified defects. Runs never cross ``if`` or ``while``. Fusion changes
-results only by rounding.
-
-Validation happens at the boundary. The input is a validated
-``PartialDensityOperator``, gates are certified in the gates module
-(gate runs as above) and guards by ``ClosedSubspace``, all before the
-input is touched. Every node maps partial density operators to partial
-density operators by construction, so nodes act on raw arrays, no loop
-step is checked, and the output is certified once, by ``apply``.
+Validation happens at the boundary: ``denote`` certifies every gate run
+and guard before any input is touched, whatever path a run then takes.
+Every node maps partial density operators to partial density operators
+by construction, so no step is checked; ``apply`` certifies the output.
 """
 
 from __future__ import annotations
@@ -57,9 +45,8 @@ import numpy as np
 
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
-from ..logic import ClosedSubspace
-from .ast import ApplyUnitary, Block, Branch, Program, Statement, While
-from .gates import _require_unitary, apply_unitary, denote_unitary
+from .ast import ApplyUnitary, Block, Branch, Guard, Program, Statement, While
+from .gates import _leg_index, _require_unitary, apply_unitary, denote_unitary
 
 
 @dataclass
@@ -90,39 +77,23 @@ class RunReport:
 
 
 class _GuardMaps:
-    """A guard P as orthonormal bases B of its range (r columns) and E of
-    its orthocomplement's (d - r columns), used through two maps:
-    ``compress(L, R, a) = L+ a R`` and ``lift(L, a) = L a L+``.
+    """A ``|0>``/``|1>`` guard on one qubit as index arrays, B of the basis
+    states in its range and E of those in its complement's: the columns of
+    ``gates._leg_index`` for that qubit, column j where it reads j. They are
+    used through ``compress(L, R, a) = L+ a R``, an exact gather, and
+    ``lift(L, a) = L a L+``, an exact scatter into zeros."""
 
-    For a diagonal 0/1 projection (every ``|0>``/``|1>`` guard) B and E are
-    index arrays, so compressing is an exact gather and lifting an exact
-    scatter into zeros. For any other guard they are the eigenvectors of
-    one ``eigh(P)`` with eigenvalue above and below one half, taken from P
-    alone so that they do not depend on which bases of the guard or its
-    complement were read before.
-    """
-
-    def __init__(self, guard: ClosedSubspace):
-        p = guard.projection
-        diag = np.diag(p)
-        self.dim = guard.dim
-        self.masked = bool(np.array_equal(p, np.diag(diag)) and np.all((diag == 0) | (diag == 1)))
-        if self.masked:
-            self.b, self.e = np.flatnonzero(diag == 1), np.flatnonzero(diag == 0)
-        else:
-            vals, vecs = np.linalg.eigh(p)
-            self.b, self.e = vecs[:, vals > 0.5], vecs[:, vals <= 0.5]
+    def __init__(self, guard: Guard, total_qubits: int):
+        legs = _leg_index(np.eye(2), (guard.qubit,), total_qubits)
+        self.dim = 2**total_qubits
+        self.b, self.e = legs[:, int(guard.ket)], legs[:, 1 - int(guard.ket)]
 
     def compress(self, left: np.ndarray, right: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``L+ a R`` for bases L and R of this guard."""
-        if self.masked:
-            return a[left[:, None], right]
-        return left.conj().T @ a @ right
+        """``L+ a R`` for index arrays L and R of this guard."""
+        return a[left[:, None], right]
 
     def lift(self, left: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The full-dimension matrix ``L a L+``."""
-        if not self.masked:
-            return left @ a @ left.conj().T
         x = np.zeros((self.dim, self.dim), dtype=complex)
         x[left[:, None], left] = a
         return x
@@ -220,30 +191,21 @@ class _If:
 @dataclass(frozen=True, eq=False, slots=True)
 class _Loop:
     """``while guard { body }``, the supremum of its chain of exit blocks
-    (see the module docstring). A step has two kernels.
+    (see the module docstring). A step runs one of two kernels on the
+    guard's index blocks, exact gathers and scatters, and is not checked.
 
-    If the body is a gate run with product U (U = I for an empty body,
-    such as ``{ skip; }``), ``body`` is ``(_Gates(U),)`` and ``denote``
-    compresses U once into ``m = B+ U B`` (r x r) and ``c = E+ U B`` ((d -
-    r) x r), with their adjoints ``m_adj`` and ``c_adj`` formed there too:
-    a step is ``s -> M s M+`` with exit increment ``C s C+``. ``denote``
-    certifies (M, C) as a Kraus split of the identity,
+    If the body is a gate run with product U (U = I for an empty body),
+    ``body`` is ``(_Gates(U),)`` and ``denote`` compresses U once into
+    ``m = B+ U B`` and ``c = E+ U B``, with their adjoints: a step is ``s
+    -> M s M+`` with exit increment ``C s C+``, PSD by construction, as
+    ``denote`` certifies (M, C) as a Kraus split of the identity,
     ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) * UNITARY_TOL`` for a
-    run of k gates, so each ``C s C+`` is PSD by construction and no step
-    is checked.
+    run of k gates.
 
-    A body that holds an ``if`` or a ``while`` leaves ``m`` and ``c`` None:
-    a step is ``sigma = [[body]](B s B+)``, then the looping block ``B+
-    sigma B`` and the exit increment ``E+ sigma E``. The body's own gate
-    runs and loops are certified at ``denote``, and it is a sum of
-    congruences, so each increment is PSD by construction and no step is
-    checked; a faulty step that leaves the output not positive is caught
-    by the output certificate of ``apply``.
-
-    For a ``|0>``/``|1>`` guard B and E are index sets, an exact gather
-    and scatter, and both kernels leave out only exact zeros of the
-    full-matrix chain; other guards' B and E come from an eigensolve, and
-    the result differs from that chain by rounding.
+    Any other body leaves ``m`` and ``c`` None: a step is ``sigma =
+    [[body]](B s B+)``, then the looping block ``B+ sigma B`` and the exit
+    increment ``E+ sigma E``, PSD as a sum of congruences; a faulty step
+    is caught by ``apply``'s output certificate.
     """
 
     guard: _GuardMaps
@@ -286,7 +248,7 @@ def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
     """The nodes ``block`` denotes, in order, with its gate runs and
     gate-run loops' Kraus pairs (M, C) certified and its guards' maps built."""
     nodes = []
-    for is_gate, group in itertools.groupby(block, lambda s: isinstance(s, ApplyUnitary)):
+    for is_gate, group in itertools.groupby(_in_z_basis(block), lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
             nodes.append(_Gates(_product(tuple(group), total_qubits)))
         else:
@@ -295,15 +257,35 @@ def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
     return tuple(nodes)
 
 
+def _in_z_basis(block: Block):
+    """``block`` with each statement guarded by ``|+>``/``|->`` on a qubit q
+    in its ``|0>``/``|1>`` form under H on q, as ``P+- = H P0/1 H``:
+
+        if q in |+-> { A } else { B }  ->  h q; if q in |0/1> { h q; A } else { h q; B }
+        while q in |+-> { S }          ->  h q; while q in |0/1> { h q; S; h q; } h q;
+
+    The H's fuse into neighbouring gate runs; bodies are rewritten when denoted."""
+    for stmt in block:
+        ket = {"+": "0", "-": "1"}.get(stmt.guard.ket) if isinstance(stmt, (Branch, While)) else None
+        if ket is None:
+            yield stmt
+            continue
+        h, guard = ApplyUnitary("H", (stmt.guard.qubit,)), Guard(stmt.guard.qubit, ket)
+        if isinstance(stmt, Branch):
+            yield from (h, Branch(guard, (h, *stmt.then_body), (h, *stmt.else_body)))
+        else:
+            yield from (h, While(guard, (h, *stmt.body, h)), h)
+
+
 def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
-    """The node of an ``if`` or a ``while``; anything else in a block is
-    not a statement."""
+    """The node of an ``if`` or a ``while`` on a ``|0>``/``|1>`` guard;
+    anything else in a block is not a statement."""
     if isinstance(stmt, Branch):
-        then, other = stmt.then_body, stmt.else_body
-        return _If(_GuardMaps(stmt.guard), _denote(then, total_qubits), _denote(other, total_qubits))
+        guard = _GuardMaps(stmt.guard, total_qubits)
+        return _If(guard, _denote(stmt.then_body, total_qubits), _denote(stmt.else_body, total_qubits))
     if not isinstance(stmt, While):
         raise TypeError(f"unknown statement node {stmt!r}")
-    guard, body = _GuardMaps(stmt.guard), stmt.body
+    guard, body = _GuardMaps(stmt.guard, total_qubits), stmt.body
     if not all(isinstance(s, ApplyUnitary) for s in body):
         return _Loop(guard, _denote(body, total_qubits))
     u = _product(body, total_qubits)

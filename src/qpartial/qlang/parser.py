@@ -18,7 +18,8 @@ qubit; qubit indices follow declaration order.
 
 The parser emits the normal form: a program and each ``{ ... }`` are the
 tuple of the statements they run, and ``skip;``, the identity, parses to
-no statement, so ``{ skip; }`` is the empty block ``()``.
+no statement, so ``{ skip; }`` is the empty block ``()``. A guard ``q in
+|+>`` parses to ``Guard(index of q, "+")``.
 
 Tokens carry their offset into the source. A ``ParseError`` reports the
 1-based line and column of its offset: a line starts after each ``\\n``,
@@ -33,9 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ParseError
-from ..logic import ClosedSubspace
-from .ast import MAX_QUBITS, ApplyUnitary, Block, Branch, Program, Statement, While
-from .gates import GATES, KET_VECTORS, gate_arity, ket_guard_projection
+from .ast import MAX_QUBITS, ApplyUnitary, Block, Branch, Guard, Program, Statement, While
+from .gates import GATES, KET_VECTORS, gate_arity
 
 _KEYWORDS = {"qubit", "skip", "if", "else", "while", "in"}
 
@@ -170,7 +170,7 @@ class _Parser:
             return ApplyUnitary(name, targets)
         self.error(f"expected a statement, got {tok.text!r}" if tok.text else "expected a statement")
 
-    def guard(self) -> ClosedSubspace:
+    def guard(self) -> Guard:
         reg_tok = self.expect("ident", "register name")
         qubit = self.register_index(reg_tok)
         if not self.accept("in"):
@@ -179,7 +179,7 @@ class _Parser:
         label = ket_tok.text[1:-1]
         if label not in KET_VECTORS:
             self.error(f"unknown ket {ket_tok.text!r}", ket_tok)
-        return ClosedSubspace(ket_guard_projection(label, qubit, len(self.registers)))
+        return Guard(qubit, label)
 
     def targets(self, expected: int, what: str) -> tuple[int, ...]:
         targets = []

@@ -139,6 +139,17 @@ class TestLoewnerOrder:
         assert loewner_leq(f, g) == (True, None)
         assert not loewner_leq(g, f)[0]
 
+    def test_hermitian_part_is_not_checked_again(self, count_calls):
+        # g - f is made Hermitian before the eigenvalue step, so one
+        # eigvalsh and no Hermiticity check decide the order; the witness is
+        # the PSD test's
+        f = PartialDensityOperator(np.diag([0.5, 0.0]))
+        g = PartialDensityOperator(np.diag([0.0, 0.5]))
+        with count_calls(linalg, "require_hermitian") as checks:
+            ok, witness = loewner_leq(f, g)
+        assert checks == [] and not ok
+        assert np.array_equal(witness, linalg.is_positive_semidefinite(g.matrix - f.matrix)[1])
+
 
 class TestScale:
     def test_identity_and_zero(self):

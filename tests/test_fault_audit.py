@@ -13,6 +13,7 @@ import pytest
 
 from qpartial import linalg, logic, verify
 from qpartial.errors import CrossCheckError
+from qpartial.intervals import CompactInterval, directed_intersection
 from qpartial.logic import ClosedSubspace
 from qpartial.observables import BoundedObservable, missing_mass_interval
 from qpartial.qlang import interpreter
@@ -51,6 +52,12 @@ def negated_body_step_exit(loop, s, cfg, loops):
     """``_Loop.step`` that negates the exit increment of a body-step loop."""
     s, increment = _loop_step(loop, s, cfg, loops)
     return s, -increment if loop.m is None else increment
+
+
+def narrowed_intersection(chain):
+    """``directed_intersection`` with its limit narrowed by 1e-3 at each end."""
+    limit = directed_intersection(chain)
+    return CompactInterval(limit.lo + 1e-3, limit.hi - 1e-3)
 
 
 def vdot_gleason_measure(f, k):
@@ -116,6 +123,13 @@ FAULTS = [
         "body_step_exit_increment_negated",
         [(interpreter._Loop, "step", negated_body_step_exit)],
         {"qlang": {"approximant_chain_increasing"}},
+    ),
+    (
+        # a narrower limit stays inside every element of the nested chain,
+        # so only its equality with the chain's last element catches it
+        "directed_intersection_narrowed",
+        [(verify, "directed_intersection", narrowed_intersection)],
+        {"interval": {"directed_intersection_contained", "expected_interval_scott_continuity"}},
     ),
     (
         "square_law_from_extreme_eigenvalues",

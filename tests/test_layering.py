@@ -69,6 +69,12 @@ def test_core_module_imports_neither_sampling_nor_verify(name):
     assert reaches_up(module_imports(name)) == []
 
 
+@pytest.mark.parametrize("name", [n for n in CORE if n.startswith("qlang/")])
+def test_qlang_module_does_not_import_logic(name):
+    # a guard is its qubit and ket, not a closed subspace
+    assert sorted(n for n in module_imports(name) if n == "qpartial.logic" or n.startswith("qpartial.logic.")) == []
+
+
 def test_undeclared_reader_sees_every_import_form():
     assert undeclared(imported_modules("def f():\n    import scipy.linalg\n", "qpartial")) == ["scipy"]
     assert undeclared(imported_modules("from scipy.linalg import eigh\n", "qpartial")) == ["scipy"]

@@ -3,7 +3,7 @@ import pytest
 
 from qpartial.errors import ParseError
 from qpartial.qlang import parse
-from qpartial.qlang.ast import ApplyUnitary, Branch, Program, While
+from qpartial.qlang.ast import ApplyUnitary, Branch, Guard, Program, While
 
 
 def test_single_gate_program():
@@ -16,7 +16,7 @@ def test_while_with_guard():
     prog = parse("qubit q; while q in |1> { h q; }")
     [loop] = prog.body
     assert isinstance(loop, While)
-    assert np.allclose(loop.guard.projection, np.diag([0.0, 1.0]))
+    assert loop.guard == Guard(0, "1")
     assert loop.body == (ApplyUnitary("H", (0,)),)
 
 
@@ -24,17 +24,14 @@ def test_if_else():
     prog = parse("qubit q; if q in |0> { x q; } else { skip; }")
     [branch] = prog.body
     assert isinstance(branch, Branch)
-    assert np.allclose(branch.guard.projection, np.diag([1.0, 0.0]))
+    assert branch.guard == Guard(0, "0")
     assert branch.then_body == (ApplyUnitary("X", (0,)),)
     assert branch.else_body == ()
 
 
 def test_plus_minus_guards():
-    prog = parse("qubit q; while q in |+> { skip; }")
-    half = np.full((2, 2), 0.5)
-    assert np.allclose(prog.body[0].guard.projection, half)
-    prog = parse("qubit q; while q in |-> { skip; }")
-    assert np.allclose(prog.body[0].guard.projection, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    assert parse("qubit q; while q in |+> { skip; }").body[0].guard == Guard(0, "+")
+    assert parse("qubit q; while q in |-> { skip; }").body[0].guard == Guard(0, "-")
 
 
 def test_sequence_and_comments():
@@ -93,11 +90,11 @@ def test_program_rejects_duplicate_register_names():
         Program(("q", "q"), ())
 
 
-def test_guard_lives_in_full_dimension():
-    prog = parse("qubit a; qubit b; while b in |1> { x a; }")
-    guard = prog.body[0].guard
-    assert guard.dim == 4
-    assert np.allclose(guard.projection, np.diag([0.0, 1.0, 0.0, 1.0]))
+def test_guard_is_its_qubit_and_ket():
+    # the register's index, in declaration order, and the ket's label; the
+    # parser builds no d x d projection
+    prog = parse("qubit a; qubit b; while b in |1> { x a; } if a in |-> { } else { }")
+    assert [stmt.guard for stmt in prog.body] == [Guard(1, "1"), Guard(0, "-")]
 
 
 def test_inline_matrix_statement():

@@ -9,7 +9,7 @@ from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supre
 from qpartial.errors import CrossCheckError, NonUnitaryError
 from qpartial.logic import _measure_value
 from qpartial.qlang import gates, interpreter
-from qpartial.qlang.ast import ApplyUnitary, Branch, While
+from qpartial.qlang.ast import ApplyUnitary, Branch
 from qpartial.verify import (
     CheckResult,
     SuiteReport,
@@ -119,16 +119,17 @@ def test_random_program_reproducible():
 
 
 def gate_count(stmt) -> int:
-    """The gates in a statement or a block."""
+    """The gates a statement or a block is denoted with: a |+>/|-> guard
+    is denoted under H on its qubit, with three H's around an `if` and
+    four around a `while`."""
     if isinstance(stmt, ApplyUnitary):
         return 1
     if isinstance(stmt, tuple):
         return sum(gate_count(s) for s in stmt)
+    rotated = stmt.guard.ket in ("+", "-")
     if isinstance(stmt, Branch):
-        return gate_count(stmt.then_body) + gate_count(stmt.else_body)
-    if isinstance(stmt, While):
-        return gate_count(stmt.body)
-    return 0
+        return gate_count(stmt.then_body) + gate_count(stmt.else_body) + 3 * rotated
+    return gate_count(stmt.body) + 4 * rotated
 
 
 def test_qlang_suite_denotes_each_program_once(count_calls):
