@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidOperatorError
+from .errors import DimensionMismatchError, InvalidOperatorError, NotPositiveError
 
 
 class PartialDensityOperator:
@@ -49,7 +49,7 @@ class PartialDensityOperator:
     __slots__ = ("_matrix", "_trace")
 
     def __init__(self, matrix):
-        m = linalg.require_positive_semidefinite(matrix)
+        m = linalg.require_psd_hermitian(linalg.require_hermitian(matrix))
         tr = float(m.trace().real)
         if tr > 1.0 + linalg.PSD_TOL:
             raise InvalidOperatorError(f"trace {tr:.12g} exceeds 1 (tol {linalg.PSD_TOL:.1e})")
@@ -147,7 +147,11 @@ def loewner_leq(f: PartialDensityOperator, g: PartialDensityOperator) -> tuple[b
     d = g.matrix - f.matrix
     # each state met HERMITIAN_TOL, so g - f may miss it by twice that; its
     # Hermitian part, d itself when f and g are Hermitian, is not checked
-    return linalg.is_psd_hermitian(0.5 * (d + d.conj().T))
+    try:
+        linalg.require_psd_hermitian(0.5 * (d + d.conj().T))
+    except NotPositiveError as exc:
+        return False, exc.witness
+    return True, None
 
 
 def scale(f: PartialDensityOperator, r: float) -> PartialDensityOperator:

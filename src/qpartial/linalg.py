@@ -116,8 +116,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, V)`` as ``numpy.linalg.eigh`` does: ascending eigenvalues
     and orthonormal eigenvector columns, both read-only. Raises
     ``NotHermitianError`` for non-Hermitian input and ``CrossCheckError``
-    if, in max norm, the reconstruction ``V diag(w) V+`` misses A by more
-    than ``EIG_TOL * max(1, |A|)``, or if V fails ``require_orthonormal``,
+    if an eigenvalue overflowed, if, in max norm, the reconstruction
+    ``V diag(w) V+`` misses A by more than ``EIG_TOL * max(1, |A|)`` or is
+    NaN, or if V fails ``require_orthonormal``,
     which then certifies every subset of V's columns as spanning a
     projection. The reconstruction bound scales with A because its
     rounding does, about d * eps * |A|; at |A| <= 1 it is ``EIG_TOL``.
@@ -128,9 +129,11 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise CrossCheckError(f"eigensolver failed to converge: {exc}") from exc
     vals = vals.astype(float)
+    if not np.isfinite(vals).all():
+        raise CrossCheckError(f"eigensolver overflowed: eigenvalues {vals[0]:.3e} to {vals[-1]:.3e}")
     recon_err = max_norm((vecs * vals) @ vecs.conj().T - a)
     recon_tol = EIG_TOL * max(1.0, max_norm(a))
-    if recon_err > recon_tol:
+    if not recon_err <= recon_tol:
         raise CrossCheckError(
             f"spectral decomposition failed certification: "
             f"reconstruction {recon_err:.3e} (tol {recon_tol:.1e})"
@@ -165,18 +168,13 @@ def orthonormalize(vectors) -> list[np.ndarray]:
     return basis
 
 
-def require_positive_semidefinite(a) -> np.ndarray:
-    """The PSD test: return the Hermitian matrix, or raise with a witness.
+def require_psd_hermitian(h: np.ndarray) -> np.ndarray:
+    """The PSD test, for a complex h already Hermitian: return h, or raise.
 
     The floor is ``-PSD_TOL``. On failure ``NotPositiveError`` carries the
     most negative eigenvalue and its unit eigenvector x, so that
-    <x|ax> < -PSD_TOL.
+    <x|hx> < -PSD_TOL; the eigenvectors are computed only then.
     """
-    return require_psd_hermitian(require_hermitian(a))
-
-
-def require_psd_hermitian(h: np.ndarray) -> np.ndarray:
-    """The PSD test's eigenvalue step, for a complex h already Hermitian."""
     lowest = float(np.linalg.eigvalsh(h)[0])
     if lowest < -PSD_TOL:
         _, vecs = np.linalg.eigh(h)
@@ -186,18 +184,3 @@ def require_psd_hermitian(h: np.ndarray) -> np.ndarray:
             f"operator has eigenvalue {lowest:.3e} < -{PSD_TOL:.1e}", witness=witness, eigenvalue=lowest
         )
     return h
-
-
-def is_positive_semidefinite(a) -> tuple[bool, np.ndarray | None]:
-    """``require_positive_semidefinite`` as a verdict: ``(True, None)`` or
-    ``(False, x)`` with x the witness."""
-    return is_psd_hermitian(require_hermitian(a))
-
-
-def is_psd_hermitian(h: np.ndarray) -> tuple[bool, np.ndarray | None]:
-    """``require_psd_hermitian`` as a verdict, for a complex h already Hermitian."""
-    try:
-        require_psd_hermitian(h)
-    except NotPositiveError as exc:
-        return False, exc.witness
-    return True, None

@@ -248,7 +248,8 @@ def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
     """The nodes ``block`` denotes, in order, with its gate runs and
     gate-run loops' Kraus pairs (M, C) certified and its guards' maps built."""
     nodes = []
-    for is_gate, group in itertools.groupby(_in_z_basis(block), lambda s: isinstance(s, ApplyUnitary)):
+    statements = _in_z_basis(block, total_qubits)
+    for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
             nodes.append(_Gates(_product(tuple(group), total_qubits)))
         else:
@@ -257,24 +258,28 @@ def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
     return tuple(nodes)
 
 
-def _in_z_basis(block: Block):
+def _in_z_basis(block: Block, total_qubits: int):
     """``block`` with each statement guarded by ``|+>``/``|->`` on a qubit q
     in its ``|0>``/``|1>`` form under H on q, as ``P+- = H P0/1 H``:
 
         if q in |+-> { A } else { B }  ->  h q; if q in |0/1> { h q; A } else { h q; B }
         while q in |+-> { S }          ->  h q; while q in |0/1> { h q; S; h q; } h q;
 
-    The H's fuse into neighbouring gate runs; bodies are rewritten when denoted."""
+    The H's fuse into neighbouring gate runs; bodies are rewritten when
+    denoted. A guard's qubit is checked first, so an error names the guard."""
     for stmt in block:
-        ket = {"+": "0", "-": "1"}.get(stmt.guard.ket) if isinstance(stmt, (Branch, While)) else None
+        guard = stmt.guard if isinstance(stmt, (Branch, While)) else None
+        if guard is not None and not 0 <= guard.qubit < total_qubits:
+            raise ValueError(f"guard qubit {guard.qubit} out of range for {total_qubits} qubit(s)")
+        ket = {"+": "0", "-": "1"}.get(guard.ket) if guard is not None else None
         if ket is None:
             yield stmt
             continue
-        h, guard = ApplyUnitary("H", (stmt.guard.qubit,)), Guard(stmt.guard.qubit, ket)
+        h, z_guard = ApplyUnitary("H", (guard.qubit,)), Guard(guard.qubit, ket)
         if isinstance(stmt, Branch):
-            yield from (h, Branch(guard, (h, *stmt.then_body), (h, *stmt.else_body)))
+            yield from (h, Branch(z_guard, (h, *stmt.then_body), (h, *stmt.else_body)))
         else:
-            yield from (h, While(guard, (h, *stmt.body, h)), h)
+            yield from (h, While(z_guard, (h, *stmt.body, h)), h)
 
 
 def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:

@@ -354,7 +354,7 @@ def dcpo_suite(dims, trials: int, seed: int) -> SuiteReport:
 
         chain, sup, converged, _ = _geometric_supremum(f, cfg)
         err = linalg.max_norm(sup.matrix - f.matrix)
-        below, _ = linalg.is_positive_semidefinite(f.matrix + linalg.PSD_TOL * np.eye(dim) - sup.matrix)
+        below, _ = loewner_leq(sup, f)
         yield converged and err <= 1e-8 and below, err
 
         worst = 0.0
@@ -634,4 +634,6 @@ def run_suite(suite: str, dims, trials: int, seed: int) -> SuiteReport:
         raise ValueError("dims must lie in [2, 16]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return _RUNNERS[suite](dims, trials, seed)

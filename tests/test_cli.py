@@ -208,6 +208,16 @@ class TestExpect:
         code, out, err = run_cli(capsys, "expect", workdir / "pauli_z.json", tmp_path / "strings.json")
         assert code == 1 and out == "" and "numbers" in err
 
+    def test_overflowed_observable_is_a_one_line_error(self, workdir, capsys, tmp_path):
+        # finite entries whose eigenvalue 2e308 overflows: rejected when the
+        # observable is built, with no numpy warning on stderr
+        (tmp_path / "huge.json").write_text(
+            json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]], "im": [[0, 0], [0, 0]]})
+        )
+        code, out, err = run_cli(capsys, "expect", tmp_path / "huge.json", workdir / "state.json")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: eigensolver overflowed")
+
     def test_boolean_among_numbers_rejected(self, workdir, capsys, tmp_path):
         (tmp_path / "bools.json").write_text(
             json.dumps({"dim": 2, "re": [[True, 0.0], [0.0, 0.25]], "im": [[0, 0], [0, 0]]})
@@ -254,6 +264,14 @@ class TestVerify:
         for suite in ("gleason", "dcpo"):
             code, out, err = run_cli(capsys, "verify", suite, "--dims", ",", "--trials", "2")
             assert code == 1 and out == "" and "dims" in err
+
+    def test_negative_seed_rejected_before_any_trial(self, capsys):
+        # default_rng rejects a negative seed; each trial would record that
+        # as a failed check, so the seed is checked up front
+        for suite in cli.SUITES:
+            code, out, err = run_cli(capsys, "verify", suite, "--seed", "-1", "--trials", "2")
+            assert (code, out) == (1, ""), suite
+            assert "seed" in err, suite
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,9 @@ class TestLoewnerOrder:
         with count_calls(linalg, "require_hermitian") as checks:
             ok, witness = loewner_leq(f, g)
         assert checks == [] and not ok
-        assert np.array_equal(witness, linalg.is_positive_semidefinite(g.matrix - f.matrix)[1])
+        with pytest.raises(NotPositiveError) as exc:
+            linalg.require_psd_hermitian(g.matrix - f.matrix)
+        assert np.array_equal(witness, exc.value.witness)
 
 
 class TestScale:
@@ -243,12 +245,11 @@ class TestChainSupremum:
 
     def test_supremum_is_upper_bound(self):
         f = sampling.random_pdo(3, rng_for(15), trace=0.7)
-        chain = [scale(f, 1.0 - 2.0**-n).matrix for n in range(1, 20)]
-        sup, _, _, _ = chain_supremum(iter(chain))
+        chain = [scale(f, 1.0 - 2.0**-n) for n in range(1, 20)]
+        sup, _, _, _ = chain_supremum(iter(element.matrix for element in chain))
+        sup = PartialDensityOperator(sup)
         for element in chain:
-            diff = sup + linalg.PSD_TOL * np.eye(3) - element
-            ok, _ = linalg.is_positive_semidefinite(diff)
-            assert ok
+            assert loewner_leq(element, sup)[0]
 
 
 class TestFixpointConfig:

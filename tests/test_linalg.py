@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.errors import CrossCheckError, NotHermitianError
+from qpartial.errors import CrossCheckError, NotHermitianError, NotPositiveError
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -68,6 +68,28 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_overflowed_eigenvalue_is_rejected(self):
+        # finite entries near the float maximum: the eigenvalue 2e308
+        # overflows to inf, and the error comes before the reconstruction,
+        # whose complex product with inf warns (an error in this suite)
+        with pytest.raises(CrossCheckError, match="eigensolver overflowed"):
+            linalg.hermitian_eig(np.full((2, 2), 1e308))
+
+    def test_nan_reconstruction_is_rejected(self, monkeypatch):
+        # a NaN in eigh's eigenvectors makes the reconstruction error NaN,
+        # which no tolerance comparison may pass
+        solver = np.linalg.eigh
+
+        def poisoned(a):
+            vals, vecs = solver(a)
+            vecs = vecs.copy()
+            vecs[0, 0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(CrossCheckError, match="reconstruction nan"):
+            linalg.hermitian_eig(np.diag([1.0, -0.5]))
+
 
 class TestRequireHermitian:
     @pytest.mark.parametrize("norm", [0.5, 1.0, 1e9])
@@ -122,29 +144,37 @@ class TestOrthonormalize:
 
 class TestPositiveSemidefinite:
     def test_identity(self):
-        ok, witness = linalg.is_positive_semidefinite(np.eye(3))
-        assert ok and witness is None
+        h = np.eye(3, dtype=complex)
+        assert linalg.require_psd_hermitian(h) is h
 
     def test_negative_direction_witness(self):
-        ok, witness = linalg.is_positive_semidefinite(np.diag([1.0, -0.5]))
-        assert not ok
-        assert abs(abs(witness[1]) - 1.0) < 1e-12
+        with pytest.raises(NotPositiveError) as exc:
+            linalg.require_psd_hermitian(np.diag([1.0, -0.5]).astype(complex))
+        assert abs(abs(exc.value.witness[1]) - 1.0) < 1e-12
+        assert exc.value.eigenvalue == -0.5
 
     def test_witness_is_valid(self):
         rng = rng_for(10)
         for _ in range(20):
             g = random_complex_matrix(4, rng)
             a = 0.5 * (g + g.conj().T)
-            ok, witness = linalg.is_positive_semidefinite(a)
-            if not ok:
+            try:
+                linalg.require_psd_hermitian(a)
+            except NotPositiveError as exc:
+                witness = exc.witness
                 form = float((witness.conj() @ a @ witness).real)
-                assert form < linalg.PSD_TOL
+                assert form < -linalg.PSD_TOL
 
     @pytest.mark.parametrize("lowest, ok", [(-2e-9, False), (-0.5e-9, True)])
     def test_the_floor_is_one_billionth(self, lowest, ok):
         # written out, not read from PSD_TOL: a looser floor, say 1e-6,
         # passes every verify suite and is caught here
-        assert linalg.is_positive_semidefinite(np.diag([0.5, lowest]))[0] is ok
+        h = np.diag([0.5, lowest]).astype(complex)
+        if ok:
+            assert linalg.require_psd_hermitian(h) is h
+        else:
+            with pytest.raises(NotPositiveError):
+                linalg.require_psd_hermitian(h)
 
     def test_psd_by_construction(self):
         rng = rng_for(11)
@@ -152,8 +182,7 @@ class TestPositiveSemidefinite:
         f = g @ g.conj().T
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         bigger = f + np.outer(v, v.conj())
-        ok, _ = linalg.is_positive_semidefinite(bigger - f)
-        assert ok
+        linalg.require_psd_hermitian(linalg.require_hermitian(bigger - f))
 
 
 class TestKernelsMatchTheirNumpyForms:

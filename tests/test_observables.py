@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.density import PartialDensityOperator, nontermination_probability, scale
+from qpartial.density import PartialDensityOperator, loewner_leq, nontermination_probability, scale
 from qpartial.errors import CrossCheckError, DimensionMismatchError, NotHermitianError
 from qpartial.intervals import (
     CompactInterval,
@@ -544,7 +544,7 @@ class TestMonotonicityAndContinuity:
             r = sampling.random_observable(dim, rng)
             f = sampling.random_pdo(dim, rng, trace=float(rng.uniform(0.0, 0.99)))
             g = sampling.total_completion(f, rng)
-            ok, _ = linalg.is_positive_semidefinite(g.matrix - f.matrix)
+            ok, _ = loewner_leq(f, g)
             assert ok and g.trace == pytest.approx(1.0, abs=1e-9)
             value = float(np.trace(r.operator @ g.matrix).real)
             box = expected_interval(r, f)

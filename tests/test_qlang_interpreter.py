@@ -486,7 +486,7 @@ class TestBlockContract:
     @pytest.mark.parametrize("ket", ["1", "+"])
     def test_guard_qubit_outside_the_register_raises_value_error_at_denote(self, qubit, ket):
         prog = Program(("q",), (While(Guard(qubit, ket), (self.X,)),))
-        with pytest.raises(ValueError, match="out of range for 1 qubit"):
+        with pytest.raises(ValueError, match=f"guard qubit {qubit} out of range for 1 qubit"):
             denote(prog)
 
     def test_empty_blocks_denote_the_identity(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpartial import logic, sampling, verify
+from qpartial import linalg, logic, sampling, verify
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError, NonUnitaryError
@@ -353,6 +353,25 @@ def corrupt_chains(monkeypatch, change):
         return chain, sup, converged, traces
 
     monkeypatch.setattr(verify, "_geometric_supremum", corrupted)
+
+
+@pytest.mark.parametrize("excess, passed", [(0.5, True), (1.5, False)])
+def test_geometric_chain_supremum_is_read_at_one_psd_tol(monkeypatch, excess, passed):
+    # a supremum above f by `excess` PSD_TOL along the first basis vector:
+    # the Loewner order's floor is one PSD_TOL, so 1.5 fails; the order
+    # rebuilt as f + PSD_TOL I - sup allowed two, and passed it
+    original = verify._geometric_supremum
+
+    def above_f(f, cfg):
+        chain, _, converged, traces = original(f, cfg)
+        bump = np.zeros((f.dim, f.dim))
+        bump[0, 0] = excess * linalg.PSD_TOL
+        return chain, PartialDensityOperator(f.matrix + bump), converged, traces
+
+    monkeypatch.setattr(verify, "_geometric_supremum", above_f)
+    report = run_suite("dcpo", [3], 4, 42)
+    check = next(c for c in report.checks if c.name == "geometric_chain_supremum")
+    assert check.failures == (0 if passed else 4)
 
 
 def scott_check(report):
