@@ -82,7 +82,9 @@ def require_hermitian(a) -> np.ndarray:
     at |A| <= 1, the case of every state and projection, it is
     ``HERMITIAN_TOL``."""
     a = as_matrix(a)
-    dev = max_norm(a - a.conj().T)
+    # an overflowed deviation reads inf, which fails the bound
+    with np.errstate(over="ignore"):
+        dev = max_norm(a - a.conj().T)
     # max(1, |A|) >= 1, so within the unscaled bound |A| need not be read
     if dev > HERMITIAN_TOL:
         tol = HERMITIAN_TOL * max(1.0, max_norm(a))

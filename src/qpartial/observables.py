@@ -59,10 +59,11 @@ class BoundedObservable:
         # hermitian_eig coerces and validates the operator
         vals, vecs = linalg.hermitian_eig(operator)
         # a group starts at the first eigenvalue and wherever the gap to the
-        # previous one exceeds the tolerance; it ends where the next starts
+        # previous one exceeds the tolerance, inf too; it ends where the next starts
         is_start = np.empty(len(vals), dtype=bool)
         is_start[:1] = True
-        is_start[1:] = vals[1:] - vals[:-1] > linalg.EIG_GROUP_TOL
+        with np.errstate(over="ignore"):
+            is_start[1:] = vals[1:] - vals[:-1] > linalg.EIG_GROUP_TOL
         starts = np.flatnonzero(is_start)
         ends = np.empty_like(starts)
         ends[:-1] = starts[1:]

@@ -25,10 +25,10 @@ normal form with ``skip`` dropped, denotes the tuple of its nodes, maps
 ``(rho, cfg, loops) -> rho`` on raw matrices run in order; anything in a
 block that is not a statement raises ``TypeError``. Each maximal run
 ``U_1; ...; U_k`` of consecutive gates is one ``_Gates`` node with ``U =
-U_k ... U_1``, composed on qubit legs (``_product``) and certified like a
-gate, ``max_norm(U+U - I)`` within ``k * UNITARY_TOL``, the first-order
-sum of its factors' certified defects. Runs never cross ``if`` or
-``while``, and fusion changes results only by rounding.
+U_k ... U_1``, each gate applied on its qubit legs to the identity's
+columns (``_product``), and certified like a gate, ``max_norm(U+U - I)``
+within ``k * UNITARY_TOL``. Runs never cross ``if`` or ``while``, and
+fusion changes results only by rounding.
 
 Validation happens at the boundary: ``denote`` certifies every gate run
 and guard before any input is touched, whatever path a run then takes.
@@ -46,7 +46,7 @@ import numpy as np
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
 from .ast import ApplyUnitary, Block, Branch, Guard, Program, Statement, While
-from .gates import _leg_index, _require_unitary, apply_unitary, denote_unitary
+from .gates import _leg_index, _require_unitary, apply_unitary
 
 
 @dataclass
@@ -99,23 +99,20 @@ class _GuardMaps:
         return x
 
 
-def _product(run: Block, total_qubits: int) -> np.ndarray:
-    """``U_k ... U_1``: U_1 embedded, then each later gate applied on its
-    qubit legs (``apply_unitary``), with no d x d factor; a lone gate's
-    unitary is returned as it is, and an empty run is the identity."""
-    if not run:
-        return np.eye(2**total_qubits, dtype=complex)
-    u = denote_unitary(run[0].gate, run[0].targets, total_qubits)
-    for g in run[1:]:
-        u = apply_unitary(g.gate, g.targets, total_qubits, u)
+def _product(run: Block, total_qubits: int, columns: np.ndarray) -> np.ndarray:
+    """``U_k ... U_1`` on ``columns`` of the identity, each gate applied on
+    its qubit legs (``apply_unitary``); a run of k > 1 gates is certified
+    there, within ``k * UNITARY_TOL``. Fewer gates leave exact entries."""
+    for g in run:
+        columns = apply_unitary(g.gate, g.targets, total_qubits, columns)
     if len(run) > 1:
-        _require_unitary(u, len(run) * linalg.UNITARY_TOL, f"run of {len(run)} gates")
-    return u
+        _require_unitary(columns, len(run) * linalg.UNITARY_TOL, f"run of {len(run)} gates")
+    return columns
 
 
 def denote(prog: Program) -> Denotation:
-    """Denote ``prog`` once: certify every gate run and every gate-run loop's
-    Kraus pair, build every guard's maps."""
+    """Denote ``prog`` once: certify every gate run, a gate-run loop's on its
+    guard's columns, and build every guard's maps."""
     return Denotation(prog.dim, _denote(prog.body, prog.total_qubits))
 
 
@@ -195,12 +192,12 @@ class _Loop:
     guard's index blocks, exact gathers and scatters, and is not checked.
 
     If the body is a gate run with product U (U = I for an empty body),
-    ``body`` is ``(_Gates(U),)`` and ``denote`` compresses U once into
-    ``m = B+ U B`` and ``c = E+ U B``, with their adjoints: a step is ``s
-    -> M s M+`` with exit increment ``C s C+``, PSD by construction, as
-    ``denote`` certifies (M, C) as a Kraus split of the identity,
-    ``max_norm(M+M + C+C - I_r)`` within ``max(k, 1) * UNITARY_TOL`` for a
-    run of k gates.
+    ``body`` is ``()`` and the loop is its Kraus pair: ``denote`` forms U B
+    on the guard's columns, certified there as a run (``_product``), and
+    splits its rows into ``m = B+ U B`` and ``c = E+ U B``, with adjoints.
+    A step is ``s -> M s M+`` with exit increment ``C s C+``, PSD by
+    construction; ``(U B)+ U B = M+M + C+C``, so the run's certificate is
+    the Kraus certificate.
 
     Any other body leaves ``m`` and ``c`` None: a step is ``sigma =
     [[body]](B s B+)``, then the looping block ``B+ sigma B`` and the exit
@@ -245,13 +242,13 @@ _Node = _Gates | _If | _Loop
 
 
 def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
-    """The nodes ``block`` denotes, in order, with its gate runs and
-    gate-run loops' Kraus pairs (M, C) certified and its guards' maps built."""
+    """The nodes ``block`` denotes, in order, with its gate runs certified,
+    gate-run loops as their Kraus pairs (M, C), and its guards' maps built."""
     nodes = []
     statements = _in_z_basis(block, total_qubits)
     for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
-            nodes.append(_Gates(_product(tuple(group), total_qubits)))
+            nodes.append(_Gates(_product(tuple(group), total_qubits, np.eye(2**total_qubits, dtype=complex))))
         else:
             for stmt in group:
                 nodes.append(_control(stmt, total_qubits))
@@ -293,11 +290,6 @@ def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
     guard, body = _GuardMaps(stmt.guard, total_qubits), stmt.body
     if not all(isinstance(s, ApplyUnitary) for s in body):
         return _Loop(guard, _denote(body, total_qubits))
-    u = _product(body, total_qubits)
-    m, c = guard.compress(guard.b, guard.b, u), guard.compress(guard.e, guard.b, u)
-    _require_unitary(
-        np.vstack((m, c)),
-        max(len(body), 1) * linalg.UNITARY_TOL,
-        f"Kraus pair [M; C] of the loop on a rank-{m.shape[0]} guard ({len(body)}-gate body)",
-    )
-    return _Loop(guard, (_Gates(u),), m, c, m.conj().T, c.conj().T)
+    x = _product(body, total_qubits, np.eye(guard.dim, dtype=complex)[:, guard.b])
+    m, c = x[guard.b], x[guard.e]
+    return _Loop(guard, (), m, c, m.conj().T, c.conj().T)

@@ -104,6 +104,13 @@ class TestRequireHermitian:
             with pytest.raises(NotHermitianError, match=f"tol {tol:.1e}"):
                 linalg.require_hermitian(a)
 
+    def test_overflowed_deviation_is_rejected(self):
+        # a - a+ overflows to inf at finite entries: rejected with no numpy
+        # warning (an error in this suite)
+        a = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(NotHermitianError, match="by inf"):
+            linalg.require_hermitian(a)
+
 
 @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 3), (16, 16), (64, 5)])
 def test_require_orthonormal_reads_numpys_frobenius_norm_of_the_gram_defect(monkeypatch, dim, rank):

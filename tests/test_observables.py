@@ -141,6 +141,13 @@ class TestSpectralData:
         box = expected_interval(r, PartialDensityOperator(np.eye(dim) / (2 * dim)))
         assert box.lo == pytest.approx(np.trace(a).real / (2 * dim) + 0.5 * lowest, rel=1e-12)
 
+    def test_spectrum_wider_than_the_float_maximum_has_two_groups(self):
+        # the eigenvalues -+sqrt(2) 1e308 are finite, their gap overflows to
+        # inf: it starts a group, with no numpy warning (an error here)
+        r = BoundedObservable(np.array([[-1e308, 1e308], [1e308, 1e308]]))
+        values = [lam for lam, _ in r.spectral]
+        assert values == pytest.approx([-1.4142135623730951e308, 1.4142135623730951e308], rel=1e-15)
+
     def test_one_eigensolve_per_observable(self, count_eigensolves):
         a = sampling.random_hermitian(64, rng_for(21))
         with count_eigensolves() as sizes:

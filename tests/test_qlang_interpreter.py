@@ -104,7 +104,8 @@ class TestDenoteUnitary:
 
 class TestGateTable:
     """The named gates are certified once, at import, in a read-only table;
-    ``denote`` certifies only inline matrices, gate runs and Kraus pairs."""
+    ``denote`` certifies only inline matrices and gate runs, a gate-run
+    loop's body on its guard's columns."""
 
     def test_table_is_read_only(self):
         with pytest.raises(TypeError):
@@ -112,13 +113,14 @@ class TestGateTable:
         with pytest.raises(ValueError):
             GATES["H"][0, 0] = 0.0
 
-    def test_six_qubit_program_forms_three_gram_defects(self, count_calls):
-        # the runs "h a; h b; cnot a c; h d" and the 5-gate body, and the
-        # loop's Kraus pair [M; C]; no named gate is certified again
+    def test_six_qubit_program_forms_two_gram_defects(self, count_calls):
+        # the run "h a; h b; cnot a c; h d" on all 64 columns, and the
+        # 5-gate body on the 32 columns of `a in |1>`, which certifies the
+        # loop's Kraus pair; no named gate is certified again
         prog = parse(ROADMAP_6Q)
         with count_calls(linalg, "gram_defect") as defects:
             denote(prog)
-        assert [d.shape for (d,) in defects] == [(64, 64), (64, 64), (64, 32)]
+        assert [d.shape for (d,) in defects] == [(64, 64), (64, 32)]
 
     @pytest.mark.parametrize("body", ["[[1, 1], [0, 1]] q;", "h q; [[1, 1], [0, 1]] q;"])
     def test_non_unitary_inline_matrix_is_rejected_at_denote(self, body):
@@ -271,13 +273,11 @@ class TestDivergingLoop:
 
     @pytest.mark.parametrize("body", ["skip;", ""])
     def test_skip_body_runs_on_blocks_with_the_identity(self, body):
-        # `skip` is the identity, so the body is the empty gate run: U = I,
+        # `skip` is the identity, so the body is the empty gate run: U B = B,
         # M = I_r and C = 0, and no step lifts the state to full dimension
         denotation = denote(parse(f"qubit q; while q in |0> {{ {body} }}"))
         [loop] = denotation._root
-        [gates] = loop.body
-        assert isinstance(loop, interpreter._Loop) and isinstance(gates, interpreter._Gates)
-        assert np.array_equal(gates.u, np.eye(2))
+        assert isinstance(loop, interpreter._Loop) and loop.body == ()
         assert np.array_equal(loop.m, np.eye(1)) and np.array_equal(loop.c, np.zeros((1, 1)))
         report = denotation.apply(GROUND)
         assert report.residual == 1.0
@@ -503,7 +503,7 @@ class TestDenotationTree:
     """``denote`` builds a tree of frozen nodes in the AST's shape, each
     block the tuple of its nodes; the kernel a loop runs is read off its
     node: ``m is None`` for body steps, else the Kraus pair (m, c) of its
-    gate-run body ``(_Gates(U),)``."""
+    gate-run body, which the node keeps in place of the body ``()``."""
 
     NESTED = "qubit a; qubit b; h b; while a in |+> { t a; h a; while b in |-> { t b; h b; } s b; }"
 
@@ -511,8 +511,7 @@ class TestDenotationTree:
         root = denote(parse(ROADMAP_6Q))._root
         assert [type(node) for node in root] == [interpreter._Gates, interpreter._Loop]
         loop = root[1]
-        [gates] = loop.body
-        assert isinstance(gates, interpreter._Gates) and gates.u.shape == (64, 64)
+        assert loop.body == ()
         assert loop.m.shape == (32, 32) and loop.c.shape == (32, 32)
 
     def test_nested_program_has_a_body_step_loop_around_a_block_loop(self):
@@ -527,8 +526,7 @@ class TestDenotationTree:
             interpreter._Gates,
         ]
         inner = outer.body[1]
-        [gates] = inner.body
-        assert isinstance(gates, interpreter._Gates) and inner.m.shape == (2, 2)
+        assert inner.body == () and inner.m.shape == (2, 2)
         assert tree_loops(root) == [outer, inner]
 
     def test_nodes_are_frozen(self):
@@ -610,19 +608,19 @@ class TestBoundaryValidation:
 
     def test_negative_block_step_raises_with_witness(self, monkeypatch):
         # a gate-run body runs on the guard's blocks with the Kraus pair
-        # (M, C) of its product U; a fault in U puts M+M + C+C off the
-        # identity, and `denote` rejects it, naming the loop and its defect
-        # (1 + 1e-6)^2 - 1, before any input is touched
-        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; }")
-        body = prog.body[-1].body
-        original = interpreter._product
+        # (M, C), the rows of U B; a fault in its CNOT puts M+M + C+C, the
+        # Gram product of U B, off the identity, and `denote` rejects the
+        # run, naming it and its defect (1 + 1e-6)^2 - 1, before any input
+        # is touched
+        prog = parse("qubit a; qubit b; h a; h b; while a in |1> { h a; cnot a b; }")
+        original = interpreter.apply_unitary
 
-        def faulty_product(run, total_qubits):
-            u = original(run, total_qubits)
-            return (1.0 + 1e-6) * u if run == body else u
+        def faulty_apply(gate, *args):
+            u = original(gate, *args)
+            return (1.0 + 1e-6) * u if gate == "CNOT" else u
 
-        monkeypatch.setattr(interpreter, "_product", faulty_product)
-        with pytest.raises(NonUnitaryError, match=r"loop on a rank-2 guard \(1-gate body\)") as err:
+        monkeypatch.setattr(interpreter, "apply_unitary", faulty_apply)
+        with pytest.raises(NonUnitaryError, match=r"run of 2 gates") as err:
             denote(prog)
         assert "by 2.000e-06" in str(err.value)
 
@@ -698,8 +696,8 @@ NEAR_RUN = f"{_NEAR_X} a; {_NEAR_Z} b; {_NEAR_X} b; {_NEAR_Z} a; {_NEAR_X} a;"
 
 
 class TestGateFusion:
-    """Each maximal run of consecutive gates is one certified unitary,
-    applied as one conjugation; a lone gate is applied as it is."""
+    """Each maximal run of consecutive gates is one unitary, applied as one
+    conjugation; a run of more than one gate is certified."""
 
     PREFIX = (("H", (0,)), ("H", (1,)), ("CNOT", (0, 2)), ("H", (3,)))
     BODY = (("H", (0,)), ("CNOT", (0, 1)), ("T", (2,)), ("H", (4,)), ("CNOT", (4, 5)))
@@ -727,15 +725,16 @@ class TestGateFusion:
         prog = parse(ROADMAP_6Q)
         with count_calls(interpreter, "_product") as products:
             denotation = denote(prog)
-        # the prefix is one 64 x 64 conjugation; the body's product is formed
-        # once and compressed onto `a in |1>` (indices 32..63) and its
-        # complement (0..31), and each Kleene step runs on 32 x 32 blocks
-        assert len(products) == 2
+        # the prefix is one 64 x 64 conjugation; the body is applied only to
+        # the 32 columns of `a in |1>` (indices 32..63), U B, whose rows in
+        # that range (M) and its complement's (C) are the 32 x 32 blocks
+        # each Kleene step runs on; no d x d product of the body is formed
+        assert [columns.shape for _, _, columns in products] == [(64, 64), (64, 32)]
+        assert np.array_equal(products[1][2], np.eye(64)[:, 32:])
         prefix, loop = denotation._root
         assert linalg.max_norm(prefix.u - gate_product(self.PREFIX, 6)) <= 1e-15
         u = gate_product(self.BODY, 6)
-        [gates] = loop.body
-        assert linalg.max_norm(gates.u - u) <= 1e-15
+        assert loop.body == ()
         assert loop.m.shape == (32, 32) and loop.c.shape == (32, 32)
         assert linalg.max_norm(loop.m - u[32:, 32:]) <= 1e-15
         assert linalg.max_norm(loop.c - u[:32, 32:]) <= 1e-15
@@ -755,7 +754,7 @@ class TestGateFusion:
         f = sampling.random_pdo(4, rng_for(25))
         with count_calls(interpreter, "_product") as products:
             denotations = [denote(prog) for prog in (flat, skipped)]
-        assert [len(run) for run, _ in products] == [3, 3]
+        assert [len(run) for run, _, _ in products] == [3, 3]
         u = gate_product((("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))), 2)
         roots = [d._root for d in denotations]
         assert [len(r) for r in roots] == [1, 1]
@@ -929,53 +928,81 @@ class TestBlockPath:
 
 
 class TestKrausCertificate:
-    """`denote` certifies a gate-run loop's Kraus pair (M, C) once,
-    ``max_norm(M+M + C+C - I_r) <= max(k, 1) UNITARY_TOL`` for a run of k
-    gates, and its steps then run no per-step check; loops that run body
-    steps keep one check a step."""
+    """`denote` forms a gate-run loop's body only on its guard's columns, X
+    = U B, whose rows are the Kraus pair (M, C): the run's own certificate
+    on X, ``max_norm(X+X - I_r) <= k UNITARY_TOL`` for k > 1 gates, is
+    ``max_norm(M+M + C+C - I_r)``, and a body of at most one gate is exact
+    with no certificate. Its steps then run no per-step check; loops that
+    run body steps check no step either, and the output is certified."""
 
     def test_defect_beyond_tolerance_is_rejected_at_denote(self, monkeypatch, tmp_path, capsys):
         source = "qubit a; qubit b; h a; while a in |1> { h a; cnot a b; }"
-        body = parse(source).body[-1].body
-        original = interpreter._product
+        original = interpreter.apply_unitary
 
-        def faulty_product(run, total_qubits):
+        def faulty_apply(gate, *args):
             # defect (1 + 1.1e-10)^2 - 1 = 2.2 UNITARY_TOL, above the 2
             # UNITARY_TOL a 2-gate run is allowed
-            u = original(run, total_qubits)
-            return (1.0 + 1.1 * linalg.UNITARY_TOL) * u if run == body else u
+            u = original(gate, *args)
+            return (1.0 + 1.1 * linalg.UNITARY_TOL) * u if gate == "CNOT" else u
 
-        monkeypatch.setattr(interpreter, "_product", faulty_product)
-        with pytest.raises(NonUnitaryError, match=r"rank-2 guard \(2-gate body\)"):
+        monkeypatch.setattr(interpreter, "apply_unitary", faulty_apply)
+        with pytest.raises(NonUnitaryError, match=r"run of 2 gates"):
             denote(parse(source))
         (tmp_path / "prog.qp").write_text(source)
         assert main(["run", str(tmp_path / "prog.qp"), "--max-iter", "1"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "Kraus pair [M; C]" in captured.err
+        assert captured.out == "" and "run of 2 gates deviates from unitary" in captured.err
 
     @pytest.mark.parametrize("ket", ["1", "+"])
     def test_near_unitary_run_is_accepted_in_a_loop_body(self, ket, count_calls):
         # the run `_product` accepts, with a defect of about 4.5
-        # UNITARY_TOL, in a loop body: M+M + C+C is a compression of U+U,
-        # so its defect is no larger. Under `|+>` the body is denoted as
-        # `h a; NEAR_RUN; h a;`, 7 gates
+        # UNITARY_TOL, in a loop body: M+M + C+C = (U B)+ U B is a
+        # compression of U+U, so its defect is no larger. Under `|+>` the
+        # body is denoted as `h a; NEAR_RUN; h a;`, 7 gates
         prog = parse(f"qubit a; qubit b; h a; while a in |{ket}> {{ {NEAR_RUN} }}")
         with count_calls(interpreter, "_require_unitary") as certified:
             denotation = denote(prog)
-        (stacked, tol, _) = certified[-1]
+        (x, tol, _) = certified[-1]
         assert tol == {"1": 5, "+": 7}[ket] * linalg.UNITARY_TOL
-        assert linalg.max_norm(stacked.conj().T @ stacked - np.eye(2)) <= tol
+        assert x.shape == (4, 2) and linalg.max_norm(x.conj().T @ x - np.eye(2)) <= tol
         report = denotation.apply(PartialDensityOperator.ground_state(4))
         assert report.converged
 
+    def test_run_on_columns_is_the_products_columns(self):
+        # applying a gate on its legs treats each column on its own, so the
+        # run on any columns of the identity is those columns of its product,
+        # up to rounding: the matrix product's kernel can change with the
+        # number of columns. With at most one gate no entry is rounded, and
+        # the columns are those of the embedded gate exactly. Named gates (Y,
+        # CNOT both ways) and inline matrices, on random column subsets
+        rng = rng_for(33)
+        for n in range(1, 7):
+            eye = np.eye(2**n, dtype=complex)
+            for _ in range(8):
+                run = []
+                for _ in range(rng.integers(0, 7)):
+                    k = int(rng.integers(1, min(n, 2) + 1))
+                    targets = tuple(int(q) for q in rng.permutation(n)[:k])
+                    named = ["CNOT"] if k == 2 else ["Y", "H", "T"]
+                    gate = sampling.random_unitary(2**k, rng) if rng.random() < 0.3 else str(rng.choice(named))
+                    run.append(ApplyUnitary(gate, targets))
+                cols = rng.choice(2**n, size=int(rng.integers(1, 2**n + 1)), replace=False)
+                on_columns = interpreter._product(tuple(run), n, eye[:, cols])
+                full = interpreter._product(tuple(run), n, eye)
+                assert linalg.max_norm(on_columns - full[:, cols]) <= len(run) * np.finfo(float).eps, (n, run)
+                lone = run[:1]
+                exact = eye if not lone else denote_unitary(lone[0].gate, lone[0].targets, n)
+                assert np.array_equal(interpreter._product(tuple(lone), n, eye[:, cols]), exact[:, cols])
+
     @pytest.mark.parametrize("body", ["skip;", ""])
-    def test_skip_body_is_certified_with_defect_zero(self, body, count_calls):
+    def test_skip_body_is_exact_with_no_certificate(self, body, count_calls):
+        # the empty run's X is B itself, columns of the identity: M = I_r
+        # and C = 0 exactly, so nothing is certified
         prog = parse(f"qubit a; qubit b; while a in |1> {{ {body} }}")
         with count_calls(interpreter, "_require_unitary") as certified:
-            denote(prog)
-        ((stacked, tol, _),) = certified
-        assert tol == linalg.UNITARY_TOL
-        assert linalg.max_norm(stacked.conj().T @ stacked - np.eye(2)) == 0.0
+            [loop] = denote(prog)._root
+        assert certified == []
+        assert np.array_equal(loop.m, np.eye(2)) and np.array_equal(loop.c, np.zeros((2, 2)))
 
     @pytest.mark.parametrize(
         "body",
