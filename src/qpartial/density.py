@@ -3,8 +3,9 @@
 A partial density operator is a Hermitian positive-semidefinite matrix
 with trace at most one. The trace deficit 1 - tr(f) is the probability
 that the computation producing f has not terminated. Increasing chains
-of such operators converge to a supremum, computed by ``chain_supremum``;
-its stopping rule is described there.
+of such operators converge to a supremum; ``chain_supremum`` is the
+stopping rule that picks the element taken for it, read off the chain's
+traces, and is described there.
 
 Values are certified once, when constructed. These return a certified
 result without running the validating constructor:
@@ -224,20 +225,23 @@ class FixpointConfig:
             raise ValueError("trace_tol must lie in (0, 1)")
 
 
-def chain_supremum(
-    chain, cfg: FixpointConfig | None = None
-) -> tuple[np.ndarray, int, bool, list[float]]:
-    """Supremum of an increasing chain of partial states, as raw matrices.
+def chain_supremum(traces, cfg: FixpointConfig | None = None) -> tuple[int, bool, list[float]]:
+    """The Kleene stopping rule, read off an increasing chain of partial
+    states through its traces.
 
     This is the one Kleene loop: the interpreter evaluates every while loop
-    through it. Consumes the chain until the trace gap between consecutive
-    elements drops below ``cfg.trace_tol`` (converged), the chain ends (a
-    finite chain attains its supremum exactly), or ``cfg.max_iterations``
-    elements have been consumed (not converged). Returns ``(matrix,
-    iterations, converged, traces)``: the last element consumed, the number
-    of elements consumed after the first (for a while loop, the number of
-    body evaluations), and ``float(np.trace(m).real)`` of every element
-    consumed, in order, so ``len(traces) == iterations + 1`` on every return.
+    through it. ``traces`` iterates the real traces ``tr a_0, tr a_1, ...``
+    of the chain's elements, as floats; the caller owns the elements, and
+    forms the one the rule stops at. Consumes traces until the gap between
+    consecutive ones drops below ``cfg.trace_tol`` (converged), the
+    iterator ends (a finite chain attains its supremum exactly), or
+    ``cfg.max_iterations`` traces have been consumed (not converged).
+    Returns ``(iterations, converged, traces)``: the number of traces
+    consumed after the first, so the supremum taken is element
+    ``iterations`` (for a while loop, the number of body evaluations), and
+    every trace consumed, in order, so ``len(traces) == iterations + 1`` on
+    every return. A generator is left suspended where the rule stopped it,
+    after yielding ``tr a_iterations``.
 
     The trace-gap rule is a heuristic: a small gap bounds one step of the
     chain, not its distance to the supremum, so a slowly rising chain or
@@ -249,17 +253,16 @@ def chain_supremum(
     2^-n) f`` increase), and the interpreter certifies only its output.
     """
     cfg = cfg or FixpointConfig()
-    it = iter(chain)
+    it = iter(traces)
     try:
-        current = next(it)
+        read = [next(it)]
     except StopIteration:
         raise ValueError("supremum of an empty chain is undefined") from None
-    traces = [float(current.trace().real)]
-    for current in itertools.islice(it, cfg.max_iterations - 1):
-        traces.append(float(current.trace().real))
-        if traces[-1] - traces[-2] < cfg.trace_tol:
+    for trace in itertools.islice(it, cfg.max_iterations - 1):
+        read.append(trace)
+        if read[-1] - read[-2] < cfg.trace_tol:
             converged = True
             break
     else:
-        converged = len(traces) < cfg.max_iterations
-    return current, len(traces) - 1, converged, traces
+        converged = len(read) < cfg.max_iterations
+    return len(read) - 1, converged, read

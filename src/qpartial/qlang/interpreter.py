@@ -13,10 +13,13 @@ guard's range and the exited mass in its complement's, so the chain runs
 on the two blocks
 
     a_0 = E+ rho E,   s_0 = B+ rho B
-    (s_{n+1}, e_n) = step(s_n),   a_{n+1} = a_n + e_n
+    body step:   (s_{n+1}, e_n) = step(s_n),   a_{n+1} = a_n + e_n
+    Kraus pair:  s_{n+1} = M s_n M+,   a_n = a_0 + C (s_0 + ... + s_{n-1}) C+
 
 an increasing chain of exit blocks that ``density.chain_supremum``, the
-one Kleene loop, consumes under its stopping rule; the loop returns
+one Kleene loop, reads through its traces under its stopping rule. A
+Kraus-pair loop's trace gap ``tr a_{n+1} - tr a_n`` is ``Re <C+C, s_n>``,
+and its exit block is formed once, where the rule stops. The loop returns
 ``E a E+`` and appends ``(iterations, converged, traces)`` to ``loops``.
 
 ``denote`` compiles a program once into a ``Denotation`` that ``apply``
@@ -188,21 +191,26 @@ class _If:
 @dataclass(frozen=True, eq=False, slots=True)
 class _Loop:
     """``while guard { body }``, the supremum of its chain of exit blocks
-    (see the module docstring). A step runs one of two kernels on the
-    guard's index blocks, exact gathers and scatters, and is not checked.
+    (see the module docstring), read by ``chain_supremum`` through the
+    chain's traces. A step runs one of two kernels on the guard's index
+    blocks, exact gathers and scatters, and is not checked.
 
     If the body is a gate run with product U (U = I for an empty body),
     ``body`` is ``()`` and the loop is its Kraus pair: ``denote`` forms U B
-    on the guard's columns, certified there as a run (``_product``), and
-    splits its rows into ``m = B+ U B`` and ``c = E+ U B``, with adjoints.
-    A step is ``s -> M s M+`` with exit increment ``C s C+``, PSD by
-    construction; ``(U B)+ U B = M+M + C+C``, so the run's certificate is
-    the Kraus certificate.
+    on the guard's columns, certified there as a run (``_product``), splits
+    its rows into ``m = B+ U B`` and ``c = E+ U B``, with adjoints, and
+    forms ``gram = C+C``. The chain carries the looping block and its
+    running sum ``S``: a step is the congruence ``s -> M s M+`` and
+    ``S -> S + s``, its trace gap is ``Re <C+C, s> = tr(C s C+)``, and the
+    exit block ``a_0 + C S C+`` is formed once, where the chain stops. Each
+    term is PSD by construction; ``(U B)+ U B = M+M + C+C``, so the run's
+    certificate is the Kraus certificate.
 
-    Any other body leaves ``m`` and ``c`` None: a step is ``sigma =
-    [[body]](B s B+)``, then the looping block ``B+ sigma B`` and the exit
-    increment ``E+ sigma E``, PSD as a sum of congruences; a faulty step
-    is caught by ``apply``'s output certificate.
+    Any other body leaves ``m``, ``c`` and ``gram`` None: a step is
+    ``sigma = [[body]](B s B+)``, then the looping block ``B+ sigma B`` and
+    the exit increment ``E+ sigma E``, added to the exit block, PSD as a sum
+    of congruences. A faulty step of either kernel is caught by ``apply``'s
+    output certificate.
     """
 
     guard: _GuardMaps
@@ -211,31 +219,42 @@ class _Loop:
     c: np.ndarray | None = None
     m_adj: np.ndarray | None = None
     c_adj: np.ndarray | None = None
+    gram: np.ndarray | None = None
 
     def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
-        acc, count, converged, traces = chain_supremum(self.approximants(rho, cfg, loops), cfg)
-        loops.append((count, converged, traces))
-        return self.guard.lift(self.guard.e, acc)
+        g = self.guard
+        a, s = g.compress(g.e, g.e, rho), g.compress(g.b, g.b, rho)
+        total = None  # the block kernel's S_n = s_0 + ... + s_{n-1}, for n >= 1
+
+        def traces():
+            """``tr a_0, tr a_1, ...``, each step run only when its trace is read."""
+            nonlocal a, s, total
+            t = float(a.trace().real)
+            yield t
+            if self.m is None:
+                while True:
+                    s, increment = self.step(s, cfg, loops)
+                    a = a + increment
+                    yield float(a.trace().real)
+            while True:
+                total = s if total is None else total + s
+                t += float(np.vdot(self.gram, s).real)
+                yield t
+                s = self.m @ s @ self.m_adj
+
+        count, converged, log = chain_supremum(traces(), cfg)
+        loops.append((count, converged, log))
+        if total is not None:
+            a = a + self.c @ total @ self.c_adj
+        return g.lift(g.e, a)
 
     def step(self, s: np.ndarray, cfg: FixpointConfig, loops: list) -> tuple[np.ndarray, np.ndarray]:
-        """One Kleene step on the looping block s: (next looping block, exit increment)."""
-        if self.m is not None:
-            return self.m @ s @ self.m_adj, self.c @ s @ self.c_adj
+        """One body step on the looping block s: (next looping block, exit increment)."""
         g = self.guard
         sigma = g.lift(g.b, s)
         for node in self.body:
             sigma = node(sigma, cfg, loops)
         return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
-
-    def approximants(self, rho: np.ndarray, cfg: FixpointConfig, loops: list):
-        """The chain's exit blocks a_0, a_1, ... on input ``rho``."""
-        g = self.guard
-        acc, s = g.compress(g.e, g.e, rho), g.compress(g.b, g.b, rho)
-        yield acc
-        while True:
-            s, increment = self.step(s, cfg, loops)
-            acc = acc + increment
-            yield acc
 
 
 _Node = _Gates | _If | _Loop
@@ -292,4 +311,5 @@ def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:
         return _Loop(guard, _denote(body, total_qubits))
     x = _product(body, total_qubits, np.eye(guard.dim, dtype=complex)[:, guard.b])
     m, c = x[guard.b], x[guard.e]
-    return _Loop(guard, (), m, c, m.conj().T, c.conj().T)
+    c_adj = c.conj().T
+    return _Loop(guard, (), m, c, m.conj().T, c_adj, c_adj @ c)

@@ -306,15 +306,15 @@ _CHAIN_BOUND = 64
 def _geometric_supremum(f: PartialDensityOperator, cfg: FixpointConfig):
     """``chain_supremum`` of ``geometric_chain(f)``, the chain built at once
     as one read-only n x d x d stack whose element n - 1 is (1 - 2^-n) f,
-    the same product ``scale`` forms. Returns the slice of the stack that
-    ``chain_supremum`` consumed, its last element as ``scale(f, 1 - 2^-N)``
-    (the supremum, with the certificate ``scale`` gives it), whether the
-    chain converged, and the consumed elements' traces as ``chain_supremum``
-    read them."""
+    the same product ``scale`` forms, and read through the stack's traces.
+    Returns the slice of the stack whose traces ``chain_supremum`` consumed,
+    its last element as ``scale(f, 1 - 2^-N)`` (the supremum, with the
+    certificate ``scale`` gives it), whether the chain converged, and the
+    traces consumed."""
     factors = 1.0 - 2.0 ** -np.arange(1, _CHAIN_BOUND + 1)
     stack = factors[:, None, None] * f.matrix
     stack.setflags(write=False)
-    _, iterations, converged, traces = chain_supremum(stack, cfg)
+    iterations, converged, traces = chain_supremum(np.trace(stack, axis1=1, axis2=2).real.tolist(), cfg)
     return stack[: iterations + 1], scale(f, float(factors[iterations])), converged, traces
 
 

@@ -85,9 +85,10 @@ def test_criterion_3_dcpo_chains():
             traces = [fn.trace for fn in islice(geometric_chain(f), 20)]
             gaps = np.diff(traces)
             worst_ratio = max(worst_ratio, float(np.max(np.abs(gaps[1:] / gaps[:-1] - 0.5))))
-            sup, _, converged, _ = chain_supremum(fn.matrix for fn in geometric_chain(f))
+            chain = list(islice(geometric_chain(f), 64))
+            iterations, converged, _ = chain_supremum(fn.trace for fn in chain)
             assert converged
-            sup = PartialDensityOperator(sup)
+            sup = PartialDensityOperator(chain[iterations].matrix)
             worst_norm = max(worst_norm, linalg.max_norm(sup.matrix - f.matrix))
             for _ in range(50):
                 k = sampling.random_subspace(dim, int(rng.integers(1, dim)), rng)
@@ -148,7 +149,7 @@ def test_criterion_5_interval_monotonicity_and_continuity():
         shifted = sampling.random_hermitian(dim, rng)
         shifted = shifted - np.linalg.eigvalsh(shifted)[0] * np.eye(dim)
         r_pos = BoundedObservable(shifted)
-        _, iters, _, _ = chain_supremum(fn.matrix for fn in geometric_chain(f))
+        iters, _, _ = chain_supremum(fn.trace for fn in geometric_chain(f))
         boxes = [expected_interval(r_pos, fn) for fn in islice(geometric_chain(f), iters + 1)]
         limit = directed_intersection(boxes)
         target = expected_interval(r_pos, f)

@@ -1,4 +1,5 @@
 import math
+from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -183,28 +184,20 @@ class TestScale:
 
 
 class TestChainSupremum:
+    """``chain_supremum`` reads a chain through its traces; the caller keeps
+    the elements and takes element ``iterations``."""
+
     def test_constant_chain(self):
         f = sampling.random_pdo(3, rng_for(8))
-
-        def constant():
-            while True:
-                yield f.matrix
-
-        sup, iterations, converged, traces = chain_supremum(constant())
+        iterations, converged, traces = chain_supremum(repeat(f.trace))
         assert converged and iterations == 1
-        assert np.allclose(sup, f.matrix)
         assert traces == [f.trace, f.trace]
 
     def test_geometric_chain_reaches_limit(self):
         f = sampling.random_pdo(4, rng_for(9), trace=0.8)
-
-        def geometric():
-            n = 0
-            while True:
-                n += 1
-                yield scale(f, 1.0 - 2.0**-n).matrix
-
-        sup, iterations, converged, traces = chain_supremum(geometric())
+        chain = [scale(f, 1.0 - 2.0**-n) for n in range(1, 65)]
+        iterations, converged, traces = chain_supremum(fn.trace for fn in chain)
+        sup = chain[iterations].matrix
         assert converged
         assert linalg.max_norm(sup - f.matrix) <= 1e-8
         assert len(traces) == iterations + 1
@@ -220,24 +213,26 @@ class TestChainSupremum:
     def test_finite_chain_attains_supremum(self):
         f = sampling.random_pdo(2, rng_for(11), trace=0.6)
         chain = [scale(f, r).matrix for r in (0.25, 0.5, 1.0)]
-        sup, iterations, converged, traces = chain_supremum(iter(chain))
+        traces = [float(np.trace(m).real) for m in chain]
+        iterations, converged, read = chain_supremum(iter(traces))
         assert converged and iterations == 2
-        assert np.allclose(sup, f.matrix)
-        assert traces == [float(np.trace(m).real) for m in chain]
+        assert np.allclose(chain[iterations], f.matrix)
+        assert read == traces
 
     def test_truncation_reports_nonconvergence(self):
         f = sampling.random_pdo(2, rng_for(12), trace=0.9)
+        pulled = []
 
         def slow():
-            n = 0
-            while True:
-                n += 1
-                yield scale(f, 1.0 - 1.0 / (n + 1)).matrix
+            # the caller's element is the last one whose trace was pulled
+            for n in count(1):
+                pulled.append(scale(f, 1.0 - 1.0 / (n + 1)))
+                yield pulled[-1].trace
 
-        sup, iterations, converged, traces = chain_supremum(slow(), FixpointConfig(max_iterations=5))
+        iterations, converged, traces = chain_supremum(slow(), FixpointConfig(max_iterations=5))
         assert not converged and iterations == 4
-        assert len(traces) == 5
-        assert np.array_equal(sup, scale(f, 1.0 - 1.0 / 6).matrix)
+        assert len(traces) == len(pulled) == 5
+        assert np.array_equal(pulled[-1].matrix, scale(f, 1.0 - 1.0 / 6).matrix)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -246,8 +241,8 @@ class TestChainSupremum:
     def test_supremum_is_upper_bound(self):
         f = sampling.random_pdo(3, rng_for(15), trace=0.7)
         chain = [scale(f, 1.0 - 2.0**-n) for n in range(1, 20)]
-        sup, _, _, _ = chain_supremum(iter(element.matrix for element in chain))
-        sup = PartialDensityOperator(sup)
+        iterations, _, _ = chain_supremum(element.trace for element in chain)
+        sup = PartialDensityOperator(chain[iterations].matrix)
         for element in chain:
             assert loewner_leq(element, sup)[0]
 

@@ -21,11 +21,10 @@ from qpartial.qlang import interpreter
 DIMS, TRIALS, SEED = [2, 3, 4], 30, 42
 
 
-def one_step_supremum(chain, cfg=None):
+def one_step_supremum(traces, cfg=None):
     """``chain_supremum`` that stops after one step and claims convergence."""
-    it = iter(chain)
-    first, second = next(it), next(it)
-    return second, 1, True, [float(np.trace(m).real) for m in (first, second)]
+    it = iter(traces)
+    return 1, True, [next(it), next(it)]
 
 
 _scale = verify.scale
@@ -49,9 +48,9 @@ _loop_step = interpreter._Loop.step
 
 
 def negated_body_step_exit(loop, s, cfg, loops):
-    """``_Loop.step`` that negates the exit increment of a body-step loop."""
+    """``_Loop.step``, the body-step kernel, with its exit increment negated."""
     s, increment = _loop_step(loop, s, cfg, loops)
-    return s, -increment if loop.m is None else increment
+    return s, -increment
 
 
 def narrowed_intersection(chain):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -145,19 +147,19 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
 
 
 def drop_c_conjugate(monkeypatch, only_linearity_runs: bool = False) -> None:
-    """Make a block loop's exit increment ``C s C^T`` in place of ``C s C+``:
-    not Hermitian where C is complex, so its run raises ``NotHermitianError``
-    when the output is certified. With ``only_linearity_runs`` the fault
-    acts only on runs at ``max_iterations == 25``, the linearity runs of
-    ``qlang_suite``."""
-    original = interpreter._Loop.step
+    """Make a block loop form its exit block ``a_0 + C S C^T`` in place of
+    ``a_0 + C S C+``: not Hermitian where C is complex, so its run raises
+    ``NotHermitianError`` when the output is certified. With
+    ``only_linearity_runs`` the fault acts only on runs at
+    ``max_iterations == 25``, the linearity runs of ``qlang_suite``."""
+    original = interpreter._Loop.__call__
 
-    def faulty_step(loop, s, cfg, loops):
-        if loop.m is None or (only_linearity_runs and cfg.max_iterations != 25):
-            return original(loop, s, cfg, loops)
-        return loop.m @ s @ loop.m.conj().T, loop.c @ s @ loop.c.T
+    def faulty_call(loop, rho, cfg, loops):
+        if loop.m is not None and not (only_linearity_runs and cfg.max_iterations != 25):
+            loop = dataclasses.replace(loop, c_adj=loop.c.T)
+        return original(loop, rho, cfg, loops)
 
-    monkeypatch.setattr(interpreter._Loop, "step", faulty_step)
+    monkeypatch.setattr(interpreter._Loop, "__call__", faulty_call)
 
 
 @pytest.mark.parametrize(
@@ -184,15 +186,22 @@ def test_a_fault_inside_a_qlang_trial_exits_2(monkeypatch, capsys):
 
 
 def nan_exit_increment(monkeypatch) -> None:
-    """Make every loop step's exit increment NaN: the run's output then
-    fails ``linalg.as_matrix`` with a plain ``ValueError``."""
-    original = interpreter._Loop.step
+    """Make every loop's exit NaN, a body step's increment and a block loop's
+    ``C S C+`` through a NaN ``C+``: the run's output then fails
+    ``linalg.as_matrix`` with a plain ``ValueError``."""
+    original_step, original_call = interpreter._Loop.step, interpreter._Loop.__call__
 
     def faulty_step(loop, s, cfg, loops):
-        s_next, increment = original(loop, s, cfg, loops)
+        s_next, increment = original_step(loop, s, cfg, loops)
         return s_next, np.full_like(increment, np.nan)
 
+    def faulty_call(loop, rho, cfg, loops):
+        if loop.m is not None:
+            loop = dataclasses.replace(loop, c_adj=np.full_like(loop.c_adj, np.nan))
+        return original_call(loop, rho, cfg, loops)
+
     monkeypatch.setattr(interpreter._Loop, "step", faulty_step)
+    monkeypatch.setattr(interpreter._Loop, "__call__", faulty_call)
 
 
 def test_a_value_error_inside_any_qlang_run_is_recorded_with_its_seed(monkeypatch):
@@ -326,9 +335,9 @@ CHAIN_CONFIGS = [
 def test_stacked_geometric_chain_equals_the_lazy_one(cfg, trace):
     f = sampling.random_pdo(3, np.random.default_rng(8), trace=trace)
     chain, sup, converged, traces = _geometric_supremum(f, cfg)
-    lazy_sup, iterations, lazy_converged, lazy_traces = chain_supremum(
-        (fn.matrix for fn in geometric_chain(f)), cfg
-    )
+    lazy = list(islice(geometric_chain(f), 64))
+    iterations, lazy_converged, lazy_traces = chain_supremum((fn.trace for fn in lazy), cfg)
+    lazy_sup = lazy[iterations].matrix
     assert len(chain) == iterations + 1
     assert converged == lazy_converged
     # the traces chain_supremum read, bit for bit those of the stack's elements
