@@ -17,10 +17,11 @@ result without running the validating constructor:
   and the Hermitian deviation by r <= 1, so every bound f met still holds;
 - ``logic.orthocomplement(k)``: I - P has exactly P's Hermitian deviation
   and, mathematically, P's idempotency defect;
-- an event spanned by known orthonormal columns B is certified from the
-  Gram matrix B+B instead (``linalg.require_orthonormal``); an
-  observable's eigenprojections and events inherit the one certificate
-  of its eigenvector columns.
+- an event spanned by orthonormal columns B is certified from the Gram
+  matrix B+B instead (``linalg.require_orthonormal``), except the named
+  events ``zero`` and ``full``, whose identity columns are exact, and an
+  observable's eigenprojections and events, which inherit the one
+  certificate of its eigenvector columns.
 
 The only slack in ``scale`` and ``orthocomplement`` is rounding, about
 d * eps * |f| (below 1.5e-14 at d = 64), which is below the error of the
@@ -83,10 +84,12 @@ class PartialDensityOperator:
     @classmethod
     def pure(cls, vector) -> "PartialDensityOperator":
         """Rank-one state |v><v| of the normalized vector (trace one)."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise InvalidOperatorError("cannot normalize the zero vector")
+        v = linalg.as_vector(vector)
+        # a zero, non-finite or overflowed norm fails before it divides anything
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not 0.0 < norm < np.inf:
+            raise InvalidOperatorError(f"cannot normalize a vector of norm {norm}")
         v = v / norm
         return cls(np.outer(v, v.conj()))
 

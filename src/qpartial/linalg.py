@@ -1,7 +1,7 @@
-"""Matrix coercion and norms, the Hermitian eigensolver, the PSD
-test, and the library's validation tolerances.
+"""Matrix and vector coercion, norms, Gram-Schmidt, the Hermitian
+eigensolver, the PSD test, and the library's validation tolerances.
 
-All functions operate on square ``complex128`` numpy arrays and treat them
+All functions operate on ``complex128`` numpy arrays and treat them
 as immutable values: nothing here mutates its arguments. The eigensolver
 delegates to LAPACK through ``numpy.linalg`` and then checks the
 reconstruction residual, and its eigenvector columns with
@@ -45,6 +45,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_vector(v) -> np.ndarray:
+    """Coerce to a 1-D complex vector; more than one axis longer than 1,
+    as in a matrix, raises ``DimensionMismatchError``."""
+    a = np.asarray(v, dtype=complex)
+    if a.ndim > 1 and max(a.shape) != a.size:
+        raise DimensionMismatchError(f"expected a vector, got shape {a.shape}")
+    return a.reshape(-1)
+
+
 def max_norm(a) -> float:
     """Largest entry magnitude (the max norm used by all tolerance checks)."""
     a = np.asarray(a)
@@ -54,8 +63,9 @@ def max_norm(a) -> float:
 def gram_defect(v: np.ndarray) -> np.ndarray:
     """V+V - I for the columns V, as a new array: the identity is taken off
     the Gram matrix's diagonal in place, which rounds exactly as
-    subtracting ``np.eye`` does."""
-    g = v.conj().T @ v
+    subtracting ``np.eye`` does. Overflow reads inf or NaN, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = v.conj().T @ v
     g.flat[:: g.shape[0] + 1] -= 1.0
     return g
 
@@ -106,7 +116,7 @@ def require_orthonormal(b: np.ndarray) -> None:
     submatrix of E, whose Frobenius norm is no larger.
     """
     eps = euclidean_norm(gram_defect(b))
-    if eps * (1.0 + eps) > PROJ_TOL:
+    if not eps * (1.0 + eps) <= PROJ_TOL:
         raise CrossCheckError(
             f"span columns are not orthonormal: |B+B - I|_F = {eps:.3e} (tol {PROJ_TOL:.1e})"
         )
@@ -146,28 +156,27 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def orthonormalize(vectors) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+def orthonormalize(vectors, dim: int) -> np.ndarray:
+    """Modified Gram-Schmidt with one reorthogonalization pass, over 1-D
+    complex vectors of length ``dim`` as the caller coerced and checked them.
 
-    Vectors whose residual norm after projection falls below ``RANK_TOL``
-    are dropped, so the output is an orthonormal basis of the input span.
-    The output may be empty when all inputs are (numerically) zero.
+    Returns the dim x r orthonormal columns spanning the input, dim x 0
+    when nothing survives: a vector whose residual norm after projection
+    falls below ``RANK_TOL`` is dropped. A residual norm that is not
+    finite, as from a non-finite entry, raises ``ValueError``.
     """
     basis: list[np.ndarray] = []
-    dim = None
-    for v in vectors:
-        w = np.asarray(v, dtype=complex).reshape(-1)
-        if dim is None:
-            dim = w.shape[0]
-        elif w.shape[0] != dim:
-            raise DimensionMismatchError(f"vector dimension {w.shape[0]} != {dim}")
+    for w in vectors:
         for _ in range(2):
             for u in basis:
                 w = w - u * np.vdot(u, w)
         norm = euclidean_norm(w)
-        if norm >= RANK_TOL:
+        # NaN fails both comparisons: it is neither dropped nor divided by
+        if not norm < RANK_TOL:
+            if not norm < math.inf:
+                raise ValueError(f"vector family is not finite: a residual norm is {norm}")
             basis.append(w / norm)
-    return basis
+    return np.column_stack(basis) if basis else np.zeros((dim, 0), dtype=complex)
 
 
 def require_psd_hermitian(h: np.ndarray) -> np.ndarray:

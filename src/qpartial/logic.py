@@ -1,17 +1,17 @@
 """Closed subspaces (quantum events), their lattice, and the measure view.
 
 A closed subspace of the finite Hilbert space is stored canonically as
-its orthogonal projection matrix. An event spanned by known orthonormal
-columns B (``subspace_from_vectors``, and so ``join`` and ``meet``) is
-certified from the r x r Gram matrix of B and keeps B as its basis, so
-neither its validation nor its rank runs an eigensolve; an observable's
-eigenprojections and events keep their columns too, certified with the
-observable's eigenvector matrix. The measure view of a partial density
-operator f assigns tr(P_K f) to every event K; this is a sub-probability
-measure, and the map f -> measure is an order isomorphism between the
-Loewner order and the pointwise order on measures (dim > 2 is needed only
-for surjectivity, which plays no computational role here: every measure
-is evaluated as ``gleason_measure(f, K)`` from its operator).
+its orthogonal projection matrix, and every event but a complement is
+built with an orthonormal basis as matrix columns. Events spanned by
+orthonormal columns B (``subspace_from_vectors``, the one vector check,
+and so ``join`` and ``meet``; the exact ``zero`` and ``full``; an
+observable's eigenprojections and events) keep B, so neither their
+validation nor their rank runs an eigensolve. The measure view of a
+partial density operator f assigns tr(P_K f) to every event K; this is a
+sub-probability measure, and the map f -> measure is an order isomorphism
+between the Loewner order and the pointwise order on measures (dim > 2 is
+needed only for surjectivity, which plays no computational role here:
+every measure is evaluated as ``gleason_measure(f, K)`` from its operator).
 """
 
 from __future__ import annotations
@@ -24,34 +24,33 @@ from .errors import CrossCheckError, DimensionMismatchError
 
 
 class ClosedSubspace:
-    """A quantum event, canonically an orthogonal projection matrix.
+    """A quantum event, canonically an orthogonal projection matrix, with
+    an orthonormal basis of its range as matrix columns.
 
     Validation requires the matrix to be Hermitian within
-    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``;
-    ``orthocomplement`` keeps that certificate without validating again,
-    and ``_span`` certifies an event from its orthonormal columns instead.
-    Unless the event was built from its columns, the rank and basis are
-    computed on first use and cached: for a complement, as the completion
-    of the other event's basis to a unitary (one QR factorization), so
-    its value does not depend on which bases were read before; otherwise
-    from one eigensolve of the projection, the rank being the number of
-    eigenvalues above one half.
+    ``linalg.HERMITIAN_TOL`` and idempotent within ``linalg.PROJ_TOL``,
+    and the basis is then read off one eigensolve: the eigenvectors with
+    eigenvalue above one half. ``_certified`` builds an event on certified
+    columns, and ``orthocomplement`` keeps the other event's certificate,
+    without validating again. Only a complement defers its basis, to the
+    first read: the completion of the other event's basis to a unitary
+    (one QR factorization), so it does not depend on what was read before.
     """
 
     __slots__ = ("_projection", "_basis", "_complement_of")
 
     def __init__(self, projection):
         p = linalg.require_hermitian(projection)
-        idem = linalg.max_norm(p @ p - p)
-        if idem > linalg.PROJ_TOL:
+        # an overflowed P @ P reads inf or NaN, and either fails the bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            idem = linalg.max_norm(p @ p - p)
+        if not idem <= linalg.PROJ_TOL:
             raise ValueError(
                 f"matrix is not idempotent: |P^2 - P| = {idem:.3e} (tol {linalg.PROJ_TOL:.1e})"
             )
         p = np.array(p, dtype=complex)
-        p.setflags(write=False)
-        self._projection = p
-        self._basis = None
-        self._complement_of = None
+        vals, vecs = np.linalg.eigh(p)
+        _fill(self, p, vecs[:, vals > 0.5])
 
     @property
     def projection(self) -> np.ndarray:
@@ -69,14 +68,9 @@ class ClosedSubspace:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the subspace, as matrix columns."""
         if self._basis is None:
-            if self._complement_of is not None:
-                c = self._complement_of.basis
-                basis = np.linalg.qr(c, mode="complete")[0][:, c.shape[1]:]
-            else:
-                vals, vecs = np.linalg.eigh(self._projection)
-                basis = np.array(vecs[:, vals > 0.5])
-            basis.setflags(write=False)
-            self._basis = basis
+            c = self._complement_of.basis
+            self._basis = np.linalg.qr(c, mode="complete")[0][:, c.shape[1]:]
+            self._basis.setflags(write=False)
         return self._basis
 
     def __repr__(self):
@@ -89,34 +83,33 @@ class ClosedSubspace:
 
     @classmethod
     def zero(cls, dim: int) -> "ClosedSubspace":
-        return _span(_identity(dim)[:, :0])
+        return _certified(_identity(dim)[:, :0])
 
     @classmethod
     def full(cls, dim: int) -> "ClosedSubspace":
-        return _span(_identity(dim))
+        return _certified(_identity(dim))
 
 
 def _identity(dim: int) -> np.ndarray:
-    """The d x d identity whose columns span the named events, for ``dim >= 1``."""
+    """The d x d identity, whose exact columns span the named events, for ``dim >= 1``."""
     if dim < 1:
         raise DimensionMismatchError(f"an event needs dimension at least 1, got {dim}")
     return np.eye(dim, dtype=complex)
 
 
-def _certified(
-    projection: np.ndarray, basis: np.ndarray | None = None, complement_of: ClosedSubspace | None = None
-) -> ClosedSubspace:
-    """The one place that builds an event without ``ClosedSubspace.__init__``;
-    each caller states why its projection needs no check. ``basis`` spans
-    the event, if known; ``complement_of`` is the event it complements."""
+def _fill(event: ClosedSubspace, projection, basis, complement_of=None) -> ClosedSubspace:
+    """Set an event's slots, its arrays read-only; a complement's basis is None."""
     projection.setflags(write=False)
     if basis is not None:
         basis.setflags(write=False)
-    event = object.__new__(ClosedSubspace)
-    event._projection = projection
-    event._basis = basis
-    event._complement_of = complement_of
+    event._projection, event._basis, event._complement_of = projection, basis, complement_of
     return event
+
+
+def _certified(b: np.ndarray) -> ClosedSubspace:
+    """The one builder of an event on orthonormal columns B already
+    certified: P = B B+, with basis B. Each caller states why B needs no check."""
+    return _fill(object.__new__(ClosedSubspace), b @ b.conj().T, b)
 
 
 def _span(b: np.ndarray) -> ClosedSubspace:
@@ -124,33 +117,29 @@ def _span(b: np.ndarray) -> ClosedSubspace:
 
     B must pass ``linalg.require_orthonormal``, which raises
     ``CrossCheckError`` otherwise and bounds P = B B+'s idempotency defect
-    within ``linalg.PROJ_TOL``; P is returned with basis B, without
-    validating it again. The computed B B+ is Hermitian up to rounding of
-    about 2 r eps_mach (below 1.5e-14 at d = 64), far inside
+    within ``linalg.PROJ_TOL``. The computed B B+ is Hermitian up to
+    rounding of about 2 r eps_mach (below 1.5e-14 at d = 64), far inside
     ``linalg.HERMITIAN_TOL``.
     """
     linalg.require_orthonormal(b)
-    return _certified(b @ b.conj().T, b)
+    return _certified(b)
 
 
 def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
-    """Projection onto the span of the given vectors.
-
-    ``dim`` is only required for an empty family, which yields the zero
-    subspace.
+    """Projection onto the span of the given vectors; the one place a
+    vector family is coerced (``linalg.as_vector``) and every length
+    checked. ``dim`` is only required for an empty family, which yields the
+    zero subspace. A non-finite entry raises in ``linalg.orthonormalize``.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
-        if dim is None:
+    vecs = [linalg.as_vector(v) for v in vectors]
+    if dim is None:
+        if not vecs:
             raise ValueError("empty vector family needs an explicit dimension")
-        return ClosedSubspace.zero(dim)
-    n = vecs[0].shape[0]
-    if dim is not None and dim != n:
-        raise DimensionMismatchError(f"vectors have dimension {n}, expected {dim}")
-    basis = linalg.orthonormalize(vecs)
-    if not basis:
-        return ClosedSubspace.zero(n)
-    return _span(np.column_stack(basis))
+        dim = vecs[0].shape[0]
+    for v in vecs:
+        if v.shape[0] != dim:
+            raise DimensionMismatchError(f"vectors have dimension {v.shape[0]}, expected {dim}")
+    return _span(linalg.orthonormalize(vecs, dim)) if vecs else ClosedSubspace.zero(dim)
 
 
 def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
@@ -159,19 +148,18 @@ def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:
     I - P keeps P's certificate: its Hermitian deviation is exactly P's,
     and (I - P)^2 - (I - P) = P^2 - P, so its idempotency defect is
     mathematically P's, up to rounding of about d * eps (below 1.5e-14 at
-    d = 64), far inside ``linalg.PROJ_TOL``. The complement's basis, when
-    read, is the completion of ``k.basis`` to a unitary, whatever was read
-    before; if P's basis is known, reading it (as ``meet`` does through
-    ``join``) runs no eigensolve.
+    d = 64), far inside ``linalg.PROJ_TOL``. Its basis is deferred (see
+    ``ClosedSubspace``).
     """
-    return _certified(np.eye(k.dim, dtype=complex) - k.projection, complement_of=k)
+    return _fill(object.__new__(ClosedSubspace), np.eye(k.dim, dtype=complex) - k.projection, None, k)
 
 
 def join(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:
-    """Smallest subspace containing both: the span of their union."""
+    """Smallest subspace containing both: the span of their bases' columns,
+    passed as views, since a stacked copy changes BLAS's dot kernel and so
+    the rounding."""
     linalg.require_same_dim(k1.dim, k2.dim)
-    columns = [k1.basis[:, j] for j in range(k1.rank)] + [k2.basis[:, j] for j in range(k2.rank)]
-    return subspace_from_vectors(columns, dim=k1.dim)
+    return _span(linalg.orthonormalize([*k1.basis.T, *k2.basis.T], k1.dim))
 
 
 def meet(k1: ClosedSubspace, k2: ClosedSubspace) -> ClosedSubspace:

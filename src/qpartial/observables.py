@@ -88,7 +88,7 @@ class BoundedObservable:
         """Pairs (eigenvalue, eigenprojection), eigenvalues ascending and
         distinct, each eigenprojection built from its group's certified
         columns on this read."""
-        return tuple((lam, _certified(b @ b.conj().T, b)) for lam, b in self._eigenspaces())
+        return tuple((lam, _certified(b)) for lam, b in self._eigenspaces())
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -138,8 +138,7 @@ def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
     columns = [b for lam, b in r._eigenspaces() if u(lam)]
     if not columns:
         return ClosedSubspace.zero(r.dim)
-    b = np.hstack(columns)
-    return _certified(b @ b.conj().T, b)
+    return _certified(np.hstack(columns))
 
 
 def spectrum_bounds(r: BoundedObservable) -> tuple[float, float]:

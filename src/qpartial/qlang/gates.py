@@ -25,7 +25,7 @@ def _require_unitary(u: np.ndarray, tol: float, what: str) -> np.ndarray:
     tall ``u`` is certified as an isometry: for ``u = [M; C]`` that is the
     Kraus split ``M+M + C+C = I``."""
     dev = linalg.max_norm(linalg.gram_defect(u))
-    if dev > tol:
+    if not dev <= tol:  # NaN too, as from an overflowed Gram product
         raise NonUnitaryError(f"{what} deviates from unitary by {dev:.3e}")
     return u
 

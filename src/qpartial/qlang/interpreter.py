@@ -83,7 +83,7 @@ class _GuardMaps:
     """A ``|0>``/``|1>`` guard on one qubit as index arrays, B of the basis
     states in its range and E of those in its complement's: the columns of
     ``gates._leg_index`` for that qubit, column j where it reads j. They are
-    used through ``compress(L, R, a) = L+ a R``, an exact gather, and
+    used through ``compress(L, a) = L+ a L``, an exact gather, and
     ``lift(L, a) = L a L+``, an exact scatter into zeros."""
 
     def __init__(self, guard: Guard, total_qubits: int):
@@ -91,14 +91,14 @@ class _GuardMaps:
         self.dim = 2**total_qubits
         self.b, self.e = legs[:, int(guard.ket)], legs[:, 1 - int(guard.ket)]
 
-    def compress(self, left: np.ndarray, right: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``L+ a R`` for index arrays L and R of this guard."""
-        return a[left[:, None], right]
+    def compress(self, idx: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``L+ a L`` for an index array L of this guard."""
+        return a[idx[:, None], idx]
 
-    def lift(self, left: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def lift(self, idx: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The full-dimension matrix ``L a L+``."""
         x = np.zeros((self.dim, self.dim), dtype=complex)
-        x[left[:, None], left] = a
+        x[idx[:, None], idx] = a
         return x
 
 
@@ -179,8 +179,8 @@ class _If:
 
     def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
         g = self.guard
-        kept = g.lift(g.b, g.compress(g.b, g.b, rho))
-        exited = g.lift(g.e, g.compress(g.e, g.e, rho))
+        kept = g.lift(g.b, g.compress(g.b, rho))
+        exited = g.lift(g.e, g.compress(g.e, rho))
         for node in self.then:
             kept = node(kept, cfg, loops)
         for node in self.other:
@@ -223,7 +223,7 @@ class _Loop:
 
     def __call__(self, rho: np.ndarray, cfg: FixpointConfig, loops: list) -> np.ndarray:
         g = self.guard
-        a, s = g.compress(g.e, g.e, rho), g.compress(g.b, g.b, rho)
+        a, s = g.compress(g.e, rho), g.compress(g.b, rho)
         total = None  # the block kernel's S_n = s_0 + ... + s_{n-1}, for n >= 1
 
         def traces():
@@ -254,7 +254,7 @@ class _Loop:
         sigma = g.lift(g.b, s)
         for node in self.body:
             sigma = node(sigma, cfg, loops)
-        return g.compress(g.b, g.b, sigma), g.compress(g.e, g.e, sigma)
+        return g.compress(g.b, sigma), g.compress(g.e, sigma)
 
 
 _Node = _Gates | _If | _Loop

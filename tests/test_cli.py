@@ -89,6 +89,16 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", tmp_path / "big.qp", "--max-iter", max_iter)
         assert code == 1 and out == "" and "unitary" in err
 
+    def test_overflowing_inline_gate_is_a_one_line_error(self, tmp_path, capsys):
+        # its Gram defect is NaN: rejected at denote, before the run, with no
+        # numpy warning on stderr
+        (tmp_path / "huge.qp").write_text(
+            "qubit q; [[1e200+1e200i, 1e200-1e200i], [1e200-1e200i, 1e200+1e200i]] q;"
+        )
+        code, out, err = run_cli(capsys, "run", tmp_path / "huge.qp")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: gate deviates from unitary by nan")
+
     @staticmethod
     def nested_loops(depth: int, head: str = "") -> str:
         """``depth`` nested loops, each body ``head`` and then the next loop."""

@@ -47,6 +47,19 @@ class TestValidation:
         expected = np.array([[0.36, -0.48j], [0.48j, 0.64]])
         assert linalg.max_norm(f.matrix - expected) <= 1e-15
 
+    def test_pure_state_rejects_a_matrix(self):
+        # not read as a vector of dimension 4, which would give a 4 x 4 state
+        with pytest.raises(DimensionMismatchError, match=r"expected a vector, got shape \(2, 2\)"):
+            PartialDensityOperator.pure(np.eye(2))
+        assert PartialDensityOperator.pure(np.array([[0.6], [0.8]])).dim == 2
+
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]])
+    def test_pure_state_rejects_a_vector_it_cannot_normalize(self, vector):
+        # [1e200, 1e200]'s norm overflows to inf; dividing by it would give
+        # the zero matrix, a trace-0 "pure" state
+        with pytest.raises(InvalidOperatorError, match="cannot normalize"):
+            PartialDensityOperator.pure(vector)
+
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             PartialDensityOperator(np.array([[0, 1], [0, 0]], dtype=complex))

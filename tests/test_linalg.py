@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpartial import linalg, sampling
-from qpartial.errors import CrossCheckError, NotHermitianError, NotPositiveError
+from qpartial.errors import CrossCheckError, DimensionMismatchError, NotHermitianError, NotPositiveError
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -123,22 +123,41 @@ def test_require_orthonormal_reads_numpys_frobenius_norm_of_the_gram_defect(monk
     assert seen == [float(np.linalg.norm(b.conj().T @ b - np.eye(rank)))]
 
 
+@pytest.mark.parametrize(
+    "column",
+    [
+        # a NaN entry: the Gram product is NaN
+        [np.nan, 0.0],
+        # an inf entry with an imaginary part: inf * 0 in the Gram product
+        [np.inf + 1j, 0.0],
+        # finite, but its Gram product overflows
+        [1e200 + 1e200j, 0.0],
+    ],
+)
+def test_require_orthonormal_rejects_a_non_finite_defect(column):
+    # NaN > tol is False, so the bound must read "not <= tol"; the Gram
+    # product warns nothing (warnings are errors in this suite)
+    with pytest.raises(CrossCheckError, match="not orthonormal"):
+        linalg.require_orthonormal(np.array([column], dtype=complex).T)
+
+
 class TestOrthonormalize:
+    """Gram-Schmidt over vectors already coerced, to the column matrix."""
+
     def test_already_orthonormal(self):
-        out = linalg.orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert len(out) == 2
-        assert np.allclose(out[0], [1, 0]) and np.allclose(out[1], [0, 1])
+        out = linalg.orthonormalize([np.array([1.0, 0.0j]), np.array([0.0, 1.0j])], 2)
+        assert out.shape == (2, 2)
+        assert np.allclose(out, [[1, 0], [0, 1j]])
 
     def test_duplicate_dropped(self):
-        out = linalg.orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
-        assert len(out) == 1
+        out = linalg.orthonormalize([np.array([1.0, 0.0j]), np.array([1.0, 0.0j])], 2)
+        assert out.shape == (2, 1)
 
     def test_gram_matrix_and_span(self):
         rng = rng_for(9)
         vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(5)]
-        out = linalg.orthonormalize(vecs)
-        assert len(out) == 3
-        b = np.column_stack(out)
+        b = linalg.orthonormalize(vecs, 3)
+        assert b.shape == (3, 3)
         assert linalg.max_norm(b.conj().T @ b - np.eye(3)) < 1e-10
         # every input reconstructs from the output basis
         for v in vecs:
@@ -146,7 +165,32 @@ class TestOrthonormalize:
             assert np.linalg.norm(residual) < linalg.RANK_TOL
 
     def test_all_zero_inputs(self):
-        assert linalg.orthonormalize([np.zeros(3), np.zeros(3)]) == []
+        out = linalg.orthonormalize([np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)], 3)
+        assert out.shape == (3, 0) and out.dtype == complex
+        assert linalg.orthonormalize([], 4).shape == (4, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_residual_norm_raises(self, bad, position):
+        # a NaN residual is not dropped as if rank-deficient, nor is an inf
+        # one divided by. In the second position the residual is NaN after
+        # projection; neither warns
+        vecs = [np.array([1.0, 1j]), np.array([bad, 1.0 + 0j])]
+        with pytest.raises(ValueError, match="not finite"):
+            linalg.orthonormalize(vecs[1 - position :], 2)
+
+
+class TestAsVector:
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3), (1, 3, 1)])
+    def test_one_long_axis_is_read_as_the_entries(self, shape):
+        v = linalg.as_vector(np.arange(3.0).reshape(shape))
+        assert v.shape == (3,) and v.dtype == complex
+        assert np.array_equal(v, [0, 1, 2])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 1, 2)])
+    def test_two_long_axes_are_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="expected a vector"):
+            linalg.as_vector(np.ones(shape))
 
 
 class TestPositiveSemidefinite:
@@ -239,6 +283,6 @@ class TestKernelsMatchTheirNumpyForms:
             norm = float(np.linalg.norm(w))
             if norm >= linalg.RANK_TOL:
                 expected.append(w / norm)
-        out = linalg.orthonormalize(vecs)
-        assert len(out) == len(expected) == dim
-        assert all(np.array_equal(a, b) for a, b in zip(out, expected))
+        out = linalg.orthonormalize(vecs, dim)
+        assert len(expected) == dim
+        assert np.array_equal(out, np.column_stack(expected))

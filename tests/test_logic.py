@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpartial import linalg, sampling
+from qpartial import linalg, logic, sampling
 from qpartial.density import PartialDensityOperator, scale
 from qpartial.errors import CrossCheckError, DimensionMismatchError
 from qpartial.logic import (
@@ -54,17 +54,35 @@ class TestClosedSubspace:
             assert k.rank == rank
             assert k.basis.shape == (4, rank)
 
-    def test_basis_is_computed_once_on_first_use(self, count_eigensolves):
+    def test_basis_is_computed_once_at_construction(self, count_eigensolves):
         p = sampling.random_subspace(4, 2, rng_for(21)).projection
         with count_eigensolves() as sizes:
             k = ClosedSubspace(p)
-            assert sizes == []
+            assert sizes == [4]
             basis, rank = k.basis, k.rank
             assert k.basis is basis
         assert sizes == [4]
         vals, vecs = np.linalg.eigh(k.projection)
         assert rank == 2
         assert np.array_equal(basis, vecs[:, vals > 0.5])
+        assert not basis.flags.writeable
+
+    def test_overflowed_idempotency_defect_is_rejected(self):
+        # Hermitian, but P @ P overflows, so |P^2 - P| is NaN, which must fail
+        # the bound, with no numpy warning (an error in this suite)
+        p = np.array([[1e200, 1e200 + 1e200j], [1e200 - 1e200j, 1e200]])
+        with pytest.raises(ValueError, match=r"not idempotent: \|P\^2 - P\| = nan"):
+            ClosedSubspace(p)
+
+    @pytest.mark.parametrize("name", ["zero", "full"])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_named_events_are_exact_and_run_no_check(self, count_calls, count_inits, name, dim):
+        with count_calls(linalg, "require_orthonormal") as checks, count_inits(ClosedSubspace) as inits:
+            k = getattr(ClosedSubspace, name)(dim)
+        assert checks == [] and inits == []
+        rank = dim if name == "full" else 0
+        assert np.array_equal(k.projection, np.eye(dim)[:, :rank] @ np.eye(dim)[:rank])
+        assert np.array_equal(k.basis, np.eye(dim)[:, :rank]) and k.rank == rank
 
     @pytest.mark.parametrize("dim", [0, -1])
     @pytest.mark.parametrize("name", ["zero", "full"])
@@ -307,6 +325,43 @@ class TestStateOrder:
         assert state_leq(f, g) == (True, None)
 
 
+class TestVectorBoundary:
+    """``subspace_from_vectors`` is the one place a vector family is
+    coerced and checked."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["alone", "after", "before"])
+    def test_non_finite_entry_is_rejected(self, bad, family):
+        # a NaN residual is not dropped as if rank-deficient, nor is an inf
+        # one divided by; neither warns
+        v = np.array([bad, 1.0])
+        vectors = {"alone": [v], "after": [basis_vec(0, 2), v], "before": [v, basis_vec(0, 2)]}[family]
+        with pytest.raises(ValueError, match="not finite"):
+            subspace_from_vectors(vectors)
+
+    def test_two_dimensional_element_is_rejected(self):
+        # not read as one vector of dimension 4
+        with pytest.raises(DimensionMismatchError, match=r"expected a vector, got shape \(2, 2\)"):
+            subspace_from_vectors([np.eye(2)])
+
+    def test_column_and_row_are_vectors(self):
+        k = subspace_from_vectors([np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]])])
+        assert k.rank == 2 and np.array_equal(k.projection, np.eye(2))
+
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_every_length_is_checked(self, dim):
+        # every vector's length, not only the first's
+        with pytest.raises(DimensionMismatchError, match="vectors have dimension 2, expected 3"):
+            subspace_from_vectors([basis_vec(0, 3), basis_vec(1, 2)], dim=dim)
+
+    def test_join_does_not_go_through_the_vector_check(self, count_calls):
+        k1, k2 = subspace_from_vectors([basis_vec(0, 3)]), subspace_from_vectors([basis_vec(1, 3)])
+        with count_calls(logic, "subspace_from_vectors") as checked, count_calls(linalg, "as_vector") as coerced:
+            joined = join(k1, k2)
+        assert checked == [] and coerced == []
+        assert joined.rank == 2
+
+
 def near_orthonormal_columns(eps: float, dim: int = 3) -> np.ndarray:
     """Columns e0 and e1 + s e0 with Gram matrix [[1, s], [s, 1 + s^2]], so
     that |B+B - I|_F = eps (s^2 rounds away): every entry of B+B - I stays
@@ -343,7 +398,7 @@ class TestSpanCertificate:
         # eps (1 + eps) = PROJ_TOL at eps just below PROJ_TOL
         eps = margin * linalg.PROJ_TOL * (1 - linalg.PROJ_TOL)
         columns = near_orthonormal_columns(eps)
-        monkeypatch.setattr(linalg, "orthonormalize", lambda vectors: list(columns.T))
+        monkeypatch.setattr(linalg, "orthonormalize", lambda vectors, dim: columns)
         vectors = [basis_vec(0, 3), basis_vec(1, 3)]
         if accepted:
             k = subspace_from_vectors(vectors)

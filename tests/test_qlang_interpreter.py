@@ -83,6 +83,13 @@ class TestDenoteUnitary:
         with pytest.raises(NonUnitaryError):
             denote_unitary(np.array([[1.0, 0.0], [0.0, 0.5]]), (0,), 1)
 
+    def test_overflowed_gram_defect_is_rejected(self):
+        # finite entries whose Gram product overflows: U+U - I is NaN, which
+        # must fail the bound, with no numpy warning (an error in this suite)
+        u = np.array([[1e200 + 1e200j, 1e200 - 1e200j], [1e200 - 1e200j, 1e200 + 1e200j]])
+        with pytest.raises(NonUnitaryError, match="deviates from unitary by nan"):
+            denote_unitary(u, (0,), 1)
+
     def test_bad_targets(self):
         with pytest.raises(ValueError):
             denote_unitary("CNOT", (0, 0), 2)
@@ -893,14 +900,14 @@ class TestGuardPaths:
                 # the index arrays are those of the projection's 1s and 0s
                 assert np.array_equal(maps.b, np.flatnonzero(np.diag(p) == 1))
                 assert np.array_equal(maps.e, np.flatnonzero(np.diag(p) == 0))
-                keep = maps.lift(maps.b, maps.compress(maps.b, maps.b, rho))
-                exit = maps.lift(maps.e, maps.compress(maps.e, maps.e, rho))
+                keep = maps.lift(maps.b, maps.compress(maps.b, rho))
+                exit = maps.lift(maps.e, maps.compress(maps.e, rho))
                 assert linalg.max_norm(keep - p @ rho @ p) <= 1e-12
                 assert linalg.max_norm(exit - e @ rho @ e) <= 1e-12
                 w = rng_for(22).standard_normal(2 ** (self.N - 1)) + 0j
                 x = maps.lift(maps.e, np.outer(w, w.conj()))
                 assert linalg.max_norm(e @ x @ e - x) <= 1e-12
-                block = maps.compress(maps.e, maps.e, rho)
+                block = maps.compress(maps.e, rho)
                 assert np.trace(x @ rho) == pytest.approx(np.vdot(w, block @ w), abs=1e-12)
 
     def test_programs_match_kron_reference(self):
@@ -1074,8 +1081,8 @@ class TestKrausCertificate:
             assert linalg.max_norm(m.conj().T @ m + c.conj().T @ c - np.eye(m.shape[1])) < 1e-14, ket
             assert np.array_equal(loop.gram, c.conj().T @ c)
             # a block step's trace gap is Re<C+C, s>, the trace of its exit C s C+
-            s = maps.compress(maps.b, maps.b, rho)
-            exited = np.trace(maps.compress(maps.e, maps.e, rho)).real
+            s = maps.compress(maps.b, rho)
+            exited = np.trace(maps.compress(maps.e, rho)).real
             for _ in range(30):
                 exited += np.vdot(loop.gram, s).real
                 s = m @ s @ loop.m_adj
