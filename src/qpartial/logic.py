@@ -129,7 +129,8 @@ def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
     """Projection onto the span of the given vectors; the one place a
     vector family is coerced (``linalg.as_vector``) and every length
     checked. ``dim`` is only required for an empty family, which yields the
-    zero subspace. A non-finite entry raises in ``linalg.orthonormalize``.
+    zero subspace. A non-finite entry, or a norm that overflows, raises in
+    ``linalg.orthonormalize``, with no numpy warning.
     """
     vecs = [linalg.as_vector(v) for v in vectors]
     if dim is None:
@@ -139,7 +140,11 @@ def subspace_from_vectors(vectors, dim: int | None = None) -> ClosedSubspace:
     for v in vecs:
         if v.shape[0] != dim:
             raise DimensionMismatchError(f"vectors have dimension {v.shape[0]}, expected {dim}")
-    return _span(linalg.orthonormalize(vecs, dim)) if vecs else ClosedSubspace.zero(dim)
+    if not vecs:
+        return ClosedSubspace.zero(dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm is inf, and raises
+        columns = linalg.orthonormalize(vecs, dim)
+    return _span(columns)
 
 
 def orthocomplement(k: ClosedSubspace) -> ClosedSubspace:

@@ -1,7 +1,7 @@
 """A minimal quantum while-language over partial density operators."""
 
-from .ast import ApplyUnitary, Branch, Guard, Program, While
-from .gates import GATES, denote_unitary
+from .ast import ApplyUnitary, Branch, Guard, Program, While, z_basis
+from .gates import GATES
 from .interpreter import Denotation, RunReport, denote, interpret
 from .parser import parse
 
@@ -15,7 +15,7 @@ __all__ = [
     "RunReport",
     "While",
     "denote",
-    "denote_unitary",
     "interpret",
     "parse",
+    "z_basis",
 ]

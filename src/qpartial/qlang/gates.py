@@ -1,10 +1,12 @@
-"""Gate library and embedding of small unitaries into the full register.
+"""Gate library and gates applied on their qubits' legs.
 
 Qubit 0 is the leftmost tensor factor (most significant bit of a basis
-index). ``embed_operator`` places a 2^k x 2^k block on arbitrary,
-possibly non-adjacent target qubits; ``denote_unitary`` additionally
-certifies unitarity, and ``apply_unitary`` multiplies by that unitary
-on the target qubits' legs, with no d x d factor.
+index). ``apply_unitary`` multiplies a matrix by a certified 2^k x 2^k
+block on arbitrary, possibly non-adjacent target qubits, on those
+qubits' legs, with no d x d factor. A named gate is certified once, at
+import; an inline matrix is certified within ``UNITARY_TOL`` and then
+replaced by its nearest unitary, the polar factor ``W V+`` of its SVD
+``W S V+``, so that an accepted defect does not compound in a loop.
 """
 
 from __future__ import annotations
@@ -44,28 +46,9 @@ for _name, _block in GATES.items():
     _require_unitary(_block, linalg.UNITARY_TOL, f"gate {_name}").setflags(write=False)
 del _name, _block
 
-KET_VECTORS: dict[str, np.ndarray] = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([1, 1], dtype=complex) / _SQRT2,
-    "-": np.array([1, -1], dtype=complex) / _SQRT2,
-}
-
 
 def gate_arity(name: str) -> int:
     return int(math.log2(GATES[name].shape[0]))
-
-
-def embed_operator(block, targets, total_qubits: int) -> np.ndarray:
-    """Place a 2^k x 2^k operator on the given k target qubits.
-
-    Works for any matrix (projectors included), not only unitaries.
-    """
-    block = linalg.as_matrix(block)
-    idx = _leg_index(block, targets, total_qubits)
-    full = np.zeros((2**total_qubits, 2**total_qubits), dtype=complex)
-    full[idx[:, :, None], idx[:, None, :]] = block
-    return full
 
 
 def _leg_index(block: np.ndarray, targets, total_qubits: int) -> np.ndarray:
@@ -84,15 +67,10 @@ def _leg_index(block: np.ndarray, targets, total_qubits: int) -> np.ndarray:
     return np.arange(2**total_qubits).reshape((2,) * total_qubits).transpose(order).reshape(-1, 2**k)
 
 
-def denote_unitary(gate, targets, total_qubits: int) -> np.ndarray:
-    """Full-dimension unitary for a gate name or inline matrix."""
-    return embed_operator(_gate_block(gate), tuple(targets), total_qubits)
-
-
 def apply_unitary(gate, targets, total_qubits: int, u: np.ndarray) -> np.ndarray:
-    """``denote_unitary(gate, targets, total_qubits) @ u`` on qubit legs, up
-    to rounding: the 2^k rows of u at each setting of the other qubits are
-    gathered, multiplied by the certified block and scattered back."""
+    """The gate on ``targets``, embedded in the register, times ``u``, up to
+    rounding, on qubit legs: the 2^k rows of u at each setting of the other
+    qubits are gathered, multiplied by the certified block and scattered back."""
     block = _gate_block(gate)
     idx = _leg_index(block, tuple(targets), total_qubits).T
     legs = u[idx]
@@ -102,15 +80,11 @@ def apply_unitary(gate, targets, total_qubits: int, u: np.ndarray) -> np.ndarray
 
 
 def _gate_block(gate) -> np.ndarray:
-    """A gate name's block, certified at import, or an inline matrix's, certified here."""
+    """A gate name's block, certified at import, or an inline matrix's,
+    certified here and returned as its nearest unitary ``W V+``."""
     if not isinstance(gate, str):
-        return _require_unitary(linalg.as_matrix(gate), linalg.UNITARY_TOL, "gate")
+        w, _, vh = np.linalg.svd(_require_unitary(linalg.as_matrix(gate), linalg.UNITARY_TOL, "gate"))
+        return w @ vh
     if gate.upper() not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     return GATES[gate.upper()]
-
-
-def ket_guard_projection(ket: str, qubit: int, total_qubits: int) -> np.ndarray:
-    """Projection onto the event 'this qubit is in the given basis ket'."""
-    v = KET_VECTORS[ket]
-    return embed_operator(np.outer(v, v.conj()), (qubit,), total_qubits)

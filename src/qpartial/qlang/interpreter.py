@@ -3,11 +3,12 @@
 Statements denote positive linear trace-nonincreasing maps. Measurement
 branching projects without renormalizing, which is exactly what makes
 intermediate states sub-normalized: lost trace is mass parked on paths
-that have not terminated. A ``|+>``/``|->`` guard is denoted as the
-``|0>``/``|1>`` guard under H on its qubit (``_in_z_basis``), so every
-guard is used through index arrays, B of the basis states in its range
-and E of those in its complement's: an ``if`` sends ``B B+ rho B B+`` to
-its then-arm and ``E E+ rho E E+`` to its else-arm. A while loop is the
+that have not terminated. ``denote`` first rewrites the program into the
+guard normal form ``ast.z_basis``, where each ``|+>``/``|->`` guard is its
+``|0>``/``|1>`` guard under H, and then reads only ``|0>``/``|1>`` guards.
+Each is used through index arrays, B of the basis states in its range and
+E of those in its complement's: an ``if`` sends ``B B+ rho B B+`` to its
+then-arm and ``E E+ rho E E+`` to its else-arm. A while loop is the
 supremum of its Kleene approximants. The looping mass lies in the
 guard's range and the exited mass in its complement's, so the chain runs
 on the two blocks
@@ -48,7 +49,7 @@ import numpy as np
 
 from .. import linalg
 from ..density import FixpointConfig, PartialDensityOperator, chain_supremum, nontermination_probability
-from .ast import ApplyUnitary, Block, Branch, Guard, Program, Statement, While
+from .ast import ApplyUnitary, Block, Branch, Guard, Program, Statement, While, z_basis
 from .gates import _leg_index, _require_unitary, apply_unitary
 
 
@@ -114,9 +115,10 @@ def _product(run: Block, total_qubits: int, columns: np.ndarray) -> np.ndarray:
 
 
 def denote(prog: Program) -> Denotation:
-    """Denote ``prog`` once: certify every gate run, a gate-run loop's on its
-    guard's columns, and build every guard's maps."""
-    return Denotation(prog.dim, _denote(prog.body, prog.total_qubits))
+    """Denote ``prog`` once, in ``z_basis`` form: certify every gate run, a
+    gate-run loop's on its guard's columns, and build every guard's maps."""
+    n = prog.total_qubits
+    return Denotation(prog.dim, _denote(z_basis(prog.body, n), n))
 
 
 @dataclass(frozen=True)
@@ -261,41 +263,17 @@ _Node = _Gates | _If | _Loop
 
 
 def _denote(block: Block, total_qubits: int) -> tuple[_Node, ...]:
-    """The nodes ``block`` denotes, in order, with its gate runs certified,
-    gate-run loops as their Kraus pairs (M, C), and its guards' maps built."""
+    """The nodes ``block``, in ``z_basis`` form, denotes, in order, with its
+    gate runs certified, gate-run loops as their Kraus pairs (M, C), and its
+    guards' maps built."""
     nodes = []
-    statements = _in_z_basis(block, total_qubits)
-    for is_gate, group in itertools.groupby(statements, lambda s: isinstance(s, ApplyUnitary)):
+    for is_gate, group in itertools.groupby(block, lambda s: isinstance(s, ApplyUnitary)):
         if is_gate:
             nodes.append(_Gates(_product(tuple(group), total_qubits, np.eye(2**total_qubits, dtype=complex))))
         else:
             for stmt in group:
                 nodes.append(_control(stmt, total_qubits))
     return tuple(nodes)
-
-
-def _in_z_basis(block: Block, total_qubits: int):
-    """``block`` with each statement guarded by ``|+>``/``|->`` on a qubit q
-    in its ``|0>``/``|1>`` form under H on q, as ``P+- = H P0/1 H``:
-
-        if q in |+-> { A } else { B }  ->  h q; if q in |0/1> { h q; A } else { h q; B }
-        while q in |+-> { S }          ->  h q; while q in |0/1> { h q; S; h q; } h q;
-
-    The H's fuse into neighbouring gate runs; bodies are rewritten when
-    denoted. A guard's qubit is checked first, so an error names the guard."""
-    for stmt in block:
-        guard = stmt.guard if isinstance(stmt, (Branch, While)) else None
-        if guard is not None and not 0 <= guard.qubit < total_qubits:
-            raise ValueError(f"guard qubit {guard.qubit} out of range for {total_qubits} qubit(s)")
-        ket = {"+": "0", "-": "1"}.get(guard.ket) if guard is not None else None
-        if ket is None:
-            yield stmt
-            continue
-        h, z_guard = ApplyUnitary("H", (guard.qubit,)), Guard(guard.qubit, ket)
-        if isinstance(stmt, Branch):
-            yield from (h, Branch(z_guard, (h, *stmt.then_body), (h, *stmt.else_body)))
-        else:
-            yield from (h, While(z_guard, (h, *stmt.body, h)), h)
 
 
 def _control(stmt: Statement, total_qubits: int) -> _If | _Loop:

@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ParseError
-from .ast import MAX_QUBITS, ApplyUnitary, Block, Branch, Guard, Program, Statement, While
-from .gates import GATES, KET_VECTORS, gate_arity
+from .ast import KETS, MAX_QUBITS, ApplyUnitary, Block, Branch, Guard, Program, Statement, While
+from .gates import GATES, gate_arity
 
 _KEYWORDS = {"qubit", "skip", "if", "else", "while", "in"}
 
@@ -177,7 +177,7 @@ class _Parser:
             self.error("expected 'in'")
         ket_tok = self.expect("ket", "a ket such as |0>")
         label = ket_tok.text[1:-1]
-        if label not in KET_VECTORS:
+        if label not in KETS:
             self.error(f"unknown ket {ket_tok.text!r}", ket_tok)
         return Guard(qubit, label)
 

@@ -57,7 +57,7 @@ from .observables import (
     spectrum_bounds,
 )
 from .qlang import denote, parse
-from .qlang.ast import ApplyUnitary, Block, Branch, Guard, Program, While
+from .qlang.ast import KETS, ApplyUnitary, Block, Branch, Guard, Program, While
 from .qlang.gates import GATES, gate_arity
 
 _MEASURE_LEQ_TOL = 1e-9
@@ -604,7 +604,7 @@ def _random_statement(qubits: int, rng: np.random.Generator, depth: int):
             return ApplyUnitary("CNOT", targets)
         gate = single[int(rng.integers(0, len(single)))]
         return ApplyUnitary(gate, (int(rng.integers(0, qubits)),))
-    ket = ["0", "1", "+", "-"][int(rng.integers(0, 4))]
+    ket = KETS[int(rng.integers(0, len(KETS)))]
     guard = Guard(int(rng.integers(0, qubits)), ket)
     if kind == "if":
         return Branch(

@@ -1,9 +1,40 @@
 import contextlib
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qpartial.density import PartialDensityOperator
+
+# Reference forms built with np.kron, independent of the library's leg
+# indexing; test modules import them from here. Qubit 0 is the leftmost
+# tensor factor.
+KET_VECTORS = {
+    "0": np.array([1, 0], dtype=complex),
+    "1": np.array([0, 1], dtype=complex),
+    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
+    "-": np.array([1, -1], dtype=complex) / np.sqrt(2),
+}
+
+
+def kron_at(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """The n-qubit tensor product with ``factors[q]`` on qubit q and the
+    identity on every other qubit."""
+    return reduce(np.kron, [factors.get(q, np.eye(2)) for q in range(n)])
+
+
+def kron_permuted(block: np.ndarray, targets, n: int) -> np.ndarray:
+    """block (x) I on the qubit order (targets, rest), axes permuted back."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    m = np.kron(block, np.eye(2 ** (n - len(targets)))).reshape((2,) * (2 * n))
+    axes = list(np.argsort(order))
+    return m.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+
+
+def ket_projection(ket: str, qubit: int, n: int) -> np.ndarray:
+    """The projection onto the event ``qubit in |ket>`` of an n-qubit register."""
+    v = KET_VECTORS[ket]
+    return kron_at({qubit: np.outer(v, v.conj())}, n)
 
 
 @pytest.fixture

@@ -100,15 +100,18 @@ class TestRun:
         assert err.count("\n") == 1 and err.startswith("error: gate deviates from unitary by nan")
 
     @staticmethod
-    def nested_loops(depth: int, head: str = "") -> str:
-        """``depth`` nested loops, each body ``head`` and then the next loop."""
-        return "qubit q; " + f"while q in |1> {{ {head}" * depth + "x q;" + " }" * depth
+    def nested_loops(depth: int, head: str = "", ket: str = "1") -> str:
+        """``depth`` nested loops on ``|ket>``, each body ``head`` and then the next loop."""
+        return "qubit q; " + f"while q in |{ket}> {{ {head}" * depth + "x q;" + " }" * depth
 
+    @pytest.mark.parametrize("ket", ["1", "+"])
     @pytest.mark.parametrize("head", ["", "x q; "])
-    def test_180_nested_loops_run(self, tmp_path, capsys, head):
+    def test_180_nested_loops_run(self, tmp_path, capsys, head, ket):
         # a block denotes the tuple of its nodes, so a loop body of two
-        # statements nests as deep as a body of one
-        source = self.nested_loops(180, head)
+        # statements nests as deep as a body of one; `z_basis` rewrites
+        # each `|+>` loop into one `|0>` loop, recursing once per level as
+        # the parser and `denote` do, so it does not lower that depth
+        source = self.nested_loops(180, head, ket)
         report = denote(parse(source)).apply(PartialDensityOperator.ground_state(2))
         assert report.converged and len(report.iterations_per_loop) == 180
         (tmp_path / "deep.qp").write_text(source)

@@ -85,3 +85,9 @@ def test_undeclared_reader_sees_every_import_form():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_only_stdlib_numpy_and_the_package(name):
     assert undeclared(module_imports(name)) == []
+
+
+def test_syntax_imports_only_the_standard_library():
+    # the syntax tree and its guard normal form need neither numpy nor gates
+    names = module_imports("qlang/ast.py")
+    assert sorted({n.split(".")[0] for n in names} - set(sys.stdlib_module_names)) == []

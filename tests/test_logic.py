@@ -14,8 +14,9 @@ from qpartial.logic import (
     subspace_from_vectors,
     subspace_leq,
 )
-from qpartial.qlang.gates import ket_guard_projection
 from qpartial.verify import subprobability_axioms
+
+from conftest import ket_projection
 
 
 def rng_for(test_id: int) -> np.random.Generator:
@@ -157,8 +158,8 @@ class TestLattice:
         # the same bytes whether or not it was read before the complement
         def events():
             return (
-                ClosedSubspace(ket_guard_projection(ket, 1, 2)),
-                ClosedSubspace(ket_guard_projection("0", 0, 2)),
+                ClosedSubspace(ket_projection(ket, 1, 2)),
+                ClosedSubspace(ket_projection("0", 0, 2)),
             )
 
         a, b = events()
@@ -337,6 +338,15 @@ class TestVectorBoundary:
         v = np.array([bad, 1.0])
         vectors = {"alone": [v], "after": [basis_vec(0, 2), v], "before": [v, basis_vec(0, 2)]}[family]
         with pytest.raises(ValueError, match="not finite"):
+            subspace_from_vectors(vectors)
+
+    @pytest.mark.parametrize("family", ["alone", "after"])
+    def test_overflowing_norm_is_rejected_without_a_warning(self, family):
+        # finite entries whose squared norm overflows to inf: the family is
+        # rejected, and numpy's overflow warning (an error here) is not raised
+        v = np.array([1e200, 1e200])
+        vectors = {"alone": [v], "after": [basis_vec(0, 2), v]}[family]
+        with pytest.raises(ValueError, match="not finite: a residual norm is inf"):
             subspace_from_vectors(vectors)
 
     def test_two_dimensional_element_is_rejected(self):

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from functools import reduce
 from itertools import permutations, repeat
 
 import numpy as np
@@ -13,10 +12,12 @@ from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import DimensionMismatchError, NonUnitaryError, NotPositiveError
 from qpartial.logic import ClosedSubspace
-from qpartial.qlang import denote, denote_unitary, gates, interpret, interpreter, parse
-from qpartial.qlang.ast import ApplyUnitary, Branch, Guard, Program, While
-from qpartial.qlang.gates import GATES, KET_VECTORS, apply_unitary, embed_operator, gate_arity, ket_guard_projection
+from qpartial.qlang import denote, gates, interpret, interpreter, parse, z_basis
+from qpartial.qlang.ast import KETS, ApplyUnitary, Branch, Guard, Program, While
+from qpartial.qlang.gates import GATES, apply_unitary, gate_arity
 from qpartial.verify import random_program
+
+from conftest import KET_VECTORS, ket_projection, kron_at, kron_permuted
 
 GROUND = PartialDensityOperator.ground_state(2)
 KET0 = np.array([1.0, 0.0])
@@ -30,7 +31,18 @@ def rng_for(test_id: int) -> np.random.Generator:
 
 def guard_projection(guard: Guard, n: int) -> np.ndarray:
     """The projection onto a guard's event in an n-qubit register."""
-    return ket_guard_projection(guard.ket, guard.qubit, n)
+    return ket_projection(guard.ket, guard.qubit, n)
+
+
+def on_identity(gate, targets, n: int) -> np.ndarray:
+    """A gate name or inline matrix, certified and applied on its qubit legs
+    to the identity: its full-dimension unitary."""
+    return apply_unitary(gate, targets, n, np.eye(2**n, dtype=complex))
+
+
+def embedded(name: str, targets, n: int) -> np.ndarray:
+    """A named gate's full-dimension unitary, by ``kron_permuted``."""
+    return kron_permuted(GATES[name], targets, n)
 
 
 def tree_nodes(block):
@@ -49,64 +61,62 @@ def tree_loops(block) -> list:
     return [n for n in tree_nodes(block) if isinstance(n, interpreter._Loop)]
 
 
-class TestDenoteUnitary:
+class TestGateOnIdentity:
     def test_hadamard_single_qubit(self):
-        u = denote_unitary("H", (0,), 1)
+        u = on_identity("H", (0,), 1)
         assert np.allclose(u, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
     def test_gate_names_case_insensitive(self):
-        assert np.allclose(denote_unitary("x", (0,), 1), GATES["X"])
+        assert np.allclose(on_identity("x", (0,), 1), GATES["X"])
 
     def test_tensor_embedding_matches_kron(self):
         x = GATES["X"]
-        assert np.allclose(denote_unitary("X", (1,), 2), np.kron(np.eye(2), x))
-        assert np.allclose(denote_unitary("X", (0,), 2), np.kron(x, np.eye(2)))
+        assert np.allclose(on_identity("X", (1,), 2), np.kron(np.eye(2), x))
+        assert np.allclose(on_identity("X", (0,), 2), np.kron(x, np.eye(2)))
         rng = rng_for(1)
         u = sampling.random_unitary(2, rng)
         assert np.allclose(
-            denote_unitary(u, (1,), 3), np.kron(np.eye(2), np.kron(u, np.eye(2)))
+            on_identity(u, (1,), 3), np.kron(np.eye(2), np.kron(u, np.eye(2)))
         )
 
     def test_cnot_textbook(self):
         expected = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-        assert np.allclose(denote_unitary("CNOT", (0, 1), 2), expected)
+        assert np.allclose(on_identity("CNOT", (0, 1), 2), expected)
 
     def test_cnot_reversed_targets(self):
         # control on qubit 1 (least significant bit) swaps |01> and |11>
-        u = denote_unitary("CNOT", (1, 0), 2)
+        u = on_identity("CNOT", (1, 0), 2)
         perm = np.eye(4)[:, [0, 3, 2, 1]]
         assert np.allclose(u, perm)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
-            denote_unitary(np.array([[1.0, 0.0], [0.0, 0.5]]), (0,), 1)
+            on_identity(np.array([[1.0, 0.0], [0.0, 0.5]]), (0,), 1)
 
     def test_overflowed_gram_defect_is_rejected(self):
         # finite entries whose Gram product overflows: U+U - I is NaN, which
         # must fail the bound, with no numpy warning (an error in this suite)
         u = np.array([[1e200 + 1e200j, 1e200 - 1e200j], [1e200 - 1e200j, 1e200 + 1e200j]])
         with pytest.raises(NonUnitaryError, match="deviates from unitary by nan"):
-            denote_unitary(u, (0,), 1)
+            on_identity(u, (0,), 1)
 
     def test_bad_targets(self):
         with pytest.raises(ValueError):
-            denote_unitary("CNOT", (0, 0), 2)
+            on_identity("CNOT", (0, 0), 2)
         with pytest.raises(ValueError):
-            denote_unitary("X", (3,), 2)
+            on_identity("X", (3,), 2)
         with pytest.raises(DimensionMismatchError):
-            embed_operator(np.eye(4), (0,), 2)
+            on_identity(np.eye(4), (0,), 2)
 
     def test_target_equal_to_register_size_is_out_of_range(self):
         # the last qubit of a 2-qubit register is 1: target 2 is one past it
-        u = np.eye(4, dtype=complex)
-        for denote_x in (lambda t: denote_unitary("X", t, 2), lambda t: apply_unitary("X", t, 2, u)):
-            with pytest.raises(ValueError, match="out of range"):
-                denote_x((2,))
-            with pytest.raises(ValueError, match="out of range"):
-                denote_x((-1,))
-            assert denote_x((1,)).shape == (4, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            on_identity("X", (2,), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            on_identity("X", (-1,), 2)
+        assert on_identity("X", (1,), 2).shape == (4, 4)
 
 
 class TestGateTable:
@@ -136,24 +146,44 @@ class TestGateTable:
             denote(prog)
 
 
-def kron_permuted(block: np.ndarray, targets, n: int) -> np.ndarray:
-    """block (x) I on the qubit order (targets, rest), axes permuted back."""
-    order = list(targets) + [q for q in range(n) if q not in targets]
-    m = np.kron(block, np.eye(2 ** (n - len(targets)))).reshape((2,) * (2 * n))
-    axes = list(np.argsort(order))
-    return m.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+class TestInlineGateIsItsNearestUnitary:
+    """An accepted inline gate is applied as its polar factor ``W V+``, so a
+    defect within ``UNITARY_TOL`` does not compound over a loop's steps."""
+
+    @staticmethod
+    def rotation_loop(gate: np.ndarray):
+        prog = Program(("q",), (While(Guard(0, "0"), (ApplyUnitary(gate, (0,)),)),))
+        rho = PartialDensityOperator(np.diag([0.5, 0.0]).astype(complex))
+        return interpret(prog, rho, FixpointConfig(max_iterations=20000))
+
+    @pytest.mark.parametrize("cos2", [0.99, 0.999])
+    def test_scaled_rotation_loop_gives_the_exact_rotations_output(self, cos2):
+        # coefficients scaled by 1 + 4.9e-11, within the certificate: applied
+        # as given, the converged output lay 4.9e-9 (cos2 = 0.99) and 4.9e-8
+        # (0.999) off the exact rotation's; as their polar factor, 0.0
+        c, s = np.sqrt(cos2), np.sqrt(1.0 - cos2)
+        rotation = np.array([[c, -s], [s, c]], dtype=complex)
+        exact, scaled = self.rotation_loop(rotation), self.rotation_loop((1.0 + 4.9e-11) * rotation)
+        assert exact.converged and scaled.converged
+        assert linalg.max_norm(scaled.output.matrix - exact.output.matrix) <= 1e-15
+
+    def test_named_gates_are_their_table_blocks(self, count_calls):
+        with count_calls(np.linalg, "svd") as svds:
+            u = on_identity("H", (0,), 1)
+        assert svds == [] and np.array_equal(u, GATES["H"])
 
 
-class TestEmbedOperator:
+class TestQubitLegs:
     def test_every_ordered_target_tuple_matches_kron(self):
+        # an inline unitary on every ordered target tuple of 1..4 qubits; it
+        # is applied as its polar factor, which lies within a few ulps of it
         rng = rng_for(20)
         for n in range(1, 5):
             for k in range(1, n + 1):
                 for targets in permutations(range(n), k):
-                    block = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
-                    assert np.array_equal(
-                        embed_operator(block, targets, n), kron_permuted(block, targets, n)
-                    ), targets
+                    block = sampling.random_unitary(2**k, rng)
+                    deviation = linalg.max_norm(on_identity(block, targets, n) - kron_permuted(block, targets, n))
+                    assert deviation <= 4e-15, targets
 
     @staticmethod
     def random_matrix(rng, rows: int) -> np.ndarray:
@@ -166,7 +196,7 @@ class TestEmbedOperator:
             for name in GATES:
                 for targets in permutations(range(n), gate_arity(name)):
                     u = self.random_matrix(rng, 2**n)
-                    expected = embed_operator(GATES[name], targets, n) @ u
+                    expected = embedded(name, targets, n) @ u
                     assert linalg.max_norm(apply_unitary(name, targets, n, u) - expected) <= 1e-15, (name, targets)
 
     @pytest.mark.parametrize(
@@ -177,7 +207,7 @@ class TestEmbedOperator:
         # non-adjacent and reversed targets included
         u = self.random_matrix(rng_for(29), 64)
         before = u.copy()
-        expected = embed_operator(GATES[name], targets, 6) @ u
+        expected = embedded(name, targets, 6) @ u
         assert linalg.max_norm(apply_unitary(name, targets, 6, u) - expected) <= 1e-15
         assert np.array_equal(u, before)  # u is read, not overwritten
 
@@ -380,7 +410,7 @@ class TestOneKleeneLoop:
         s_{n+1} = X s_n X+ for X = P H P, and tr a_{n+1} = tr a_n + Re<G, s_n>
         for G = Y+Y, Y = Q H P. As tr a_n is yielded, ``held[0]`` is a_n =
         a_0 + Y S_n Y+, S_n = s_0 + ... + s_{n-1}."""
-        h = denote_unitary("H", (0,), 1)
+        h = GATES["H"]
         keep = np.array([[False, False], [False, True]])
         leave = np.array([[True, False], [False, False]])
         out_of_loop = np.array([[False, True], [False, False]])
@@ -606,7 +636,7 @@ class TestBoundaryValidation:
 
         def faulty_denote(block, *args, **kwargs):
             body = original(block, *args, **kwargs)
-            if block is not loop.body:
+            if block != loop.body:
                 return body
 
             def fault(rho, *args):
@@ -649,7 +679,7 @@ class TestBoundaryValidation:
 
         def faulty_denote(block, *args, **kwargs):
             body = original(block, *args, **kwargs)
-            if block is not prog.body[0].body:
+            if block != prog.body[0].body:
                 return body
             return body + (lambda rho, *args: rho - self.DENT,)
 
@@ -673,7 +703,7 @@ class TestBoundaryValidation:
 
 def unfused(stmt, rho: np.ndarray, n: int, loop_steps) -> np.ndarray:
     """Reference semantics of a statement or a block that applies every gate
-    on its own, as a dense ``embed_operator`` conjugation, and runs each loop
+    on its own, as a dense ``kron_permuted`` conjugation, and runs each loop
     (in evaluation order, no nesting) for the next count of ``loop_steps``."""
     if isinstance(stmt, tuple):
         for inner in stmt:
@@ -681,7 +711,7 @@ def unfused(stmt, rho: np.ndarray, n: int, loop_steps) -> np.ndarray:
         return rho
     if isinstance(stmt, ApplyUnitary):
         block = GATES[stmt.gate.upper()] if isinstance(stmt.gate, str) else stmt.gate
-        u = embed_operator(block, stmt.targets, n)
+        u = kron_permuted(block, stmt.targets, n)
         return u @ rho @ u.conj().T
     p = guard_projection(stmt.guard, n)
     q = np.eye(len(p)) - p
@@ -708,12 +738,12 @@ KLEENE_TOL = 4 * np.finfo(float).eps
 def gate_product(source_gates, n: int) -> np.ndarray:
     u = np.eye(2**n, dtype=complex)
     for name, targets in source_gates:
-        u = denote_unitary(name, targets, n) @ u
+        u = embedded(name, targets, n) @ u
     return u
 
 
 # each factor is (1 + eps) X or (1 + eps) Z, with defect (1 + eps)^2 - 1 =
-# 0.9 UNITARY_TOL; the run's defect is about 4.5 UNITARY_TOL
+# 0.9 UNITARY_TOL, each accepted and applied as its polar factor, X or Z
 NEAR_SCALE = 1.0 + 0.45 * linalg.UNITARY_TOL
 _NEAR_X = f"[[0, {NEAR_SCALE!r}], [{NEAR_SCALE!r}, 0]]"
 _NEAR_Z = f"[[{NEAR_SCALE!r}, 0], [0, -{NEAR_SCALE!r}]]"
@@ -801,7 +831,7 @@ class TestGateFusion:
         assert isinstance(middle, (interpreter._If, interpreter._Loop))
         for node in tree_nodes((middle,)):
             if isinstance(node, interpreter._Gates):
-                assert any(np.array_equal(node.u, denote_unitary(g, t, 2)) for g, t in (("X", (0,)), ("H", (1,))))
+                assert any(np.array_equal(node.u, embedded(g, t, 2)) for g, t in (("X", (0,)), ("H", (1,))))
         f = sampling.random_pdo(4, rng_for(25))
         report = denotation.apply(f)
         steps = iter(report.iterations_per_loop)
@@ -860,8 +890,10 @@ class TestGateFusion:
         prog = parse(f"qubit a; qubit b; {NEAR_RUN}")
         defects = [linalg.max_norm(s.gate.conj().T @ s.gate - np.eye(2)) for s in prog.body]
         assert all(0.85 * linalg.UNITARY_TOL < d < 0.95 * linalg.UNITARY_TOL for d in defects)
+        # each accepted factor is applied as its nearest unitary, its polar
+        # factor, so the run conserves trace up to rounding
         report = interpret(prog, PartialDensityOperator.ground_state(4))
-        assert report.output.trace == pytest.approx(NEAR_SCALE**10, abs=1e-15)
+        assert report.output.trace == pytest.approx(1.0, abs=1e-15)
 
     def test_run_beyond_k_tolerances_is_rejected(self, monkeypatch):
         # factors with defect 1.2 UNITARY_TOL each, scaled after the
@@ -877,10 +909,6 @@ class TestGateFusion:
         prog = parse("qubit a; qubit b; h a; cnot a b; t b; h b; s a;")
         with pytest.raises(NonUnitaryError, match="run of 5 gates"):
             interpret(prog, PartialDensityOperator.ground_state(4))
-
-
-def kron_at(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
-    return reduce(np.kron, [factors.get(q, np.eye(2)) for q in range(n)])
 
 
 class TestGuardPaths:
@@ -960,7 +988,7 @@ class TestBlockPath:
 
     def test_every_ket_guard_matches_the_full_path(self):
         f = sampling.random_pdo(4, rng_for(29))
-        for ket in KET_VECTORS:
+        for ket in KETS:
             for q in range(2):
                 blocks, full = self.both_paths(Guard(q, ket), f, FixpointConfig())
                 assert blocks.converged and full.converged
@@ -997,10 +1025,10 @@ class TestKrausCertificate:
 
     @pytest.mark.parametrize("ket", ["1", "+"])
     def test_near_unitary_run_is_accepted_in_a_loop_body(self, ket, count_calls):
-        # the run `_product` accepts, with a defect of about 4.5
-        # UNITARY_TOL, in a loop body: M+M + C+C = (U B)+ U B is a
-        # compression of U+U, so its defect is no larger. Under `|+>` the
-        # body is denoted as `h a; NEAR_RUN; h a;`, 7 gates
+        # the run of near-unitary inline gates in a loop body, certified
+        # within 5 UNITARY_TOL: M+M + C+C = (U B)+ U B is a compression of
+        # U+U, so its defect is no larger. Under `|+>` the body is denoted
+        # as `h a; NEAR_RUN; h a;`, 7 gates
         prog = parse(f"qubit a; qubit b; h a; while a in |{ket}> {{ {NEAR_RUN} }}")
         with count_calls(interpreter, "_require_unitary") as certified:
             denotation = denote(prog)
@@ -1033,7 +1061,7 @@ class TestKrausCertificate:
                 full = interpreter._product(tuple(run), n, eye)
                 assert linalg.max_norm(on_columns - full[:, cols]) <= len(run) * np.finfo(float).eps, (n, run)
                 lone = run[:1]
-                exact = eye if not lone else denote_unitary(lone[0].gate, lone[0].targets, n)
+                exact = eye if not lone else on_identity(lone[0].gate, lone[0].targets, n)
                 assert np.array_equal(interpreter._product(tuple(lone), n, eye[:, cols]), exact[:, cols])
 
     @pytest.mark.parametrize("body", ["skip;", ""])
@@ -1071,7 +1099,7 @@ class TestKrausCertificate:
             run.append(ApplyUnitary(gate, tuple(data.draw(st.permutations(range(n)))[:k])))
         qubit = data.draw(st.integers(0, n - 1))
         f = sampling.random_pdo(2**n, np.random.default_rng([17, 32, data.draw(st.integers(0, 2**16))]))
-        for ket in KET_VECTORS:
+        for ket in KETS:
             prog = Program(tuple(f"q{i}" for i in range(n)), (While(Guard(qubit, ket), tuple(run)),))
             root = denote(prog)._root
             # a |+>/|-> loop's input is first rotated by the H before it
@@ -1225,3 +1253,58 @@ class TestStalledLoop:
         cfg = FixpointConfig()
         report = interpret(prog, rho, cfg)
         assert report.output.trace >= self.limit(prog, rho) - cfg.trace_tol
+
+
+def guards(block):
+    """Every guard of a block, at every depth."""
+    for stmt in block:
+        if isinstance(stmt, Branch):
+            yield stmt.guard
+            yield from guards(stmt.then_body + stmt.else_body)
+        elif isinstance(stmt, While):
+            yield stmt.guard
+            yield from guards(stmt.body)
+
+
+class TestZBasis:
+    """``z_basis`` is the one guard normal form: ``denote`` runs it once, and
+    then reads only ``|0>``/``|1>`` guards."""
+
+    NESTED_Z = (
+        "qubit a; qubit b; h b; h a; while a in |0> { h a; t a; h a; h b; "
+        "while b in |1> { h b; t b; h b; h b; } h b; s b; h a; } h a;"
+    )
+
+    def test_nested_program_is_its_hand_written_form(self):
+        prog = parse(TestOneKleeneLoop.NESTED)
+        assert z_basis(prog.body, 2) == parse(self.NESTED_Z).body
+
+    def test_verify_programs_keep_no_plus_or_minus_guard_at_any_depth(self):
+        rewritten = 0
+        for t in range(200):
+            prog, _ = verify_trial(t)
+            normal = z_basis(prog.body, prog.total_qubits)
+            assert {g.ket for g in guards(normal)} <= {"0", "1"}, t
+            assert z_basis(normal, prog.total_qubits) == normal, t
+            rewritten += normal != prog.body
+        assert rewritten > 50
+
+    def test_denote_of_the_normal_form_gives_the_same_run(self):
+        cfg = FixpointConfig(max_iterations=60)
+        for t in range(200):
+            prog, rho = verify_trial(t)
+            normal = Program(prog.declarations, z_basis(prog.body, prog.total_qubits))
+            first, second = denote(prog).apply(rho, cfg), denote(normal).apply(rho, cfg)
+            assert first.output.matrix.tobytes() == second.output.matrix.tobytes(), t
+            assert first.chain_trace_log == second.chain_trace_log, t
+
+    def test_denote_runs_the_pass_once(self, count_calls):
+        with count_calls(interpreter, "z_basis") as calls:
+            denote(parse(TestOneKleeneLoop.NESTED))
+        assert len(calls) == 1
+
+    def test_a_nested_guard_out_of_range_is_reported_before_a_bad_gate(self):
+        bad_gate = ApplyUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]), (0,))
+        prog = Program(("q",), (bad_gate, Branch(Guard(0, "1"), (), (While(Guard(1, "+"), ()),))))
+        with pytest.raises(ValueError, match="guard qubit 1 out of range for 1 qubit"):
+            denote(prog)
