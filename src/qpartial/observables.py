@@ -104,28 +104,6 @@ class BoundedObservable:
         return f"BoundedObservable(dim={self.dim}, spectrum={self.eigenvalues})"
 
 
-def _shifted(r: BoundedObservable, t: float) -> BoundedObservable:
-    """The observable A + t I, built from A's certified columns, with no
-    eigensolve.
-
-    It needs no certificate of its own. A + t I = V diag(w + t) V+ has A's
-    eigenvectors, so it keeps r's columns V and their groups, whose
-    orthonormality certificate depends on V alone; and a shift leaves
-    every gap between eigenvalues, and so the grouping, as it is. Each
-    group's eigenvalue moves by t, with one rounding. The stored operator is A + t I itself,
-    so every ``e0`` on the result still cross-checks its spectral sum
-    against that operator's trace form.
-    """
-    shifted = object.__new__(BoundedObservable)
-    a = r.operator + t * np.eye(r.dim)
-    a.setflags(write=False)
-    shifted._operator = a
-    shifted._vecs = r._vecs
-    shifted._starts = r._starts
-    shifted._eigenvalues = tuple(lam + t for lam in r._eigenvalues)
-    return shifted
-
-
 def pvm_map(r: BoundedObservable, u: Callable[[float], bool]) -> ClosedSubspace:
     """Event that the observable's value lies in the Borel set u, passed
     as its indicator function: ``u(x)`` is true when x is in the set, and

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import count
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .logic import (
 from .observables import (
     BoundedObservable,
     _expectations,
-    _shifted,
     e0,
     expected_interval,
     expected_interval_op,
@@ -292,25 +290,19 @@ def subprobability_axioms(f: PartialDensityOperator, rng_seed: int) -> tuple[boo
 # ------------------------------------------------------------------- dcpo
 
 
-def geometric_chain(f: PartialDensityOperator):
-    """The increasing chain (1 - 2^-n) f, n = 1, 2, ..."""
-    for n in count(1):
-        yield scale(f, 1.0 - 2.0**-n)
-
-
 # 1 - 2^-n rounds to 1.0 from n = 54 on, where the trace gap is exactly 0,
 # below every trace_tol: chain_supremum never reads past element 55
 _CHAIN_BOUND = 64
 
 
 def _geometric_supremum(f: PartialDensityOperator, cfg: FixpointConfig):
-    """``chain_supremum`` of ``geometric_chain(f)``, the chain built at once
-    as one read-only n x d x d stack whose element n - 1 is (1 - 2^-n) f,
-    the same product ``scale`` forms, and read through the stack's traces.
-    Returns the slice of the stack whose traces ``chain_supremum`` consumed,
-    its last element as ``scale(f, 1 - 2^-N)`` (the supremum, with the
-    certificate ``scale`` gives it), whether the chain converged, and the
-    traces consumed."""
+    """``chain_supremum`` of the increasing chain (1 - 2^-n) f, n = 1, 2,
+    ..., built at once as one read-only n x d x d stack whose element n - 1
+    is (1 - 2^-n) f, the same product ``scale`` forms, and read through the
+    stack's traces. Returns the slice of the stack whose traces
+    ``chain_supremum`` consumed, its last element as ``scale(f, 1 - 2^-N)``
+    (the supremum, with the certificate ``scale`` gives it), whether the
+    chain converged, and the traces consumed."""
     factors = 1.0 - 2.0 ** -np.arange(1, _CHAIN_BOUND + 1)
     stack = factors[:, None, None] * f.matrix
     stack.setflags(write=False)
@@ -438,29 +430,30 @@ def interval_suite(dims, trials: int, seed: int) -> SuiteReport:
         yield pvm_ok, 0.0
 
         f, g = sampling.loewner_pair(dim, rng)
-        yield reverse_inclusion_leq(expected_interval(r, f), expected_interval(r, g)), 0.0
+        box = expected_interval(r, f)
+        yield reverse_inclusion_leq(box, expected_interval(r, g)), 0.0
 
         chain, sup, _, traces = _geometric_supremum(f, cfg)
+        centers = _expectations(r, chain)
         # each element (1 - 2^-n) f keeps f's certificate, as scale gives it
         chain_intervals = (
             missing_mass_interval(center, _certified(fn, trace), m, big_m)
-            for center, fn, trace in zip(_expectations(r, chain), chain, traces)
+            for center, fn, trace in zip(centers, chain, traces)
         )
         limit_interval = directed_intersection(chain_intervals)
-        target = expected_interval(r, f)
-        e_dev = max(abs(limit_interval.lo - target.lo), abs(limit_interval.hi - target.hi))
+        e_dev = max(abs(limit_interval.lo - box.lo), abs(limit_interval.hi - box.hi))
         # the net of e0 values converges to e0 at the supremum; it is
         # monotone (so its sup equals its limit) once the spectrum is
-        # nonnegative
-        e0_dev = abs(e0(r, sup) - e0(r, f))
-        r_pos = _shifted(r, -min(0.0, m))
-        sup_e0 = max(_expectations(r_pos, chain))
-        e0_dev = max(e0_dev, abs(sup_e0 - e0(r_pos, f)))
+        # nonnegative, so it is read for A + s I, s = -min(0, m), by
+        # linearity: tr((A + s I) h) = tr(A h) + s tr h
+        e0_f = e0(r, f)
+        s = -min(0.0, m)
+        sup_e0 = max(c + s * trace for c, trace in zip(centers, traces))
+        e0_dev = max(abs(e0(r, sup) - e0_f), abs(sup_e0 - (e0_f + s * f.trace)))
         yield e_dev <= 1e-6 and e0_dev <= 1e-8, max(e_dev, e0_dev)
 
         completion = sampling.total_completion(f, rng)
         value = float(np.trace(r.operator @ completion.matrix).real)
-        box = expected_interval(r, f)
         c_dev = max(box.lo - value, value - box.hi)
         yield c_dev <= 1e-9, max(0.0, c_dev)
 

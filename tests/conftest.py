@@ -1,10 +1,11 @@
 import contextlib
 from functools import reduce
+from itertools import count
 
 import numpy as np
 import pytest
 
-from qpartial.density import PartialDensityOperator
+from qpartial.density import PartialDensityOperator, scale
 
 # Reference forms built with np.kron, independent of the library's leg
 # indexing; test modules import them from here. Qubit 0 is the leftmost
@@ -35,6 +36,13 @@ def ket_projection(ket: str, qubit: int, n: int) -> np.ndarray:
     """The projection onto the event ``qubit in |ket>`` of an n-qubit register."""
     v = KET_VECTORS[ket]
     return kron_at({qubit: np.outer(v, v.conj())}, n)
+
+
+def geometric_chain(f: PartialDensityOperator):
+    """The increasing chain (1 - 2^-n) f, n = 1, 2, ..., element by element
+    through ``scale``: the reference for the stacked chain the suites read."""
+    for n in count(1):
+        yield scale(f, 1.0 - 2.0**-n)
 
 
 @pytest.fixture

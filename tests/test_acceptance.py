@@ -27,7 +27,9 @@ from qpartial.observables import (
     spectrum_bounds,
 )
 from qpartial.qlang import interpret, parse
-from qpartial.verify import geometric_chain, order_isomorphism_checks, random_program, subprobability_axioms
+from qpartial.verify import order_isomorphism_checks, random_program, subprobability_axioms
+
+from conftest import geometric_chain
 
 SEED = 20240901
 

@@ -81,7 +81,9 @@ CASES = {
     "expect-pauli-z": ["expect", "pauli_z.json", "readme_state.json"],
     "verify-gleason": ["verify", "gleason", "--dims", "2,3", "--trials", "5"],
     "verify-dcpo": ["verify", "dcpo", "--dims", "2,3", "--trials", "5"],
+    "verify-dcpo-d16": ["verify", "dcpo", "--dims", "16", "--trials", "10"],
     "verify-interval": ["verify", "interval", "--dims", "2,3", "--trials", "5"],
+    "verify-interval-d16": ["verify", "interval", "--dims", "16", "--trials", "10"],
     "verify-qlang": ["verify", "qlang", "--trials", "20"],
 }
 

@@ -8,6 +8,8 @@ harmless. A new check joins the table by changing the expected sets of the
 rows it catches.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ def negated_body_step_exit(loop, s, cfg, loops):
     """``_Loop.step``, the body-step kernel, with its exit increment negated."""
     s, increment = _loop_step(loop, s, cfg, loops)
     return s, -increment
+
+
+_control = interpreter._control
+
+
+def negated_block_exit(stmt, total_qubits):
+    """``_control`` whose gate-run loops, the block (Kraus-pair) kernel,
+    carry -C+ for C+, so their exit block is a_0 - C S C+."""
+    node = _control(stmt, total_qubits)
+    if isinstance(node, interpreter._Loop) and node.m is not None:
+        node = dataclasses.replace(node, c_adj=-node.c_adj)
+    return node
 
 
 def narrowed_intersection(chain):
@@ -122,6 +136,15 @@ FAULTS = [
         "body_step_exit_increment_negated",
         [(interpreter._Loop, "step", negated_body_step_exit)],
         {"qlang": {"approximant_chain_increasing"}},
+    ),
+    (
+        # the output certificate of apply rejects the exit block that is not
+        # PSD, in the fair coin's loop and in the random programs' gate-run
+        # loops; the diverging loop's body is empty, so its C is zero and
+        # negating C+ changes nothing
+        "block_exit_adjoint_negated",
+        [(interpreter, "_control", negated_block_exit)],
+        {"qlang": {"approximant_chain_increasing", "fair_coin_residuals"}},
     ),
     (
         # a narrower limit stays inside every element of the nested chain,

@@ -18,7 +18,6 @@ from qpartial.logic import ClosedSubspace, join
 from qpartial.observables import (
     BoundedObservable,
     _expectations,
-    _shifted,
     _weights,
     distribution,
     e0,
@@ -558,34 +557,18 @@ class TestMonotonicityAndContinuity:
             assert box.lo - 1e-9 <= value <= box.hi + 1e-9
 
 
-class TestShifted:
+class TestShiftByLinearity:
+    # the identity verify's interval suite reads its nonnegative-spectrum
+    # e0 net by; the fresh observable of A + t I is the reference
     @pytest.mark.parametrize("dim", [2, 3, 4, 16])
     @pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
-    def test_matches_the_shifted_operators_own_observable(self, dim, t):
+    def test_e0_of_a_plus_t_is_e0_plus_t_trace(self, dim, t):
         rng = rng_for(26)
         r = sampling.random_observable(dim, rng)
         fresh = BoundedObservable(r.operator + t * np.eye(dim))
-        shifted = _shifted(r, t)
-        assert np.array_equal(shifted.operator, r.operator + t * np.eye(dim))
-        assert np.allclose(shifted.eigenvalues, fresh.eigenvalues, rtol=0.0, atol=1e-12)
         for _ in range(5):
-            f = sampling.random_pdo(dim, rng)
-            assert e0(shifted, f) == pytest.approx(e0(fresh, f), abs=1e-12)
-
-    def test_runs_no_eigensolve(self, count_eigensolves):
-        r = sampling.random_observable(4, rng_for(27))
-        f = sampling.random_pdo(4, rng_for(28))
-        with count_eigensolves() as sizes:
-            shifted = _shifted(r, 1.5)
-            e0(shifted, f)
-        assert sizes == []
-        assert shifted.eigenvalues == [lam + 1.5 for lam in r.eigenvalues]
-
-    def test_cross_check_reads_the_shifted_operator(self):
-        r = _shifted(BoundedObservable(PAULI_Z), 1.0)
-        r._operator = np.diag([5.0, 0.0]).astype(complex)
-        with pytest.raises(CrossCheckError, match="diverge"):
-            e0(r, PartialDensityOperator.maximally_mixed(2))
+            g = sampling.random_pdo(dim, rng)
+            assert e0(r, g) + t * g.trace == pytest.approx(e0(fresh, g), abs=1e-12)
 
 
 class TestLinearity:

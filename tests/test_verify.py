@@ -5,7 +5,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from qpartial import linalg, logic, sampling, verify
+from qpartial import linalg, logic, observables, sampling, verify
 from qpartial.cli import main
 from qpartial.density import FixpointConfig, PartialDensityOperator, chain_supremum
 from qpartial.errors import CrossCheckError, NonUnitaryError
@@ -16,7 +16,6 @@ from qpartial.verify import (
     CheckResult,
     SuiteReport,
     _geometric_supremum,
-    geometric_chain,
     linearity_deviation,
     measure_violation,
     order_isomorphism_checks,
@@ -24,6 +23,8 @@ from qpartial.verify import (
     run_suite,
     subspace_pool,
 )
+
+from conftest import geometric_chain
 
 
 def test_unknown_suite_rejected():
@@ -144,6 +145,15 @@ def test_qlang_suite_denotes_each_program_once(count_calls):
         run_suite("qlang", [2], 5, 42)
     # each random program's gates once, and the fair coin's two
     assert len(blocks) == sum(gate_count(p.body) for p in programs) + 2
+
+
+def test_interval_trial_makes_nine_spectral_passes(count_calls):
+    # f's interval and e0, g's interval, the chain's stack, e0 at the
+    # supremum, and the linearity and square checks' four observables; the
+    # net of A + s I is read off the chain's own expectations and traces
+    with count_calls(observables, "_weights") as passes:
+        run_suite("interval", [2, 3], 5, 42)
+    assert len(passes) == 9 * 10
 
 
 def drop_c_conjugate(monkeypatch, only_linearity_runs: bool = False) -> None:
